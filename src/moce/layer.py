@@ -23,15 +23,14 @@ from .tensor import (
     Tensor,
     activation,
     add,
-    concat_cols,
-    flatten_to_vector,
+    concat_rows,
     matmul,
     mul,
     mul_rows,
-    pad_rows,
     reciprocal,
-    slice_cols,
+    scatter_add_rows,
     softmax,
+    take_entries,
     take_rows,
     tensor_sum,
 )
@@ -207,16 +206,20 @@ class RoutingRecord:
     """Everything observed about routing during one or more forward passes.
 
     Keeps both plain numbers (for CSV / stats) and the live gate tensors
-    each router produced (so the balance loss can backpropagate).
+    each router produced (so the balance loss can backpropagate). The
+    token-level ``rows`` are built only when read, from each router call's
+    gate and selection arrays.
     """
 
     routers: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)             # (token_idx, group, expert, weight)
     tokens_seen: int = 0
     active_experts_per_token: int | None = None
+    _calls: list = field(default_factory=list, repr=False)   # (key, gates, mask, token indices)
+    _starts: list = field(default_factory=list, repr=False)  # first token index of each sequence
 
     def advance(self, n_tokens: int) -> None:
-        """Move the global token index forward after a full sequence pass."""
+        """Move the global token index past one sequence."""
+        self._starts.append(self.tokens_seen)
         self.tokens_seen += n_tokens
 
     def _stats(self, key, n_experts: int) -> _RouterStats:
@@ -228,11 +231,13 @@ class RoutingRecord:
             raise ContractError(f"router '{key}' changed expert count mid-record")
         return stats
 
-    def observe(self, key, gates: Tensor, mask: np.ndarray, token_offset: int) -> None:
+    def observe(self, key, gates: Tensor, mask: np.ndarray, token_offset: int,
+                rows: np.ndarray | None = None) -> None:
         """Record one router invocation over a block of tokens.
 
         ``mask`` marks the selected experts; the top-1 tally uses the
-        pre-truncation argmax of the full gate row.
+        pre-truncation argmax of the full gate row. Gate row t belongs to
+        token ``token_offset + rows[t]`` (``rows`` defaults to 0, 1, ...).
         """
         g = gates.data
         stats = self._stats(key, g.shape[1])
@@ -243,9 +248,30 @@ class RoutingRecord:
         stats.selected_counts += mask.astype(np.int64).sum(axis=0)
         ones = Tensor(np.ones((1, g.shape[0])))
         stats.gate_prob_sums.append(matmul(ones, gates))
-        for t in range(g.shape[0]):
-            for i in np.nonzero(mask[t])[0]:
-                self.rows.append((token_offset + t, key, int(i), float(g[t, i])))
+        offsets = np.arange(g.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
+        self._calls.append((key, g, mask, token_offset + offsets))
+
+    @property
+    def rows(self) -> list:
+        """Every selection as (token_idx, group, expert, weight).
+
+        Ordered by sequence, then router call, then token, then expert: the
+        order in which routing one sequence at a time would record them.
+        """
+        if not self._calls:
+            return []
+        calls, tokens, experts, weights = [], [], [], []
+        for i, (_, g, mask, token_idx) in enumerate(self._calls):
+            t, e = np.nonzero(mask)
+            calls.append(np.full(t.size, i))
+            tokens.append(token_idx[t])
+            experts.append(e)
+            weights.append(g[t, e])
+        call, token, expert, weight = (np.concatenate(a) for a in (calls, tokens, experts, weights))
+        sequence = np.searchsorted(np.asarray(self._starts, dtype=np.int64), token, side="right")
+        order = np.lexsort((expert, token, call, sequence))
+        keys = [c[0] for c in self._calls]
+        return [(int(token[j]), keys[call[j]], int(expert[j]), float(weight[j])) for j in order]
 
     def load_fractions(self, key) -> np.ndarray:
         """f_i: fraction of this router's tokens whose top-1 expert is i."""
@@ -338,82 +364,100 @@ class MoCELayer:
             return group_id
         return f"L{self.layer_key}.{group_id}"
 
-    def _gated_delta(self, group: ExpertGroup, x: Tensor, base_out: Tensor, gates: Tensor,
-                     mask: np.ndarray, include_residual: bool) -> Tensor:
-        """Combine the selected experts of one router over all tokens.
+    def _dispatch(self, x: Tensor, base_out: Tensor, routes: list, k: int,
+                  include_residual: bool, record: RoutingRecord | None) -> Tensor:
+        """Route tokens and combine the selected experts' outputs.
 
-        Every expert sees only the rows that selected it. With
+        ``routes`` lists (record key, group, rows) for each router call;
+        ``rows`` are the block rows the group owns, or None for all rows.
+        The selected (token, expert) pairs are sorted by expert, so each
+        expert runs once, on exactly the rows that selected it; one
+        weighted scatter-add returns every contribution to its token. With
         ``include_residual`` each expert contributes its full output
         (update plus residual input) instead of the bare update.
         """
-        total_rows = x.shape[0]
-        weights = gates
-        if self.renormalize and self.mode == "topk":
-            selected = mul(gates, Tensor(mask))
-            row_sums = matmul(selected, Tensor(np.ones((mask.shape[1], 1))))
-            weights = mul_rows(gates, flatten_to_vector(reciprocal(row_sums)))
-        combined = None
-        for i, expert in enumerate(group.experts):
-            rows = np.nonzero(mask[:, i])[0]
-            if rows.size == 0:
-                continue
-            base_sub = take_rows(base_out, rows)
-            if include_residual:
-                contribution = expert.forward(base_sub, take_rows(x, rows))
-            else:
-                contribution = expert.delta(base_sub)
-            w_vec = flatten_to_vector(take_rows(slice_cols(weights, i, i + 1), rows))
-            placed = pad_rows(mul_rows(contribution, w_vec), rows, total_rows)
-            combined = placed if combined is None else add(combined, placed)
+        outputs, weights, targets = [], [], []
+        for key, group, rows in routes:
+            gates = gate(router_logits(group.router, x if rows is None else take_rows(x, rows)))
+            mask = top_k_mask(gates.data, k)
+            if record is not None:
+                record.observe(key, gates, mask, record.tokens_seen, rows)
+            pair_expert, pair_token = np.nonzero(mask.T)
+            pair_weight = take_entries(gates, pair_token, pair_expert)
+            if self.renormalize and self.mode == "topk":
+                totals = matmul(mul(gates, Tensor(mask)), Tensor(np.ones((mask.shape[1], 1))))
+                inverse = take_entries(reciprocal(totals), pair_token, np.zeros_like(pair_token))
+                pair_weight = mul(pair_weight, inverse)
+            pair_row = pair_token if rows is None else rows[pair_token]
+            bounds = np.searchsorted(pair_expert, np.arange(group.n_experts + 1))
+            for expert, lo, hi in zip(group.experts, bounds[:-1], bounds[1:]):
+                if lo == hi:
+                    continue
+                selected = pair_row[lo:hi]
+                base_sub = take_rows(base_out, selected)
+                if include_residual:
+                    outputs.append(expert.forward(base_sub, take_rows(x, selected)))
+                else:
+                    outputs.append(expert.delta(base_sub))
+            weights.append(pair_weight)
+            targets.append(pair_row)
+        combined = scatter_add_rows(mul_rows(concat_rows(outputs), concat_rows(weights)),
+                                    np.concatenate(targets), x.shape[0])
         if self.moe_scale != 1.0:
             combined = mul(combined, self.moe_scale)
         return combined
 
-    def _route(self, group: ExpertGroup, x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
-        gates = gate(router_logits(group.router, x))
-        mask = top_k_mask(gates.data, k)
-        return gates, mask
-
-    def forward(self, x: Tensor, group_id: int, record: RoutingRecord | None = None,
-                mode: str | None = None) -> Tensor:
-        """Group-path output: x plus the gated sum of selected adapter updates.
-
-        With every W_up at zero this is exactly the identity on x, for any
-        k, the property upcycled initialisation relies on.
-        """
+    def _group_path(self, x: Tensor, base_out: Tensor, group_id, record: RoutingRecord | None,
+                    mode: str | None) -> Tensor:
         mode = self.mode if mode is None else mode
         if mode not in ROUTING_MODES:
             raise ConfigError(f"unknown routing mode '{mode}'")
-        if not (0 <= group_id < len(self.groups)):
-            raise ContractError(f"group id {group_id} out of range for {len(self.groups)} groups")
         if x.shape[0] == 0:
             raise ContractError("cannot route an empty token block")
-        group = self.groups[group_id]
-        k = group.n_experts if mode == "soft" else self.k
-        gates, mask = self._route(group, x, k)
-        if record is not None:
-            record.observe(self._record_key(group_id), gates, mask, record.tokens_seen)
-        delta = self._gated_delta(group, x, self.base_ffn.forward(x), gates, mask,
-                                  include_residual=False)
-        return add(x, delta)
+        row_groups = np.asarray(group_id, dtype=np.int64)
+        if row_groups.ndim == 0:
+            row_groups = np.full(x.shape[0], row_groups)
+        if row_groups.shape != (x.shape[0],):
+            raise ShapeError(f"need one group id per row, got {row_groups.shape} for {x.shape[0]} rows")
+        if row_groups.min() < 0 or row_groups.max() >= len(self.groups):
+            raise ContractError(f"group id out of range for {len(self.groups)} groups")
+        present = np.unique(row_groups)
+        routes = [(self._record_key(int(g)), self.groups[g],
+                   None if present.size == 1 else np.nonzero(row_groups == g)[0])
+                  for g in present]
+        k = self.groups[0].n_experts if mode == "soft" else self.k
+        return add(x, self._dispatch(x, base_out, routes, k, False, record))
 
-    def general_path(self, x: Tensor, record: RoutingRecord | None = None) -> Tensor:
-        """The always-on second path: gated sum of full general-expert outputs."""
+    def _general_path(self, x: Tensor, base_out: Tensor, record: RoutingRecord | None) -> Tensor:
         if self.general_group is None:
             raise ContractError("this layer was built without a general group")
         if x.shape[0] == 0:
             raise ContractError("cannot route an empty token block")
         group = self.general_group
         k = group.n_experts if self.mode == "soft" else self.k
-        gates, mask = self._route(group, x, k)
-        if record is not None:
-            record.observe(self._record_key(GENERAL_KEY), gates, mask, record.tokens_seen)
-        return self._gated_delta(group, x, self.base_ffn.forward(x), gates, mask,
-                                 include_residual=True)
+        return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), group, None)], k,
+                              True, record)
 
-    def variant_forward(self, x: Tensor, group_id: int, record: RoutingRecord | None = None) -> Tensor:
-        """Two-path output: the group path plus the general path."""
-        return add(self.forward(x, group_id, record), self.general_path(x, record))
+    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
+                mode: str | None = None) -> Tensor:
+        """Group-path output: x plus the gated sum of selected adapter updates.
+
+        ``group_id`` is one group for every row, or one group id per row of
+        a packed block; each group present gets one router call over its
+        own rows. With every W_up at zero this is exactly the identity on
+        x, for any k, the property upcycled initialisation relies on.
+        """
+        return self._group_path(x, self.base_ffn.forward(x), group_id, record, mode)
+
+    def general_path(self, x: Tensor, record: RoutingRecord | None = None) -> Tensor:
+        """The always-on second path: gated sum of full general-expert outputs."""
+        return self._general_path(x, self.base_ffn.forward(x), record)
+
+    def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
+        """Two-path output: the group path plus the general path, over one base FFN pass."""
+        base_out = self.base_ffn.forward(x)
+        return add(self._group_path(x, base_out, group_id, record, None),
+                   self._general_path(x, base_out, record))
 
     def parameters(self) -> list[Tensor]:
         out = []

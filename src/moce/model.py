@@ -106,21 +106,21 @@ class _Block:
         base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=requires_grad)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
-    def attend(self, x: Tensor) -> Tensor:
-        t = x.shape[0]
+    def attend(self, x: Tensor, mask: Tensor) -> Tensor:
+        """Causal self-attention over a packed block; ``mask`` holds 0 where
+        a row may attend and a large negative score where it may not."""
         z = rmsnorm(x, self.norm)
         q = matmul(z, self.wq)
         k = matmul(z, self.wk)
         v = matmul(z, self.wv)
         d_head = x.shape[1] // self.n_heads
-        causal = Tensor(np.triu(np.full((t, t), _NEG_MASK), k=1))
         heads = []
         for h in range(self.n_heads):
             lo, hi = h * d_head, (h + 1) * d_head
             qh = slice_cols(q, lo, hi)
             kh = slice_cols(k, lo, hi)
             vh = slice_cols(v, lo, hi)
-            scores = add(mul(matmul(qh, transpose(kh)), d_head ** -0.5), causal)
+            scores = add(mul(matmul(qh, transpose(kh)), d_head ** -0.5), mask)
             heads.append(matmul(softmax(scores, axis=-1), vh))
         return add(x, matmul(concat_cols(heads), self.wo))
 
@@ -134,6 +134,35 @@ class _Block:
             (f"{prefix}.base_ffn.w1", self.base_ffn.w1),
             (f"{prefix}.base_ffn.w2", self.base_ffn.w2),
         ]
+
+
+class _Packed:
+    """One sequence of token ids, or a list of sequences, laid end to end as
+    one block of rows, with each row's position in its own sequence and an
+    attention mask that keeps every row to the earlier rows of its sequence.
+    """
+
+    def __init__(self, token_ids, cfg: ModelConfig):
+        if len(token_ids) > 0 and np.ndim(token_ids[0]) == 0:
+            token_ids = [token_ids]
+        if len(token_ids) == 0:
+            raise ContractError("token_ids must hold at least one sequence")
+        seqs = [np.asarray(s, dtype=np.int64) for s in token_ids]
+        for ids in seqs:
+            if ids.ndim != 1 or ids.size == 0:
+                raise ContractError("every sequence of token ids must be non-empty and 1-D")
+            if ids.size > cfg.max_seq_len:
+                raise ContractError(
+                    f"sequence length {ids.size} exceeds max_seq_len {cfg.max_seq_len}"
+                )
+            if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+                raise ContractError(f"token id out of range for vocab size {cfg.vocab_size}")
+        self.lengths = np.array([ids.size for ids in seqs])
+        self.ids = np.concatenate(seqs)
+        self.positions = np.concatenate([np.arange(n) for n in self.lengths])
+        segment = np.repeat(np.arange(len(seqs)), self.lengths)
+        allowed = (segment[:, None] == segment[None, :]) & np.tri(self.ids.size, dtype=bool)
+        self.mask = Tensor(np.where(allowed, 0.0, _NEG_MASK))
 
 
 class _Backbone:
@@ -158,17 +187,8 @@ class _Backbone:
         head = Tensor(rng.normal(0.0, d ** -0.5, size=(d, cfg.vocab_size)), requires_grad)
         return cls(cfg, tok, pos, blocks, final, head)
 
-    def embed(self, token_ids) -> Tensor:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ContractError("token_ids must be a non-empty 1-D sequence")
-        if ids.size > self.cfg.max_seq_len:
-            raise ContractError(
-                f"sequence length {ids.size} exceeds max_seq_len {self.cfg.max_seq_len}"
-            )
-        if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
-            raise ContractError(f"token id out of range for vocab size {self.cfg.vocab_size}")
-        return add(take_rows(self.tok_emb, ids), take_rows(self.pos_emb, np.arange(ids.size)))
+    def embed(self, batch: "_Packed") -> Tensor:
+        return add(take_rows(self.tok_emb, batch.ids), take_rows(self.pos_emb, batch.positions))
 
     def project(self, x: Tensor) -> Tensor:
         return matmul(rmsnorm(x, self.final_norm), self.head)
@@ -200,9 +220,11 @@ class DenseBaseModel:
         return cls(_Backbone.init(cfg, rng, requires_grad=True))
 
     def forward(self, token_ids) -> Tensor:
-        x = self.backbone.embed(token_ids)
+        """Logits for one sequence, or for a list of sequences packed into one block."""
+        batch = _Packed(token_ids, self.cfg)
+        x = self.backbone.embed(batch)
         for block in self.backbone.blocks:
-            x = block.attend(x)
+            x = block.attend(x, batch.mask)
         return self.backbone.project(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -236,20 +258,30 @@ class MoCEModel:
         backbone = _Backbone.init(cfg, substream(seed, "init", "dense"), requires_grad=False)
         return cls(backbone, _make_moce_layers(backbone, cfg, seed))
 
-    def forward(self, token_ids, group_id: int, record: RoutingRecord | None = None) -> Tensor:
-        """Logits for one sequence routed through expert group ``group_id``."""
-        if not (0 <= group_id < self.cfg.n_groups):
-            raise ContractError(f"group id {group_id} out of range for {self.cfg.n_groups} groups")
-        x = self.backbone.embed(token_ids)
-        n_tokens = x.shape[0]
+    def forward(self, token_ids, group_id, record: RoutingRecord | None = None) -> Tensor:
+        """Logits for one sequence, or for a list of sequences packed into one block.
+
+        ``group_id`` is the expert group of every sequence, or one group per
+        sequence. The rows of the result follow the sequences in order.
+        """
+        batch = _Packed(token_ids, self.cfg)
+        groups = np.asarray(group_id, dtype=np.int64)
+        if groups.ndim == 0:
+            groups = np.full(batch.lengths.size, groups)
+        if groups.shape != batch.lengths.shape:
+            raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
+                                f"for {batch.lengths.size} sequences")
+        row_groups = np.repeat(groups, batch.lengths)
+        x = self.backbone.embed(batch)
         for block, layer in zip(self.backbone.blocks, self.layers):
-            x = block.attend(x)
+            x = block.attend(x, batch.mask)
             if self.cfg.variant:
-                x = layer.variant_forward(x, group_id, record)
+                x = layer.variant_forward(x, row_groups, record)
             else:
-                x = layer.forward(x, group_id, record)
+                x = layer.forward(x, row_groups, record)
         if record is not None:
-            record.advance(n_tokens)
+            for n in batch.lengths:
+                record.advance(int(n))
             record.active_experts_per_token = (2 if self.cfg.variant else 1) * (
                 self.cfg.n_experts if self.cfg.mode == "soft" else self.cfg.top_k
             )
@@ -369,9 +401,9 @@ def model_forward(model: MoCEModel, token_ids, group_id: int,
     return model.forward(token_ids, group_id, record)
 
 
-def lm_loss(logits: Tensor, targets, supervised_mask) -> Tensor:
-    """Mean next-token NLL over the supervised span."""
-    return masked_cross_entropy(logits, targets, supervised_mask)
+def lm_loss(logits: Tensor, targets, weights) -> Tensor:
+    """Next-token NLL averaged with per-row weights (see ``masked_cross_entropy``)."""
+    return masked_cross_entropy(logits, targets, weights)
 
 
 def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: int,

@@ -390,6 +390,61 @@ def mul_rows(a: Tensor, scale: Tensor) -> Tensor:
     return _result(a.data * scale.data[:, None], (a, scale), grad_fn, "mul_rows")
 
 
+def take_entries(a: Tensor, rows, cols) -> Tensor:
+    """Gather the entries a[rows[i], cols[i]] into a 1-D tensor; gradient scatter-adds back."""
+    r = np.asarray(rows, dtype=np.int64)
+    c = np.asarray(cols, dtype=np.int64)
+    if a.data.ndim != 2:
+        raise ShapeError(f"take_entries needs a 2-D tensor, got {a.data.shape}")
+    if r.ndim != 1 or r.shape != c.shape:
+        raise ShapeError(f"take_entries needs two equal 1-D index lists, got {r.shape} and {c.shape}")
+    if r.size and (r.min() < 0 or r.max() >= a.data.shape[0] or c.min() < 0
+                   or c.max() >= a.data.shape[1]):
+        raise ContractError(f"take_entries index out of range for shape {a.data.shape}")
+
+    def grad_fn(g: np.ndarray):
+        da = np.zeros_like(a.data)
+        np.add.at(da, (r, c), g)
+        return (da,)
+
+    return _result(a.data[r, c], (a,), grad_fn, "take_entries")
+
+
+def scatter_add_rows(a: Tensor, indices, total_rows: int) -> Tensor:
+    """Add each row of ``a`` into the given row of a zero (total_rows, d) tensor.
+
+    Rows sent to the same index add up, in the order they come in.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if a.data.ndim != 2:
+        raise ShapeError(f"scatter_add_rows needs a 2-D tensor, got {a.data.shape}")
+    if idx.shape != (a.data.shape[0],):
+        raise ShapeError(f"scatter_add_rows needs one index per row, got {idx.shape} for {a.data.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= total_rows):
+        raise ContractError(f"scatter_add_rows index out of range for {total_rows} rows")
+    data = np.zeros((total_rows, a.data.shape[1]), dtype=np.float64)
+    np.add.at(data, idx, a.data)
+    return _result(data, (a,), lambda g: (g[idx],), "scatter_add_rows")
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack tensors along their first axis; all other dimensions must agree."""
+    if not parts:
+        raise ContractError("concat_rows needs at least one tensor")
+    if len(parts) == 1:
+        return parts[0]
+    tail = parts[0].data.shape[1:]
+    for p in parts:
+        if p.data.ndim == 0 or p.data.shape[1:] != tail:
+            raise ShapeError("concat_rows needs tensors whose shapes differ only in the first axis")
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def grad_fn(g: np.ndarray):
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+
+    return _result(np.concatenate([p.data for p in parts]), tuple(parts), grad_fn, "concat_rows")
+
+
 def flatten_to_vector(a: Tensor) -> Tensor:
     """Reshape a 2-D (T, 1) or (1, T) tensor to a 1-D (T,) tensor."""
     if a.data.ndim != 2 or 1 not in a.data.shape:
@@ -398,23 +453,28 @@ def flatten_to_vector(a: Tensor) -> Tensor:
     return _result(a.data.reshape(-1), (a,), lambda g: (g.reshape(shape),), "flatten_to_vector")
 
 
-def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
-    """Mean negative log-likelihood over the rows selected by ``mask``.
+def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
+    """Weighted mean negative log-likelihood: sum_r w_r * nll_r / sum_r w_r.
 
-    ``targets`` holds one class index per row; ``mask`` is 0/1 per row and
-    must select at least one row. Both are constants, not graph nodes.
+    ``targets`` holds one class index per row and ``weights`` one
+    non-negative weight per row, with a positive sum; both are constants,
+    not graph nodes. A 0/1 mask gives the mean over the rows it selects;
+    weights of mask / mask-count per packed sequence give the mean over
+    sequences of each sequence's mean.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"masked_cross_entropy needs (T,V) logits, got {logits.data.shape}")
     t = np.asarray(targets, dtype=np.int64)
-    m = np.asarray(mask, dtype=np.float64)
+    m = np.asarray(weights, dtype=np.float64)
     rows, vocab = logits.data.shape
     if t.shape != (rows,) or m.shape != (rows,):
         raise ShapeError(
-            f"targets/mask must have shape ({rows},), got {t.shape} and {m.shape}"
+            f"targets/weights must have shape ({rows},), got {t.shape} and {m.shape}"
         )
     if t.size and (t.min() < 0 or t.max() >= vocab):
         raise ContractError(f"target index out of range for vocab size {vocab}")
+    if np.any(m < 0.0) or not np.all(np.isfinite(m)):
+        raise ContractError("masked_cross_entropy: weights must be finite and non-negative")
     count = float(np.sum(m))
     if count <= 0.0:
         raise ContractError("masked_cross_entropy: the supervised span is empty")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from moce.cli import main
-from moce.data import make_two_dialect_corpus, save_dataset, split_dataset
-from moce.errors import ConfigError, NumericError
+from moce.data import InstructionRecord, make_two_dialect_corpus, save_dataset, split_dataset
+from moce.errors import ConfigError, ContractError, NumericError
 from moce.harness import (
     RunConfig,
     _check_finite,
@@ -188,6 +188,42 @@ class TestPipeline:
             _check_finite(float("nan"), "train", 3)
         with pytest.raises(NumericError):
             _check_finite(float("inf"), "pretrain", 0)
+
+
+def over_long(n):
+    """Records whose encoded examples need more than the default 64 tokens."""
+    return [InstructionRecord(f"long-{i}", "F " + "1" * 80, "1", "digits") for i in range(n)]
+
+
+class TestOverLongRecords:
+    """Every record is checked against max_seq_len before any work starts."""
+
+    def test_train_rejects_before_writing(self, tmp_path, corpus):
+        out = tmp_path / "run"
+        with pytest.raises(ContractError, match="long-0, long-1"):
+            pipeline_train(micro_cfg(), corpus + over_long(2), str(out))
+        assert not out.exists()
+
+    def test_eval_names_every_record(self, trained_run, corpus, tmp_path):
+        run_dir, _ = trained_run
+        result = tmp_path / "eval.json"
+        with pytest.raises(ContractError, match=r"2 record\(s\) exceed max_seq_len 64: long-0, long-1"):
+            pipeline_eval(run_dir, corpus[:3] + over_long(2), str(result))
+        assert not result.exists()
+
+    def test_route_statistics_rejects_before_writing(self, trained_run, corpus, tmp_path):
+        run_dir, _ = trained_run
+        out = tmp_path / "stats"
+        with pytest.raises(ContractError, match="long-0"):
+            route_statistics(run_dir, over_long(1) + corpus[:3], str(out))
+        assert not out.exists()
+
+    def test_cli_exits_2(self, trained_run, corpus, tmp_path, capsys):
+        run_dir, _ = trained_run
+        data = str(tmp_path / "data.jsonl")
+        save_dataset(data, corpus[:3] + over_long(1))
+        assert main(["eval", "--run-dir", run_dir, "--data", data]) == 2
+        assert "long-0" in capsys.readouterr().err
 
 
 class TestAblation:

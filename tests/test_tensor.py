@@ -13,6 +13,7 @@ from moce.tensor import (
     add,
     backward,
     concat_cols,
+    concat_rows,
     finite_difference_gradient,
     flatten_to_vector,
     masked_cross_entropy,
@@ -23,9 +24,11 @@ from moce.tensor import (
     pad_rows,
     reciprocal,
     rmsnorm,
+    scatter_add_rows,
     slice_cols,
     softmax,
     sub,
+    take_entries,
     take_rows,
     tensor_sum,
     transpose,
@@ -132,6 +135,10 @@ class TestForwardValues:
         assert np.array_equal(concat_cols([a, b]).data, [[1, 2, 10, 20], [3, 4, 30, 40]])
         assert np.array_equal(mul_rows(a, Tensor([2.0, 0.5])).data, [[2.0, 4.0], [1.5, 2.0]])
         assert np.array_equal(flatten_to_vector(slice_cols(a, 0, 1)).data, [1.0, 3.0])
+        assert np.array_equal(take_entries(a, [1, 0, 1], [0, 1, 1]).data, [3.0, 2.0, 4.0])
+        assert np.array_equal(scatter_add_rows(a, [2, 2], 3).data, [[0, 0], [0, 0], [4.0, 6.0]])
+        assert np.array_equal(concat_rows([a, b]).data, [[1, 2], [3, 4], [10, 20], [30, 40]])
+        assert np.array_equal(concat_rows([Tensor([1.0]), Tensor([2.0, 3.0])]).data, [1, 2, 3])
 
     def test_shape_mismatch_messages_name_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 2\)"):
@@ -205,6 +212,11 @@ class TestBackward:
                 (lambda p: mean(mul(p[0], p[0])), [a]),
                 (lambda p: tensor_sum(flatten_to_vector(slice_cols(p[0], 0, 1))), [a]),
                 (lambda p: tensor_sum(reciprocal(add(mul(p[0], p[0]), 1.0))), [a]),
+                (lambda p: tensor_sum(mul(take_entries(p[0], [0, m - 1, 0], [k - 1, 0, k - 1]),
+                                          take_entries(p[0], [1, 1, 0], [0, 0, 0]))), [a]),
+                (lambda p: tensor_sum(mul(scatter_add_rows(p[0], [m - 1] + list(range(m - 1)), m + 1),
+                                          scatter_add_rows(p[1], [0] * m, m + 1))), [a, c]),
+                (lambda p: tensor_sum(mul(concat_rows([p[0], p[1]]), concat_rows([p[1], p[0]]))), [a, c]),
             ]
             for build, arrays in cases:
                 worst = max(worst, gradcheck(build, arrays))
@@ -230,6 +242,21 @@ class TestBackward:
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         expected = -np.mean([np.log(probs[i, targets[i]]) for i in range(5) if msk[i] > 0])
         assert abs(loss.item() - expected) < 1e-12
+
+    def test_cross_entropy_per_row_weights(self):
+        """Weighted NLL is sum(w * nll) / sum(w); negative weights are rejected."""
+        rng = np.random.default_rng(23)
+        logits = rng.standard_normal((5, 7))
+        targets = rng.integers(0, 7, size=5)
+        weights = np.array([0.0, 0.5, 0.25, 0.125, 2.0])
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        nll = -np.log(probs[np.arange(5), targets])
+        loss = masked_cross_entropy(Tensor(logits), targets, weights)
+        assert abs(loss.item() - (weights @ nll) / weights.sum()) < 1e-12
+        err = gradcheck(lambda p: masked_cross_entropy(p[0], targets, weights), [logits])
+        assert err < 1e-6
+        with pytest.raises(ContractError):
+            masked_cross_entropy(Tensor(logits), targets, [1.0, -0.5, 1.0, 1.0, 1.0])
 
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(19)
