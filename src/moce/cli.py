@@ -13,14 +13,7 @@ import sys
 from .clustering import elbow_select, kmeans_fit, kmeans_predict, load_kmeans, save_kmeans
 from .data import ingest_dataset, make_two_dialect_corpus, save_dataset
 from .embedding import embed_dataset, load_embeddings, save_embeddings
-from .errors import (
-    ConfigError,
-    ContractError,
-    FormatError,
-    NumericError,
-    ShapeError,
-    StateError,
-)
+from .errors import FormatError, MoceError, NumericError
 from .harness import (
     ablation_run,
     parse_run_config,
@@ -170,18 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FormatError as exc:
+    except (MoceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConfigError, ContractError, ShapeError, StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, FormatError):
+            return EXIT_FORMAT
+        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

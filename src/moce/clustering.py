@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError, NumericError
+from .fileio import write_atomic
 from .seeding import substream, substream_seed
 
 KMEANS_MAGIC = "MOCE-KMEANS"
@@ -246,10 +247,9 @@ def _elbow_seed(seed: int, k: int, attempt: int) -> int:
 
 def save_kmeans(path: str, model: KMeansModel) -> None:
     """Write the text format: header line, then one centroid per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{KMEANS_MAGIC} {KMEANS_VERSION} {model.k} {model.dimension} {model.seed}\n")
-        for row in model.centroids:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    lines = [f"{KMEANS_MAGIC} {KMEANS_VERSION} {model.k} {model.dimension} {model.seed}"]
+    lines += [" ".join(f"{x:.17g}" for x in row) for row in model.centroids]
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def load_kmeans(path: str) -> KMeansModel:

@@ -1,0 +1,21 @@
+"""Whole-file replacement, so that no artifact is ever left half written."""
+
+from __future__ import annotations
+
+import os
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then ``os.replace``
+    it over ``path``: a reader sees the old file or the new one, never a
+    part, even if the writer fails or dies (no fsync: not power-loss safe)."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

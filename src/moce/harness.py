@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,8 @@ from .clustering import (
     load_kmeans,
     save_kmeans,
 )
+from .config import (KeyValueFormat, build, check_fields, field_types, format_lines, read_values,
+                     schema, setting)
 from .data import (
     EOS_ID,
     VOCAB_SIZE,
@@ -35,6 +36,7 @@ from .data import (
 )
 from .embedding import embed_dataset, embed_sequence, save_embeddings
 from .errors import ConfigError, ContractError, NumericError
+from .fileio import write_atomic
 from .layer import RoutingRecord, load_balance_loss
 from .model import (
     DenseBaseModel,
@@ -65,151 +67,69 @@ SUMMARY_FILE = "summary.json"
 PACK_TOKENS = 64
 
 
-@dataclass
-class RunConfig:
-    """Flat description of one training run.
+def _check_run(cfg) -> None:
+    check_fields(cfg)
+    if (cfg.n_groups is None) == (cfg.k_max is None):
+        raise ConfigError("set exactly one of n_groups and k_max")
+    model_config_from(cfg, cfg.n_groups or 1)  # for every model rule; n_groups is checked above
+
+
+def _model_field(name: str):
+    """A model field for RunConfig, with ModelConfig's type, default and rule."""
+    f = next(f for f in dataclasses.fields(ModelConfig) if f.name == name)
+    return name, field_types(ModelConfig)[name], setting(f.default, **f.metadata)
+
+
+# The model fields a run file sets, in file order. vocab_size is fixed by
+# the byte tokenizer, and n_groups is the run's own: it may be left unset
+# for the elbow sweep to choose.
+_MODEL_KEYS = ("d_model", "n_layers", "n_heads", "d_ff", "max_seq_len", "n_experts",
+               "adapter_rank", "top_k", "mode", "renormalize", "moe_scale", "variant",
+               "activation")
+
+RunConfig = dataclasses.make_dataclass("RunConfig", [
+    ("seed", int, setting(0, low=0)),
+    ("d_embed", int, setting(64, low=1)),
+    ("n_groups", int | None, setting(None, low=1)),
+    ("k_max", int | None, setting(None, low=3)),
+    *map(_model_field, _MODEL_KEYS),
+    ("pretrain_steps", int, setting(100, low=0)),
+    ("train_steps", int, setting(300, low=1)),
+    ("lr", float, setting(2e-4, above=0.0)),
+    ("balance_weight", float, setting(0.01, low=0.0)),
+    ("batch_size", int, setting(8, low=1)),
+    ("holdout_fraction", float, setting(0.2, low=0.0, below=1.0)),
+], namespace={
+    "__module__": __name__,
+    "__doc__": """Flat description of one training run.
 
     Exactly one of ``n_groups`` (fixed group count) or ``k_max`` (select
-    the count with the elbow sweep) must be set.
-    """
+    the count with the elbow sweep) must be set. Construction checks every
+    field and every model rule, so a bad run fails before any stage runs.
+    """,
+    "__post_init__": _check_run,
+})
 
-    seed: int = 0
-    d_embed: int = 64
-    n_groups: int | None = None
-    k_max: int | None = None
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ff: int = 64
-    max_seq_len: int = 64
-    n_experts: int = 4
-    adapter_rank: int = 64
-    top_k: int = 2
-    mode: str = "topk"
-    renormalize: bool = False
-    moe_scale: float = 1.0
-    variant: bool = False
-    activation: str = "gelu"
-    pretrain_steps: int = 100
-    train_steps: int = 300
-    lr: float = 2e-4
-    balance_weight: float = 0.01
-    batch_size: int = 8
-    holdout_fraction: float = 0.2
-
-    def __post_init__(self):
-        if (self.n_groups is None) == (self.k_max is None):
-            raise ConfigError("set exactly one of n_groups and k_max")
-        for name in ("seed", "d_embed", "d_model", "n_layers", "n_heads", "d_ff",
-                     "max_seq_len", "n_experts", "adapter_rank", "top_k",
-                     "pretrain_steps", "train_steps", "batch_size"):
-            value = getattr(self, name)
-            floor = 0 if name in ("seed", "pretrain_steps") else 1
-            if not isinstance(value, int) or value < floor:
-                raise ConfigError(f"{name} must be an integer >= {floor}, got {value!r}")
-        for name in ("n_groups", "k_max"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.balance_weight < 0:
-            raise ConfigError(f"balance_weight must be >= 0, got {self.balance_weight}")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ConfigError(
-                f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}"
-            )
-
-
-_BOOL_WORDS = {"true": True, "false": False}
-
-
-def _coerce(name: str, text: str, target_type) -> object:
-    if target_type is bool:
-        if text not in _BOOL_WORDS:
-            raise ConfigError(f"{name}: expected true or false, got {text!r}")
-        return _BOOL_WORDS[text]
-    try:
-        return target_type(text)
-    except ValueError:
-        raise ConfigError(
-            f"{name}: expected {target_type.__name__}, got {text!r}"
-        ) from None
+RUN_FILE = KeyValueFormat(ConfigError, ("false", "true"), comments=True, defaults=True)
 
 
 def parse_run_config(path: str) -> RunConfig:
     """Read a flat key=value file; '#' starts a comment, blank lines skip.
 
-    Unknown and duplicate keys are rejected so typos cannot silently fall
-    back to defaults.
+    Unknown, duplicate and unparsable keys and values that break a rule
+    are rejected, naming the file, the line and the key, so typos cannot
+    silently fall back to defaults.
     """
-    field_types = {
-        f.name: (int if f.name in ("n_groups", "k_max") else f.type_resolved)
-        for f in _resolved_fields()
-    }
-    values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in field_types:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            values[key] = _coerce(key, value, field_types[key])
-    return RunConfig(**values)
-
-
-class _ResolvedField:
-    def __init__(self, name, type_resolved):
-        self.name = name
-        self.type_resolved = type_resolved
-
-
-def _resolved_fields() -> list[_ResolvedField]:
-    base_types = {"int": int, "float": float, "bool": bool, "str": str}
-    out = []
-    for f in dataclasses.fields(RunConfig):
-        ann = f.type if isinstance(f.type, str) else f.type.__name__
-        ann = ann.split("|")[0].strip()
-        out.append(_ResolvedField(f.name, base_types.get(ann, str)))
-    return out
+    return build(RunConfig, read_values(path, schema(RunConfig), RUN_FILE), path)
 
 
 def write_run_config(path: str, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(RunConfig):
-            value = getattr(cfg, f.name)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            fh.write(f"{f.name}={value}\n")
+    write_atomic(path, "".join(line + "\n" for line in format_lines(cfg, RUN_FILE)))
 
 
 def model_config_from(cfg: RunConfig, n_groups: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=VOCAB_SIZE,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        max_seq_len=cfg.max_seq_len,
-        d_ff=cfg.d_ff,
-        n_groups=n_groups,
-        n_experts=cfg.n_experts,
-        adapter_rank=cfg.adapter_rank,
-        top_k=cfg.top_k,
-        mode=cfg.mode,
-        renormalize=cfg.renormalize,
-        moe_scale=cfg.moe_scale,
-        variant=cfg.variant,
-        activation=cfg.activation,
-    )
+    return ModelConfig(vocab_size=VOCAB_SIZE, n_groups=n_groups,
+                       **{name: getattr(cfg, name) for name in _MODEL_KEYS})
 
 
 def _packed_batch(examples, indices) -> tuple[list, np.ndarray, np.ndarray]:
@@ -309,9 +229,8 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         "kmeans": os.path.join(out_dir, KMEANS_FILE),
         "metrics": metrics_path,
     }
-    with open(os.path.join(out_dir, SUMMARY_FILE), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(out_dir, SUMMARY_FILE),
+                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -366,19 +285,16 @@ def _train_adapters(cfg: RunConfig, moce: MoCEModel, examples, group_labels, met
         if first is None:
             first = lm_value
         last = lm_value
-    if first is None:
-        raise ConfigError("train_steps must be at least 1 to fit the adapters")
     return first, last
 
 
 def _load_run(run_dir: str) -> tuple[MoCEModel, KMeansModel, int]:
     ckpt_dir = os.path.join(run_dir, CHECKPOINT_DIR)
     model, entries = load_checkpoint(ckpt_dir)
-    kmeans_rel = entries.get("kmeans_path", "")
-    if not kmeans_rel:
+    if not entries["kmeans_path"]:
         raise ConfigError(f"{ckpt_dir}: checkpoint records no k-means artifact")
-    km = load_kmeans(os.path.normpath(os.path.join(ckpt_dir, kmeans_rel)))
-    return model, km, int(entries["seed"])
+    km = load_kmeans(os.path.normpath(os.path.join(ckpt_dir, entries["kmeans_path"])))
+    return model, km, entries["seed"]
 
 
 def assign_group(km: KMeansModel, instruction: str, d_embed: int, seed: int) -> int:
@@ -435,9 +351,7 @@ def pipeline_eval(run_dir: str, records: list[InstructionRecord],
     _check_lengths(records, model.cfg.max_seq_len)
     result = evaluate_records(model, km, seed, records)
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(output_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return result
 
 
@@ -493,9 +407,8 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
             default=0.0,
         ),
     }
-    with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(out_dir, "stats.json"),
+                 json.dumps(stats, indent=2, sort_keys=True) + "\n")
     return stats
 
 

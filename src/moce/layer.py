@@ -355,10 +355,6 @@ class MoCELayer:
         # under distinct keys; a lone layer keeps plain group ids.
         self.layer_key: int | None = None
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
     def _record_key(self, group_id: int | str):
         if self.layer_key is None:
             return group_id
@@ -407,11 +403,8 @@ class MoCELayer:
             combined = mul(combined, self.moe_scale)
         return combined
 
-    def _group_path(self, x: Tensor, base_out: Tensor, group_id, record: RoutingRecord | None,
-                    mode: str | None) -> Tensor:
-        mode = self.mode if mode is None else mode
-        if mode not in ROUTING_MODES:
-            raise ConfigError(f"unknown routing mode '{mode}'")
+    def _group_path(self, x: Tensor, base_out: Tensor, group_id,
+                    record: RoutingRecord | None) -> Tensor:
         if x.shape[0] == 0:
             raise ContractError("cannot route an empty token block")
         row_groups = np.asarray(group_id, dtype=np.int64)
@@ -425,7 +418,7 @@ class MoCELayer:
         routes = [(self._record_key(int(g)), self.groups[g],
                    None if present.size == 1 else np.nonzero(row_groups == g)[0])
                   for g in present]
-        k = self.groups[0].n_experts if mode == "soft" else self.k
+        k = self.groups[0].n_experts if self.mode == "soft" else self.k
         return add(x, self._dispatch(x, base_out, routes, k, False, record))
 
     def _general_path(self, x: Tensor, base_out: Tensor, record: RoutingRecord | None) -> Tensor:
@@ -438,8 +431,7 @@ class MoCELayer:
         return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), group, None)], k,
                               True, record)
 
-    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
-                mode: str | None = None) -> Tensor:
+    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
         """Group-path output: x plus the gated sum of selected adapter updates.
 
         ``group_id`` is one group for every row, or one group id per row of
@@ -447,7 +439,7 @@ class MoCELayer:
         own rows. With every W_up at zero this is exactly the identity on
         x, for any k, the property upcycled initialisation relies on.
         """
-        return self._group_path(x, self.base_ffn.forward(x), group_id, record, mode)
+        return self._group_path(x, self.base_ffn.forward(x), group_id, record)
 
     def general_path(self, x: Tensor, record: RoutingRecord | None = None) -> Tensor:
         """The always-on second path: gated sum of full general-expert outputs."""
@@ -456,7 +448,7 @@ class MoCELayer:
     def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
         """Two-path output: the group path plus the general path, over one base FFN pass."""
         base_out = self.base_ffn.forward(x)
-        return add(self._group_path(x, base_out, group_id, record, None),
+        return add(self._group_path(x, base_out, group_id, record),
                    self._general_path(x, base_out, record))
 
     def parameters(self) -> list[Tensor]:
@@ -472,21 +464,3 @@ class MoCELayer:
             for e in g.experts:
                 e.forward_calls = 0
                 e.rows_processed = 0
-
-
-def moce_layer_forward(layer: MoCELayer, x: Tensor, group_id: int,
-                       record: RoutingRecord | None = None) -> Tensor:
-    """Functional alias for the group-path forward pass."""
-    return layer.forward(x, group_id, record)
-
-
-def soft_merge_forward(layer: MoCELayer, x: Tensor, group_id: int,
-                       record: RoutingRecord | None = None) -> Tensor:
-    """Dense merge over all experts; identical to top-k with k = N."""
-    return layer.forward(x, group_id, record, mode="soft")
-
-
-def moce_variant_forward(layer: MoCELayer, x: Tensor, group_id: int,
-                         record: RoutingRecord | None = None) -> Tensor:
-    """Functional alias for the two-path variant forward pass."""
-    return layer.variant_forward(x, group_id, record)

@@ -11,13 +11,16 @@ the dense base's function until training moves the adapters.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import (KeyValueFormat, build, check_fields, format_lines, read_values, schema,
+                     setting)
 from .errors import ConfigError, ContractError, FormatError, NumericError
-from .layer import ExpertGroup, FeedForward, MoCELayer, RoutingRecord
+from .fileio import write_atomic
+from .layer import ROUTING_MODES, ExpertGroup, FeedForward, MoCELayer, RoutingRecord
 from .seeding import substream
 from .tensor import (
     ACTIVATIONS,
@@ -44,41 +47,40 @@ _NEG_MASK = -1.0e30
 
 @dataclass
 class ModelConfig:
-    """Dimensions and routing switches shared by the dense and mixture models."""
+    """Dimensions and routing switches shared by the dense and mixture models.
 
-    vocab_size: int
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 2
-    max_seq_len: int = 64
-    d_ff: int = 64
-    n_groups: int = 2
-    n_experts: int = 4
-    adapter_rank: int = 64
-    top_k: int = 2
-    mode: str = "topk"
+    This is the one declaration of every model field: ``RunConfig`` takes
+    its model fields from here, and checkpoint manifests are typed and
+    checked from here. Field rules run first, then the cross-field rules.
+    """
+
+    vocab_size: int = setting(low=2)
+    d_model: int = setting(32, low=1)
+    n_layers: int = setting(2, low=1)
+    n_heads: int = setting(2, low=1)
+    max_seq_len: int = setting(64, low=1)
+    d_ff: int = setting(64, low=1)
+    n_groups: int = setting(2, low=1)
+    n_experts: int = setting(4, low=1)
+    adapter_rank: int = setting(64, low=1)
+    top_k: int = setting(2, low=1)
+    mode: str = setting("topk", choices=ROUTING_MODES)
     renormalize: bool = False
     moe_scale: float = 1.0
     variant: bool = False
-    activation: str = "gelu"
+    activation: str = setting("gelu", choices=ACTIVATIONS)
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be at least 2, got {self.vocab_size}")
-        if self.d_model < 1 or self.n_layers < 1 or self.max_seq_len < 1:
-            raise ConfigError("d_model, n_layers and max_seq_len must be positive")
+        check_fields(self)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} is not divisible by n_heads={self.n_heads}")
-        if self.n_groups < 1 or self.n_experts < 1 or self.adapter_rank < 1 or self.d_ff < 1:
-            raise ConfigError("n_groups, n_experts, adapter_rank and d_ff must be positive")
-        if not (1 <= self.top_k <= self.n_experts):
-            raise ConfigError(f"top_k must satisfy 1 <= k <= {self.n_experts}, got {self.top_k}")
-        if self.mode not in ("topk", "soft"):
-            raise ConfigError(f"mode must be 'topk' or 'soft', got '{self.mode}'")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got '{self.activation}'")
-        if not np.isfinite(self.moe_scale):
-            raise ConfigError("moe_scale must be finite")
+        if self.top_k > self.n_experts:
+            raise ConfigError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
+
+
+# The fields a dense base and the mixture model upcycled from it must share.
+_BACKBONE_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "max_seq_len", "d_ff",
+                   "activation")
 
 
 class _Block:
@@ -342,11 +344,10 @@ def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoC
     copied and frozen; adapters start with W_up = 0 and routers small
     random, so the new model's function equals the dense base's exactly.
     """
-    if dense_base.cfg != cfg_backbone_view(cfg, dense_base.cfg):
-        raise ConfigError(
-            "dense base and target config disagree on backbone dimensions: "
-            f"{dense_base.cfg} vs {cfg}"
-        )
+    differ = [f"{name} {getattr(dense_base.cfg, name)} vs {getattr(cfg, name)}"
+              for name in _BACKBONE_FIELDS if getattr(dense_base.cfg, name) != getattr(cfg, name)]
+    if differ:
+        raise ConfigError(f"dense base and target config disagree on {', '.join(differ)}")
     src = dense_base.backbone
     frozen = _Backbone(
         cfg,
@@ -370,35 +371,8 @@ def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoC
     return MoCEModel(frozen, _make_moce_layers(frozen, cfg, seed))
 
 
-def cfg_backbone_view(cfg: ModelConfig, like: ModelConfig) -> ModelConfig:
-    """The dense base's view of a mixture config: same backbone fields."""
-    return ModelConfig(
-        vocab_size=cfg.vocab_size,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        max_seq_len=cfg.max_seq_len,
-        d_ff=cfg.d_ff,
-        n_groups=like.n_groups,
-        n_experts=like.n_experts,
-        adapter_rank=like.adapter_rank,
-        top_k=like.top_k,
-        mode=like.mode,
-        renormalize=like.renormalize,
-        moe_scale=like.moe_scale,
-        variant=like.variant,
-        activation=cfg.activation,
-    )
-
-
 def _frozen_copy(p: Tensor) -> Tensor:
     return Tensor(p.data.copy(), requires_grad=False)
-
-
-def model_forward(model: MoCEModel, token_ids, group_id: int,
-                  record: RoutingRecord | None = None) -> Tensor:
-    """Functional alias for ``MoCEModel.forward``."""
-    return model.forward(token_ids, group_id, record)
 
 
 def lm_loss(logits: Tensor, targets, weights) -> Tensor:
@@ -425,9 +399,22 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
 
 # -- checkpointing ------------------------------------------------------
 
-_BOOL_FIELDS = {"renormalize", "variant"}
-_FLOAT_FIELDS = {"moe_scale"}
-_STR_FIELDS = {"mode", "activation"}
+MANIFEST = KeyValueFormat(FormatError, ("False", "True"), comments=False, defaults=False)
+
+
+@dataclass
+class _CheckpointInfo:
+    """What a manifest records beside the model config."""
+
+    seed: int
+    step: int
+    kmeans_path: str
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+_MANIFEST_KEYS = {**schema(ModelConfig, "config."), **schema(_CheckpointInfo)}
 
 
 def save_checkpoint(directory: str, model: MoCEModel, seed: int, step: int,
@@ -435,70 +422,38 @@ def save_checkpoint(directory: str, model: MoCEModel, seed: int, step: int,
     """Write a versioned manifest plus one little-endian float64 blob per parameter."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"{CKPT_MAGIC} {CKPT_VERSION}"]
-    for f in fields(ModelConfig):
-        lines.append(f"config.{f.name}={getattr(model.cfg, f.name)}")
-    lines.append(f"seed={seed}")
-    lines.append(f"step={step}")
-    lines.append(f"kmeans_path={kmeans_path}")
-    (out / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"{CKPT_MAGIC} {CKPT_VERSION}",
+             *format_lines(model.cfg, MANIFEST, "config."),
+             *format_lines(_CheckpointInfo(seed, step, kmeans_path), MANIFEST)]
+    write_atomic(out / MANIFEST_NAME, "\n".join(lines) + "\n")
 
     params = model.named_parameters()
-    with open(out / PARAMS_NAME, "wb") as fh:
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            shape = tensor.data.shape
-            fh.write(struct.pack("<I", len(shape)))
-            for dim in shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(tensor.data.astype("<f8", copy=False).tobytes(order="C"))
+    chunks = [struct.pack("<I", len(params))]
+    for name, tensor in params:
+        encoded = name.encode("utf-8")
+        shape = tensor.data.shape
+        chunks += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", len(shape)),
+                   *(struct.pack("<I", dim) for dim in shape),
+                   tensor.data.astype("<f8", copy=False).tobytes(order="C")]
+    write_atomic(out / PARAMS_NAME, b"".join(chunks))
 
 
-def _parse_manifest(path: Path) -> dict[str, str]:
-    if not path.exists():
-        raise FormatError(f"missing checkpoint manifest at {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split() != [CKPT_MAGIC, CKPT_VERSION]:
-        raise FormatError(f"line 1: expected '{CKPT_MAGIC} {CKPT_VERSION}' header")
-    entries = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"line {i}: expected key=value, got '{line}'")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
+def read_manifest(path) -> tuple[ModelConfig, dict[str, object]]:
+    """A manifest's model config and typed values by key. Malformed text
+    raises FormatError; a value that breaks a config rule, ConfigError."""
+    entries = read_values(path, _MANIFEST_KEYS, MANIFEST, header=f"{CKPT_MAGIC} {CKPT_VERSION}")
+    return build(ModelConfig, {key.removeprefix("config."): value for key, value in entries.items()
+                               if key.startswith("config.")}, path), entries
 
 
-def _config_from_manifest(entries: dict[str, str]) -> ModelConfig:
-    kwargs = {}
-    for f in fields(ModelConfig):
-        key = f"config.{f.name}"
-        if key not in entries:
-            raise FormatError(f"manifest is missing '{key}'")
-        raw = entries[key]
-        if f.name in _BOOL_FIELDS:
-            kwargs[f.name] = raw == "True"
-        elif f.name in _FLOAT_FIELDS:
-            kwargs[f.name] = float(raw)
-        elif f.name in _STR_FIELDS:
-            kwargs[f.name] = raw
-        else:
-            kwargs[f.name] = int(raw)
-    return ModelConfig(**kwargs)
-
-
-def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, str]]:
-    """Rebuild a model from ``save_checkpoint`` output, bit-exact."""
+def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, object]]:
+    """Rebuild a model from ``save_checkpoint`` output, bit-exact; also returns
+    the manifest's typed values by key (see ``read_manifest``)."""
     root = Path(directory)
-    entries = _parse_manifest(root / MANIFEST_NAME)
-    cfg = _config_from_manifest(entries)
-    seed = int(entries.get("seed", "0"))
-    model = MoCEModel.build(cfg, seed)
+    if not (root / MANIFEST_NAME).exists():
+        raise FormatError(f"missing checkpoint manifest at {root / MANIFEST_NAME}")
+    cfg, entries = read_manifest(root / MANIFEST_NAME)
+    model = MoCEModel.build(cfg, entries["seed"])
 
     blob_path = root / PARAMS_NAME
     if not blob_path.exists():
@@ -518,7 +473,7 @@ def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, str]]:
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = take(name_len).decode("utf-8", "replace")  # a garbled name matches no parameter
         (ndim,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         size = int(np.prod(shape)) if shape else 1

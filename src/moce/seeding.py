@@ -11,13 +11,6 @@ import zlib
 
 import numpy as np
 
-# Substream names used across the package. Free-form names are allowed;
-# these constants just keep call sites consistent.
-EMBEDDER = "embedder"
-CLUSTERING = "clustering"
-INIT = "init"
-DATA_ORDER = "data_order"
-
 
 def _key(part: str | int) -> int:
     if isinstance(part, int):

@@ -63,6 +63,9 @@ class TestRunConfig:
         path.write_text("n_groups=2\nlearning_rate=0.1\n")
         with pytest.raises(ConfigError, match="learning_rate"):
             parse_run_config(str(path))
+        path.write_text("n_groups=2\nvocab_size=300\n")  # fixed by the byte tokenizer
+        with pytest.raises(ConfigError, match="unknown key 'vocab_size'"):
+            parse_run_config(str(path))
 
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -72,8 +75,8 @@ class TestRunConfig:
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("n_groups=2\nlr=fast\n")
-        with pytest.raises(ConfigError, match="lr"):
+        path.write_text("n_groups=2\n\nlr=fast\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: lr: expected a number"):
             parse_run_config(str(path))
 
     def test_bad_bool(self, tmp_path):
@@ -94,6 +97,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             RunConfig()
 
+    @pytest.mark.parametrize("fault", [
+        "mode=dense",
+        "top_k=9\nn_experts=2",
+        "d_model=30\nn_heads=4",
+        "activation=tanhh",
+        "moe_scale=inf",
+        "lr=nan",
+        "balance_weight=nan",
+    ], ids=lambda fault: fault.replace("\n", "+"))
+    def test_fault_fails_before_any_stage(self, tmp_path, fault, capsys):
+        """Every field and cross-field rule is checked when the file is read:
+        ``moce train`` exits 2 and writes nothing into its output directory."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n_groups=2\npretrain_steps=1\ntrain_steps=1\n{fault}\n")
+        with pytest.raises(ConfigError):
+            parse_run_config(str(path))
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(data, make_two_dialect_corpus(10, seed=0))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert "run.cfg" in capsys.readouterr().err
+
     def test_value_validation(self):
         with pytest.raises(ConfigError):
             micro_cfg(lr=0.0)
@@ -103,6 +129,12 @@ class TestRunConfig:
             micro_cfg(holdout_fraction=1.0)
         with pytest.raises(ConfigError):
             micro_cfg(batch_size=0)
+        with pytest.raises(ConfigError, match="k_max must be >= 3"):
+            micro_cfg(n_groups=None, k_max=2)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            micro_cfg(seed=1.5)
+        with pytest.raises(ConfigError, match="variant must be a boolean"):
+            micro_cfg(variant=1)
 
 
 class TestPipeline:

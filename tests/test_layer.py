@@ -17,10 +17,7 @@ from moce.layer import (
     RoutingRecord,
     gate,
     load_balance_loss,
-    moce_layer_forward,
-    moce_variant_forward,
     router_logits,
-    soft_merge_forward,
     top_k_select,
 )
 from moce.tensor import Tensor, backward, tensor_sum
@@ -183,9 +180,10 @@ class TestLayerForward:
     def test_soft_equals_topk_with_k_n(self):
         rng = np.random.default_rng(10)
         layer = build_layer(rng, n_experts=4, k=4)
+        soft = MoCELayer(layer.groups, layer.base_ffn, k=4, mode="soft")
         x = rng.standard_normal((5, 6))
-        a = soft_merge_forward(layer, Tensor(x), 0).data
-        b = moce_layer_forward(layer, Tensor(x), 0).data
+        a = soft.forward(Tensor(x), 0).data
+        b = layer.forward(Tensor(x), 0).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_renormalized_weights_sum_to_one(self):
@@ -222,8 +220,8 @@ class TestLayerForward:
         x = Tensor(rng.standard_normal((2, 6)))
         with pytest.raises(ContractError):
             layer.forward(x, 5)
-        with pytest.raises(ConfigError):
-            layer.forward(x, 0, mode="dense")
+        with pytest.raises(ConfigError, match="routing mode"):
+            MoCELayer(layer.groups, layer.base_ffn, k=2, mode="dense")
         with pytest.raises(ConfigError):
             MoCELayer(layer.groups, layer.base_ffn, k=9)
 
@@ -233,7 +231,7 @@ class TestVariant:
         rng = np.random.default_rng(14)
         layer = build_layer(rng, general=True)
         x = rng.standard_normal((5, 6))
-        total = moce_variant_forward(layer, Tensor(x), 1).data
+        total = layer.variant_forward(Tensor(x), 1).data
         split = layer.forward(Tensor(x), 1).data + layer.general_path(Tensor(x)).data
         assert np.max(np.abs(total - split)) < 1e-12
 

@@ -1,9 +1,14 @@
 """Dense base vs upcycled model: function preservation, freezing,
 causality, decoding, and bit-exact checkpoints."""
 
+import builtins
+
 import numpy as np
 import pytest
 
+from moce import fileio
+from moce.cli import main
+from moce.data import make_two_dialect_corpus, save_dataset
 from moce.errors import ConfigError, ContractError, FormatError
 from moce.layer import RoutingRecord, load_balance_loss
 from moce.model import (
@@ -13,7 +18,6 @@ from moce.model import (
     greedy_decode,
     lm_loss,
     load_checkpoint,
-    model_forward,
     save_checkpoint,
     upcycle_init,
 )
@@ -136,7 +140,7 @@ class TestForwardContracts:
         cfg = micro_cfg()
         moce = upcycle_init(DenseBaseModel.build(cfg, seed=8), cfg, seed=8)
         record = RoutingRecord()
-        model_forward(moce, [1, 2, 3], 1, record)
+        moce.forward([1, 2, 3], 1, record)
         assert set(record.routers) == {"L0.1", "L1.1"}
         assert record.tokens_seen == 3
         assert record.active_experts_per_token == cfg.top_k
@@ -174,7 +178,7 @@ class TestCheckpoint:
         moce = upcycle_init(DenseBaseModel.build(cfg, seed=13), cfg, seed=13)
         save_checkpoint(str(tmp_path / "ck"), moce, seed=13, step=42, kmeans_path="kmeans.txt")
         loaded, manifest = load_checkpoint(str(tmp_path / "ck"))
-        assert manifest["step"] == "42" and manifest["kmeans_path"] == "kmeans.txt"
+        assert manifest["step"] == 42 and manifest["kmeans_path"] == "kmeans.txt"
         for (name_a, pa), (name_b, pb) in zip(moce.named_parameters(), loaded.named_parameters()):
             assert name_a == name_b
             assert pa.data.tobytes() == pb.data.tobytes(), f"parameter {name_a} drifted"
@@ -198,6 +202,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(str(tmp_path / "ck"))
 
+    def test_garbled_parameter_name_rejected(self, tmp_path):
+        cfg = micro_cfg()
+        moce = upcycle_init(DenseBaseModel.build(cfg, seed=15), cfg, seed=15)
+        save_checkpoint(str(tmp_path / "ck"), moce, seed=15, step=0)
+        blob = tmp_path / "ck" / "params.bin"
+        raw = bytearray(blob.read_bytes())
+        raw[8] = 0xFF  # the first byte of the first parameter's name: not UTF-8
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="parameter"):
+            load_checkpoint(str(tmp_path / "ck"))
+
     def test_manifest_header_checked(self, tmp_path):
         cfg = micro_cfg()
         moce = upcycle_init(DenseBaseModel.build(cfg, seed=16), cfg, seed=16)
@@ -207,6 +222,35 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="header"):
             load_checkpoint(str(tmp_path / "ck"))
 
+    def test_failed_write_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        """A write that fails part way leaves the old manifest and blob whole."""
+        cfg = micro_cfg()
+        moce = upcycle_init(DenseBaseModel.build(cfg, seed=17), cfg, seed=17)
+        ck = tmp_path / "ck"
+        save_checkpoint(str(ck), moce, seed=17, step=1)
+        before = {p.name: p.read_bytes() for p in ck.iterdir()}
+
+        class HalfWriter:
+            def __init__(self, path, mode):
+                self.fh = builtins.open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(ck), moce, seed=17, step=2)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in ck.iterdir()} == before
+        assert load_checkpoint(str(ck))[1]["step"] == 1
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             micro_cfg(d_model=9, n_heads=2)
@@ -214,3 +258,40 @@ class TestCheckpoint:
             micro_cfg(top_k=5, n_experts=2)
         with pytest.raises(ConfigError):
             micro_cfg(mode="dense")
+        with pytest.raises(ConfigError, match="n_heads must be >= 1"):
+            micro_cfg(n_heads=0)
+
+
+def _set(key, value):
+    return lambda lines: [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
+
+
+MANIFEST_FAULTS = {
+    "variant-yes": (_set("config.variant", "yes"), FormatError, 3),
+    "renormalize-true": (_set("config.renormalize", "true"), FormatError, 3),
+    "missing-seed": (lambda lines: [line for line in lines if not line.startswith("seed=")],
+                     FormatError, 3),
+    "d_model-abc": (_set("config.d_model", "abc"), FormatError, 3),
+    "seed-x1": (_set("seed", "x1"), FormatError, 3),
+    "n_heads-0": (_set("config.n_heads", "0"), ConfigError, 2),
+    "duplicate-top_k": (lambda lines: lines + ["config.top_k=2"], FormatError, 3),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_edited_manifest_is_rejected(tmp_path, fault, capsys):
+    """The manifest is parsed strictly: a bad edit raises FormatError or
+    ConfigError from load_checkpoint, and ``moce eval`` exits 3 or 2."""
+    edit, error, code = MANIFEST_FAULTS[fault]
+    cfg = micro_cfg()
+    moce = upcycle_init(DenseBaseModel.build(cfg, seed=18), cfg, seed=18)
+    ck = tmp_path / "run" / "checkpoint"
+    save_checkpoint(str(ck), moce, seed=18, step=0, kmeans_path="../kmeans.txt")
+    manifest = ck / "manifest.txt"
+    manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+    with pytest.raises(error, match="manifest.txt"):
+        load_checkpoint(str(ck))
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(data, make_two_dialect_corpus(2, seed=0))
+    assert main(["eval", "--run-dir", str(tmp_path / "run"), "--data", data]) == code
+    assert "manifest.txt" in capsys.readouterr().err
