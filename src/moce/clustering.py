@@ -9,13 +9,12 @@ step, so a regression in the update rule fails loudly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, FormatError, NumericError
-from .fileio import write_atomic
+from .fileio import write_atomic, write_csv
 from .seeding import substream, substream_seed
 
 KMEANS_MAGIC = "MOCE-KMEANS"
@@ -57,13 +56,10 @@ class ElbowReport:
     violations: list[int] = field(default_factory=list)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "sse", "curvature"])
-            for i, value in enumerate(self.sse_curve):
-                k = i + 1
-                curv = self.curvature.get(k)
-                writer.writerow([k, f"{value:.17g}", "" if curv is None else f"{curv:.17g}"])
+        curvature = {k: f"{c:.17g}" for k, c in self.curvature.items()}
+        write_csv(path, ["k", "sse", "curvature"],
+                  [[k, f"{value:.17g}", curvature.get(k, "")]
+                   for k, value in enumerate(self.sse_curve, start=1)])
 
 
 def sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError, NumericError
+from .fileio import write_atomic
 
 EMB_MAGIC = "MOCE-EMB"
 EMB_VERSION = "v1"
@@ -104,13 +105,13 @@ def save_embeddings(path: str, embeddings: EmbeddingSet) -> None:
     Values are written with 9 significant digits, enough to round-trip
     32-bit-precision storage within 1e-7.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{EMB_MAGIC} {EMB_VERSION} {len(embeddings)} {embeddings.dimension}\n")
-        for e in embeddings.items:
-            if any(ch.isspace() for ch in e.source_id) or not e.source_id:
-                raise ContractError(f"source_id '{e.source_id}' must be non-empty and whitespace-free")
-            values = " ".join(f"{x:.9g}" for x in e.vector)
-            fh.write(f"{e.source_id} {values}\n")
+    lines = [f"{EMB_MAGIC} {EMB_VERSION} {len(embeddings)} {embeddings.dimension}\n"]
+    for e in embeddings.items:
+        if any(ch.isspace() for ch in e.source_id) or not e.source_id:
+            raise ContractError(f"source_id '{e.source_id}' must be non-empty and whitespace-free")
+        values = " ".join(f"{x:.9g}" for x in e.vector)
+        lines.append(f"{e.source_id} {values}\n")
+    write_atomic(path, "".join(lines))
 
 
 def load_embeddings(path: str) -> EmbeddingSet:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 
 
@@ -19,3 +21,13 @@ def write_atomic(path, data: str | bytes) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and the data rows in the csv module's default
+    dialect (``\\r\\n`` line ends) through ``write_atomic``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buffer.getvalue())

@@ -7,7 +7,6 @@ stream carries no timestamps, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -36,7 +35,7 @@ from .data import (
 )
 from .embedding import embed_dataset, embed_sequence, save_embeddings
 from .errors import ConfigError, ContractError, NumericError
-from .fileio import write_atomic
+from .fileio import write_atomic, write_csv
 from .layer import RoutingRecord, load_balance_loss
 from .model import (
     DenseBaseModel,
@@ -50,7 +49,7 @@ from .model import (
 )
 from .optim import Adam
 from .seeding import substream
-from .tensor import add, backward, mul
+from .tensor import add, backward, mul, no_grad
 
 CHECKPOINT_DIR = "checkpoint"
 KMEANS_FILE = "kmeans.txt"
@@ -187,8 +186,12 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     with the balance penalty. Returns a summary dict (also saved as JSON).
     """
     _check_lengths(records, cfg.max_seq_len)
-    os.makedirs(out_dir, exist_ok=True)
     train, holdout = split_dataset(records, cfg.holdout_fraction, cfg.seed)
+    for name in ("n_groups", "k_max"):
+        value = getattr(cfg, name)
+        if value is not None and value > len(train):
+            raise ConfigError(f"{name}={value} exceeds the {len(train)} training records")
+    os.makedirs(out_dir, exist_ok=True)
 
     emb = embed_dataset(
         [(r.record_id, r.instruction) for r in train], d_e=cfg.d_embed, seed=cfg.seed
@@ -326,12 +329,13 @@ def evaluate_records(model: MoCEModel, km: KMeansModel, seed: int,
     pairs = [training_pair(encode_example(r)) for r in records]
     nll_sum = 0.0
     nll_tokens = 0
-    for chunk in _pack_chunks([len(inputs) for inputs, _, _ in pairs]):
-        mask = np.concatenate([pairs[i][2] for i in chunk])
-        logits = model.forward([pairs[i][0] for i in chunk], [groups[i] for i in chunk])
-        targets = np.concatenate([pairs[i][1] for i in chunk])
-        nll_sum += lm_loss(logits, targets, mask).item() * mask.sum()
-        nll_tokens += int(mask.sum())
+    with no_grad():
+        for chunk in _pack_chunks([len(inputs) for inputs, _, _ in pairs]):
+            mask = np.concatenate([pairs[i][2] for i in chunk])
+            logits = model.forward([pairs[i][0] for i in chunk], [groups[i] for i in chunk])
+            targets = np.concatenate([pairs[i][1] for i in chunk])
+            nll_sum += lm_loss(logits, targets, mask).item() * mask.sum()
+            nll_tokens += int(mask.sum())
     mean_nll = nll_sum / nll_tokens
     return {
         "n_records": len(records),
@@ -373,14 +377,12 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
     for group in groups:
         group_counts[group] = group_counts.get(group, 0) + 1
     inputs = [training_pair(encode_example(r))[0] for r in records]
-    for chunk in _pack_chunks([len(ids) for ids in inputs]):
-        model.forward([inputs[i] for i in chunk], [groups[i] for i in chunk], record)
+    with no_grad():
+        for chunk in _pack_chunks([len(ids) for ids in inputs]):
+            model.forward([inputs[i] for i in chunk], [groups[i] for i in chunk], record)
 
-    with open(os.path.join(out_dir, "groups.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "sequences"])
-        for g in range(km.k):
-            writer.writerow([g, group_counts.get(g, 0)])
+    write_csv(os.path.join(out_dir, "groups.csv"), ["group", "sequences"],
+              [[g, group_counts.get(g, 0)] for g in range(km.k)])
 
     router_rows = []
     for key in sorted(record.routers):
@@ -388,12 +390,9 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
         probs = record.mean_gate_probs(key)
         selected = record.routers[key].selected_counts
         for i in range(len(loads)):
-            router_rows.append([key, i, loads[i], probs[i], int(selected[i])])
-    with open(os.path.join(out_dir, "routers.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["router", "expert", "load_fraction", "mean_gate_prob", "selections"])
-        for key, i, load, prob, sel in router_rows:
-            writer.writerow([key, i, f"{load:.17g}", f"{prob:.17g}", sel])
+            router_rows.append([key, i, f"{loads[i]:.17g}", f"{probs[i]:.17g}", int(selected[i])])
+    write_csv(os.path.join(out_dir, "routers.csv"),
+              ["router", "expert", "load_fraction", "mean_gate_prob", "selections"], router_rows)
 
     record.write_csv(os.path.join(out_dir, "routes.csv"))
 
@@ -462,15 +461,10 @@ def ablation_run(cfg: RunConfig, records: list[InstructionRecord],
             "exact_match": eval_result["exact_match"],
             "perplexity": eval_result["perplexity"],
         })
-    path = os.path.join(out_dir, "ablation.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "mode", "n_groups", "n_experts", "top_k",
-                        "final_lm_loss", "exact_match", "perplexity"])
-        for row in results:
-            writer.writerow([
-                row["label"], row["mode"], row["n_groups"], row["n_experts"],
-                row["top_k"], f"{row['final_lm_loss']:.17g}",
-                f"{row['exact_match']:.17g}", f"{row['perplexity']:.17g}",
-            ])
+    write_csv(os.path.join(out_dir, "ablation.csv"),
+              ["label", "mode", "n_groups", "n_experts", "top_k",
+               "final_lm_loss", "exact_match", "perplexity"],
+              [[row["label"], row["mode"], row["n_groups"], row["n_experts"], row["top_k"],
+                f"{row['final_lm_loss']:.17g}", f"{row['exact_match']:.17g}",
+                f"{row['perplexity']:.17g}"] for row in results])
     return results

@@ -12,13 +12,13 @@ residual update; experts that win no tokens do no work at all.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
+from .fileio import write_csv
 from .tensor import (
     Tensor,
     activation,
@@ -288,11 +288,9 @@ class RoutingRecord:
         return stats.gate_value_sum / stats.token_count
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["token_idx", "group", "expert", "weight"])
-            for token_idx, group, expert, weight in self.rows:
-                writer.writerow([token_idx, group, expert, f"{weight:.17g}"])
+        write_csv(path, ["token_idx", "group", "expert", "weight"],
+                  [[token_idx, group, expert, f"{weight:.17g}"]
+                   for token_idx, group, expert, weight in self.rows])
 
 
 def load_balance_loss(record: RoutingRecord) -> Tensor:

@@ -27,9 +27,11 @@ from .tensor import (
     Tensor,
     add,
     concat_cols,
+    concat_rows,
     masked_cross_entropy,
     matmul,
     mul,
+    no_grad,
     rmsnorm,
     slice_cols,
     softmax,
@@ -108,13 +110,19 @@ class _Block:
         base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=requires_grad)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
-    def attend(self, x: Tensor, mask: Tensor) -> Tensor:
+    def attend(self, x: Tensor, mask: Tensor, cache: _BlockCache | None = None) -> Tensor:
         """Causal self-attention over a packed block; ``mask`` holds 0 where
-        a row may attend and a large negative score where it may not."""
+        a row may attend and a large negative score where it may not. With a
+        ``cache``, the rows' keys and values are appended to the cached ones
+        and the rows attend over all of them."""
         z = rmsnorm(x, self.norm)
         q = matmul(z, self.wq)
         k = matmul(z, self.wk)
         v = matmul(z, self.wv)
+        if cache is not None:
+            if cache.k is not None:
+                k, v = concat_rows([cache.k, k]), concat_rows([cache.v, v])
+            cache.k, cache.v = k, v
         d_head = x.shape[1] // self.n_heads
         heads = []
         for h in range(self.n_heads):
@@ -138,13 +146,35 @@ class _Block:
         ]
 
 
+class _BlockCache:
+    """One block's keys and values for the rows a sequence has read so far."""
+
+    def __init__(self):
+        self.k: Tensor | None = None
+        self.v: Tensor | None = None
+
+
+class KVCache:
+    """What an incremental forward keeps between calls over one sequence:
+    how many rows it has read, and every block's keys and values for them.
+    A forward that raises part way through leaves the cache unusable."""
+
+    def __init__(self, n_blocks: int):
+        self.length = 0
+        self.blocks = [_BlockCache() for _ in range(n_blocks)]
+
+
 class _Packed:
     """One sequence of token ids, or a list of sequences, laid end to end as
     one block of rows, with each row's position in its own sequence and an
     attention mask that keeps every row to the earlier rows of its sequence.
+
+    ``start`` is the number of rows a cache already holds before these: the
+    rows take positions ``start..start+n`` and the mask, of shape
+    ``(n, start+n)``, also lets them attend to every cached row.
     """
 
-    def __init__(self, token_ids, cfg: ModelConfig):
+    def __init__(self, token_ids, cfg: ModelConfig, start: int = 0):
         if len(token_ids) > 0 and np.ndim(token_ids[0]) == 0:
             token_ids = [token_ids]
         if len(token_ids) == 0:
@@ -153,17 +183,20 @@ class _Packed:
         for ids in seqs:
             if ids.ndim != 1 or ids.size == 0:
                 raise ContractError("every sequence of token ids must be non-empty and 1-D")
-            if ids.size > cfg.max_seq_len:
+            if start + ids.size > cfg.max_seq_len:
                 raise ContractError(
-                    f"sequence length {ids.size} exceeds max_seq_len {cfg.max_seq_len}"
+                    f"sequence length {start + ids.size} exceeds max_seq_len {cfg.max_seq_len}"
                 )
             if ids.min() < 0 or ids.max() >= cfg.vocab_size:
                 raise ContractError(f"token id out of range for vocab size {cfg.vocab_size}")
         self.lengths = np.array([ids.size for ids in seqs])
         self.ids = np.concatenate(seqs)
-        self.positions = np.concatenate([np.arange(n) for n in self.lengths])
-        segment = np.repeat(np.arange(len(seqs)), self.lengths)
-        allowed = (segment[:, None] == segment[None, :]) & np.tri(self.ids.size, dtype=bool)
+        self.positions = np.concatenate([np.arange(start, start + n) for n in self.lengths])
+        n = self.ids.size
+        allowed = np.tri(n, start + n, start, dtype=bool)
+        if len(seqs) > 1:
+            segment = np.repeat(np.arange(len(seqs)), self.lengths)
+            allowed[:, start:] &= segment[:, None] == segment[None, :]
         self.mask = Tensor(np.where(allowed, 0.0, _NEG_MASK))
 
 
@@ -260,13 +293,20 @@ class MoCEModel:
         backbone = _Backbone.init(cfg, substream(seed, "init", "dense"), requires_grad=False)
         return cls(backbone, _make_moce_layers(backbone, cfg, seed))
 
-    def forward(self, token_ids, group_id, record: RoutingRecord | None = None) -> Tensor:
+    def forward(self, token_ids, group_id, record: RoutingRecord | None = None,
+                cache: KVCache | None = None) -> Tensor:
         """Logits for one sequence, or for a list of sequences packed into one block.
 
         ``group_id`` is the expert group of every sequence, or one group per
         sequence. The rows of the result follow the sequences in order.
+        With a ``cache``, ``token_ids`` continue the one sequence the cache
+        has read so far; their keys and values are added to it.
         """
-        batch = _Packed(token_ids, self.cfg)
+        if cache is not None and record is not None:
+            raise ContractError("a K/V cache cannot be combined with a routing record")
+        batch = _Packed(token_ids, self.cfg, 0 if cache is None else cache.length)
+        if cache is not None and batch.lengths.size != 1:
+            raise ContractError(f"a K/V cache holds one sequence, got {batch.lengths.size}")
         groups = np.asarray(group_id, dtype=np.int64)
         if groups.ndim == 0:
             groups = np.full(batch.lengths.size, groups)
@@ -275,8 +315,9 @@ class MoCEModel:
                                 f"for {batch.lengths.size} sequences")
         row_groups = np.repeat(groups, batch.lengths)
         x = self.backbone.embed(batch)
-        for block, layer in zip(self.backbone.blocks, self.layers):
-            x = block.attend(x, batch.mask)
+        block_caches = [None] * len(self.layers) if cache is None else cache.blocks
+        for block, layer, block_cache in zip(self.backbone.blocks, self.layers, block_caches):
+            x = block.attend(x, batch.mask, block_cache)
             if self.cfg.variant:
                 x = layer.variant_forward(x, row_groups, record)
             else:
@@ -287,6 +328,8 @@ class MoCEModel:
             record.active_experts_per_token = (2 if self.cfg.variant else 1) * (
                 self.cfg.n_experts if self.cfg.mode == "soft" else self.cfg.top_k
             )
+        if cache is not None:
+            cache.length += int(batch.lengths[0])
         return self.backbone.project(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -382,18 +425,26 @@ def lm_loss(logits: Tensor, targets, weights) -> Tensor:
 
 def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: int,
                   eos_id: int) -> list[int]:
-    """Deterministic argmax decoding with the expert group fixed per prompt."""
+    """Deterministic argmax decoding with the expert group fixed per prompt.
+
+    One forward reads the prompt into a K/V cache; each new token is then
+    one forward over its own row. Nothing is recorded for a backward pass.
+    """
     ids = list(int(i) for i in prompt_ids)
     if not ids:
         raise ContractError("cannot decode from an empty prompt")
-    for _ in range(max_new_tokens):
-        if len(ids) >= model.cfg.max_seq_len:
-            break
-        logits = model.forward(ids, group_id)
-        next_id = int(np.argmax(logits.data[-1]))
-        ids.append(next_id)
-        if next_id == eos_id:
-            break
+    cache = KVCache(model.cfg.n_layers)
+    rows = list(ids)
+    with no_grad():
+        for _ in range(max_new_tokens):
+            if len(ids) >= model.cfg.max_seq_len:
+                break
+            logits = model.forward(rows, group_id, cache=cache)
+            next_id = int(np.argmax(logits.data[-1]))
+            ids.append(next_id)
+            if next_id == eos_id:
+                break
+            rows = [next_id]
     return ids
 
 

@@ -4,13 +4,15 @@ Define-by-run: every operation records its inputs and a local backward
 rule on the output node, so the op graph reachable from a loss scalar is
 the tape. ``backward`` replays that tape once, newest node first, and
 accumulates gradients additively into every tensor that requires them.
+Inside ``no_grad`` nothing is recorded, for forwards no backward reads.
 There are no views or strides; every op materialises a fresh row-major
 array, which keeps the engine small and bit-deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -35,7 +37,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor constructed from non-finite data")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -96,13 +98,33 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside ``no_grad``. One flag for the whole process: the engine
+# runs on one thread.
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording them: a result built inside has no parents
+    and no backward rule, so nothing reaches back through it. Every shape,
+    range and finiteness check still runs. Blocks nest, and the previous
+    state comes back on exit, also when the block raises."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data, dtype=np.float64)
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out._consumed = False
     if out.requires_grad:
         out._parents = parents

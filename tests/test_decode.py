@@ -1,0 +1,176 @@
+"""Incremental, tape-free greedy decoding: one forward reads the prompt into
+a K/V cache, then each new token is one forward over its own row, with
+nothing recorded for a backward pass."""
+
+import numpy as np
+import pytest
+
+from moce.errors import ContractError, NumericError, ShapeError
+from moce.layer import RoutingRecord
+from moce.model import DenseBaseModel, KVCache, ModelConfig, greedy_decode, upcycle_init
+from moce.tensor import Tensor, add, matmul, no_grad
+
+CONFIGS = [
+    dict(mode="topk", top_k=1),
+    dict(mode="topk", top_k=2),
+    dict(mode="soft", top_k=3),
+    dict(mode="topk", top_k=2, variant=True),
+    dict(mode="topk", top_k=2, renormalize=True, moe_scale=0.5),
+]
+
+
+def micro_cfg(**overrides):
+    base = dict(vocab_size=11, d_model=8, n_layers=2, n_heads=2, max_seq_len=12,
+                d_ff=12, n_groups=3, n_experts=3, adapter_rank=3, top_k=2)
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+def trained_like(cfg, seed):
+    """An upcycled model whose adapters and routers have left their init."""
+    model = upcycle_init(DenseBaseModel.build(cfg, seed=seed), cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.trainable_parameters():
+        p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+    return model
+
+
+def full_prefix_decode(model, prompt, group, max_new_tokens, eos_id):
+    """Reference: every new token reruns the whole prefix through the model."""
+    ids = list(prompt)
+    for _ in range(max_new_tokens):
+        if len(ids) >= model.cfg.max_seq_len:
+            break
+        next_id = int(np.argmax(model.forward(ids, group).data[-1]))
+        ids.append(next_id)
+        if next_id == eos_id:
+            break
+    return ids
+
+
+def adapters(layer):
+    for group in layer.groups + ([layer.general_group] if layer.general_group else []):
+        yield from group.experts
+
+
+@pytest.mark.parametrize("overrides", CONFIGS)
+def test_cached_steps_match_the_whole_prefix(overrides):
+    cfg = micro_cfg(**overrides)
+    rng = np.random.default_rng(len(str(overrides)))
+    for trial in range(3):
+        model = trained_like(cfg, seed=trial)
+        ids = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len).tolist()
+        group = int(rng.integers(cfg.n_groups))
+        prompt_len = int(rng.integers(1, cfg.max_seq_len))
+        cache = KVCache(cfg.n_layers)
+        with no_grad():
+            step = model.forward(ids[:prompt_len], group, cache=cache).data
+            assert np.max(np.abs(step - model.forward(ids[:prompt_len], group).data)) < 1e-12
+            for t in range(prompt_len, cfg.max_seq_len):
+                step = model.forward([ids[t]], group, cache=cache).data
+                assert step.shape == (1, cfg.vocab_size)
+                whole = model.forward(ids[:t + 1], group).data
+                assert np.max(np.abs(step[0] - whole[-1])) < 1e-12
+        assert cache.length == cfg.max_seq_len
+
+
+@pytest.mark.parametrize("overrides", CONFIGS)
+def test_greedy_decode_matches_full_prefix_reference(overrides):
+    cfg = micro_cfg(**overrides)
+    rng = np.random.default_rng(7 + len(str(overrides)))
+    for trial in range(4):
+        model = trained_like(cfg, seed=10 + trial)
+        prompt = rng.integers(0, cfg.vocab_size, size=int(rng.integers(1, 6))).tolist()
+        group = int(rng.integers(cfg.n_groups))
+        for max_new, eos in ((cfg.max_seq_len, -1), (4, -1), (cfg.max_seq_len, prompt[-1]), (0, -1)):
+            assert greedy_decode(model, prompt, group, max_new, eos) == \
+                full_prefix_decode(model, prompt, group, max_new, eos)
+
+
+def test_decode_records_no_tape():
+    cfg = micro_cfg(variant=True)
+    model = trained_like(cfg, seed=3)
+    forward = model.forward
+    outputs = []
+
+    def spy(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    model.forward = spy
+    greedy_decode(model, [1, 2, 3], 1, max_new_tokens=cfg.max_seq_len, eos_id=-1)
+    assert len(outputs) == cfg.max_seq_len - 3
+    for logits in outputs:
+        assert logits._parents == () and logits._backward_fn is None
+        assert not logits.requires_grad
+    assert all(p.grad is None for p in model.trainable_parameters())
+    # Outside the decode the same model records again.
+    assert forward([1, 2], 0)._parents != ()
+
+
+def test_no_grad_nests_and_restores_on_error():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+
+    def recorded():
+        return matmul(w, w)._backward_fn is not None
+
+    assert recorded()
+    with no_grad():
+        assert not recorded()
+        with no_grad():
+            assert not recorded()
+        assert not recorded()
+    assert recorded()
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert recorded()
+    with no_grad():
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert not recorded()
+    assert recorded()
+
+
+def test_no_grad_keeps_every_check():
+    with no_grad():
+        with pytest.raises(ShapeError):
+            add(Tensor(np.ones(2)), Tensor(np.ones(3)))
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            matmul(Tensor([[1e200]]), Tensor([[1e200]]))
+
+
+def test_cache_misuse_raises():
+    cfg = micro_cfg()
+    model = trained_like(cfg, seed=5)
+    with pytest.raises(ContractError, match="one sequence"):
+        model.forward([[1, 2], [3]], [0, 1], cache=KVCache(cfg.n_layers))
+    with pytest.raises(ContractError, match="routing record"):
+        model.forward([1, 2], 0, RoutingRecord(), cache=KVCache(cfg.n_layers))
+    cache = KVCache(cfg.n_layers)
+    with no_grad():
+        model.forward([1] * (cfg.max_seq_len - 1), 0, cache=cache)
+        with pytest.raises(ContractError, match="exceeds max_seq_len"):
+            model.forward([1, 2], 0, cache=cache)
+        # The rejected rows left the cache as it was.
+        assert cache.length == cfg.max_seq_len - 1
+        model.forward([1], 0, cache=cache)
+        with pytest.raises(ContractError, match="exceeds max_seq_len"):
+            model.forward([1], 0, cache=cache)
+
+
+@pytest.mark.parametrize("top_k", [1, 2])
+def test_no_prefix_is_recomputed(top_k):
+    """Each layer's adapters see the prompt once and every generated token
+    but the last once: k rows per token routed."""
+    cfg = micro_cfg(top_k=top_k, max_seq_len=16)
+    model = trained_like(cfg, seed=9)
+    prompt = [4, 2, 7, 1, 3]
+    model.reset_instrumentation()
+    out = greedy_decode(model, prompt, 2, max_new_tokens=cfg.max_seq_len, eos_id=-1)
+    generated = len(out) - len(prompt)
+    assert generated == cfg.max_seq_len - len(prompt)
+    for layer in model.layers:
+        rows = sum(e.rows_processed for e in adapters(layer))
+        assert rows == top_k * (len(prompt) + generated - 1)

@@ -1,5 +1,6 @@
 """Run config parsing, pipeline artifacts, determinism, and the CLI."""
 
+import contextlib
 import csv
 import json
 import os
@@ -7,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+import moce.harness
+import moce.model
 from moce.cli import main
 from moce.data import InstructionRecord, make_two_dialect_corpus, save_dataset, split_dataset
 from moce.errors import ConfigError, ContractError, NumericError
@@ -214,6 +217,25 @@ class TestPipeline:
         n_layers, top_k = 2, 1
         assert len(route_rows) == stats["tokens_seen"] * n_layers * top_k
 
+    def test_no_grad_leaves_eval_and_route_stats_bytes_unchanged(self, trained_run, corpus,
+                                                                    tmp_path, monkeypatch):
+        """Evaluation and route-stats run their forwards without a tape; with
+        the tape recorded they write the same bytes."""
+        out, _ = trained_run
+        records = corpus[:24]
+
+        def run(name):
+            pipeline_eval(out, records, str(tmp_path / f"{name}.json"))
+            route_statistics(out, records, str(tmp_path / name))
+            files = [f"{name}.json"] + [os.path.join(name, f) for f in
+                                        ("groups.csv", "routers.csv", "routes.csv", "stats.json")]
+            return [(tmp_path / f).read_bytes() for f in files]
+
+        untaped = run("no_grad")
+        monkeypatch.setattr(moce.harness, "no_grad", contextlib.nullcontext)
+        monkeypatch.setattr(moce.model, "no_grad", contextlib.nullcontext)
+        assert run("taped") == untaped
+
     def test_check_finite(self):
         _check_finite(1.0, "train", 3)
         with pytest.raises(NumericError, match="step 3"):
@@ -225,6 +247,20 @@ class TestPipeline:
 def over_long(n):
     """Records whose encoded examples need more than the default 64 tokens."""
     return [InstructionRecord(f"long-{i}", "F " + "1" * 80, "1", "digits") for i in range(n)]
+
+
+@pytest.mark.parametrize("groups", ["n_groups=9", "k_max=9"])
+def test_group_count_above_training_records_fails_before_writing(tmp_path, groups, capsys):
+    """2x5 records leave 8 for training: 9 groups cannot be fitted, and
+    ``moce train`` says so (exit 2) before it writes any artifact."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{groups}\npretrain_steps=1\ntrain_steps=1\n")
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(data, make_two_dialect_corpus(5, seed=0))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert f"{groups} exceeds the 8 training records" in capsys.readouterr().err
 
 
 class TestOverLongRecords:
