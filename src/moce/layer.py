@@ -22,6 +22,7 @@ from .fileio import write_csv
 from .tensor import (
     Tensor,
     activation,
+    adapter_bank,
     add,
     concat_rows,
     matmul,
@@ -69,13 +70,15 @@ class FeedForward:
 class AdapterExpert:
     """A bottleneck adapter acting as one expert.
 
-    Full form: act(base_out @ W_down) @ W_up + x. With W_up all zero the
-    expert is exactly the identity on its residual input, which is what
-    makes zero-initialised upcycling function-preserving. ``forward_calls``
-    and ``rows_processed`` count actual work for the sparsity assertions.
+    Its update is act(base_out @ W_down) @ W_up, with its group's ``act``;
+    ``adapter_bank`` computes it for all of one router call's experts at
+    once, and the full output adds the residual input x. With W_up all
+    zero the update is exactly zero, which is what makes zero-initialised
+    upcycling function-preserving. ``forward_calls`` and ``rows_processed``
+    count actual work for the sparsity assertions.
     """
 
-    def __init__(self, w_down: Tensor, w_up: Tensor, act: str = "gelu"):
+    def __init__(self, w_down: Tensor, w_up: Tensor):
         if w_down.shape[1] != w_up.shape[0]:
             raise ShapeError(f"adapter shapes do not chain: {w_down.shape} then {w_up.shape}")
         if w_down.shape[0] != w_up.shape[1]:
@@ -84,38 +87,26 @@ class AdapterExpert:
             )
         self.w_down = w_down
         self.w_up = w_up
-        self.act = act
         self.forward_calls = 0
         self.rows_processed = 0
 
     @classmethod
-    def init(cls, d_model: int, rank: int, rng: np.random.Generator, act: str = "gelu") -> "AdapterExpert":
+    def init(cls, d_model: int, rank: int, rng: np.random.Generator) -> "AdapterExpert":
         # W_up starts at zero so a fresh expert is the identity; W_down is
         # small random so the bottleneck has distinct features to train.
         w_down = Tensor(rng.normal(0.0, d_model ** -0.5, size=(d_model, rank)), requires_grad=True)
         w_up = Tensor(np.zeros((rank, d_model)), requires_grad=True)
-        return cls(w_down, w_up, act)
-
-    def delta(self, base_out: Tensor) -> Tensor:
-        """The trainable update act(base_out @ W_down) @ W_up, without the residual."""
-        self.forward_calls += 1
-        self.rows_processed += base_out.shape[0]
-        return matmul(activation(matmul(base_out, self.w_down), self.act), self.w_up)
-
-    def forward(self, base_out: Tensor, x: Tensor) -> Tensor:
-        """Full expert output: the bottleneck update plus the residual input."""
-        if base_out.shape != x.shape:
-            raise ShapeError(f"base_out shape {base_out.shape} must match input shape {x.shape}")
-        return add(self.delta(base_out), x)
+        return cls(w_down, w_up)
 
     def parameters(self) -> list[Tensor]:
         return [self.w_down, self.w_up]
 
 
 class ExpertGroup:
-    """One expert group: a router plus its private experts."""
+    """One expert group: a router plus its private experts, which share one
+    activation ``act``."""
 
-    def __init__(self, router: Tensor, experts: list[AdapterExpert]):
+    def __init__(self, router: Tensor, experts: list[AdapterExpert], act: str = "gelu"):
         if not experts:
             raise ContractError("an expert group needs at least one expert")
         if router.shape[1] != len(experts):
@@ -124,13 +115,14 @@ class ExpertGroup:
             )
         self.router = router
         self.experts = experts
+        self.act = act
 
     @classmethod
     def init(cls, d_model: int, n_experts: int, rank: int, rng: np.random.Generator,
              act: str = "gelu") -> "ExpertGroup":
         router = Tensor(rng.normal(0.0, 0.02, size=(d_model, n_experts)), requires_grad=True)
-        experts = [AdapterExpert.init(d_model, rank, rng, act) for _ in range(n_experts)]
-        return cls(router, experts)
+        experts = [AdapterExpert.init(d_model, rank, rng) for _ in range(n_experts)]
+        return cls(router, experts, act)
 
     @property
     def n_experts(self) -> int:
@@ -364,11 +356,12 @@ class MoCELayer:
 
         ``routes`` lists (record key, group, rows) for each router call;
         ``rows`` are the block rows the group owns, or None for all rows.
-        The selected (token, expert) pairs are sorted by expert, so each
-        expert runs once, on exactly the rows that selected it; one
-        weighted scatter-add returns every contribution to its token. With
-        ``include_residual`` each expert contributes its full output
-        (update plus residual input) instead of the bare update.
+        The selected (token, expert) pairs are sorted by expert, so one
+        ``adapter_bank`` op per router call runs each selected expert once,
+        on exactly the rows that selected it; one weighted scatter-add
+        returns every contribution to its token. With ``include_residual``
+        each expert contributes its full output (update plus residual
+        input) instead of the bare update.
         """
         outputs, weights, targets = [], [], []
         for key, group, rows in routes:
@@ -385,14 +378,12 @@ class MoCELayer:
             pair_row = pair_token if rows is None else rows[pair_token]
             bounds = np.searchsorted(pair_expert, np.arange(group.n_experts + 1))
             for expert, lo, hi in zip(group.experts, bounds[:-1], bounds[1:]):
-                if lo == hi:
-                    continue
-                selected = pair_row[lo:hi]
-                base_sub = take_rows(base_out, selected)
-                if include_residual:
-                    outputs.append(expert.forward(base_sub, take_rows(x, selected)))
-                else:
-                    outputs.append(expert.delta(base_sub))
+                if hi > lo:
+                    expert.forward_calls += 1
+                    expert.rows_processed += int(hi - lo)
+            update = adapter_bank(base_out, pair_row, bounds, [e.w_down for e in group.experts],
+                                  [e.w_up for e in group.experts], group.act)
+            outputs.append(add(update, take_rows(x, pair_row)) if include_residual else update)
             weights.append(pair_weight)
             targets.append(pair_row)
         combined = scatter_add_rows(mul_rows(concat_rows(outputs), concat_rows(weights)),

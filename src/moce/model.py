@@ -26,17 +26,13 @@ from .tensor import (
     ACTIVATIONS,
     Tensor,
     add,
-    concat_cols,
+    attention,
     concat_rows,
     masked_cross_entropy,
     matmul,
-    mul,
     no_grad,
     rmsnorm,
-    slice_cols,
-    softmax,
     take_rows,
-    transpose,
 )
 
 CKPT_MAGIC = "MOCE-CKPT"
@@ -110,11 +106,11 @@ class _Block:
         base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=requires_grad)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
-    def attend(self, x: Tensor, mask: Tensor, cache: _BlockCache | None = None) -> Tensor:
-        """Causal self-attention over a packed block; ``mask`` holds 0 where
-        a row may attend and a large negative score where it may not. With a
-        ``cache``, the rows' keys and values are appended to the cached ones
-        and the rows attend over all of them."""
+    def attend(self, x: Tensor, mask: np.ndarray, cache: _BlockCache | None = None) -> Tensor:
+        """Causal self-attention over a packed block, all heads in one op;
+        ``mask`` holds 0 where a row may attend and a large negative score
+        where it may not. With a ``cache``, the rows' keys and values are
+        appended to the cached ones and the rows attend over all of them."""
         z = rmsnorm(x, self.norm)
         q = matmul(z, self.wq)
         k = matmul(z, self.wk)
@@ -123,16 +119,7 @@ class _Block:
             if cache.k is not None:
                 k, v = concat_rows([cache.k, k]), concat_rows([cache.v, v])
             cache.k, cache.v = k, v
-        d_head = x.shape[1] // self.n_heads
-        heads = []
-        for h in range(self.n_heads):
-            lo, hi = h * d_head, (h + 1) * d_head
-            qh = slice_cols(q, lo, hi)
-            kh = slice_cols(k, lo, hi)
-            vh = slice_cols(v, lo, hi)
-            scores = add(mul(matmul(qh, transpose(kh)), d_head ** -0.5), mask)
-            heads.append(matmul(softmax(scores, axis=-1), vh))
-        return add(x, matmul(concat_cols(heads), self.wo))
+        return add(x, matmul(attention(q, k, v, mask, self.n_heads), self.wo))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [
@@ -197,7 +184,7 @@ class _Packed:
         if len(seqs) > 1:
             segment = np.repeat(np.arange(len(seqs)), self.lengths)
             allowed[:, start:] &= segment[:, None] == segment[None, :]
-        self.mask = Tensor(np.where(allowed, 0.0, _NEG_MASK))
+        self.mask = np.where(allowed, 0.0, _NEG_MASK)
 
 
 class _Backbone:

@@ -302,17 +302,20 @@ def _silu_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * sig, sig * (1.0 + x * (1.0 - sig))
 
 
+def _activate(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A nonlinearity's value and its pointwise derivative at ``x``."""
+    if kind == "gelu":
+        return _gelu_value_grad(x)
+    if kind == "relu":
+        return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)
+    if kind == "silu":
+        return _silu_value_grad(x)
+    raise ContractError(f"unknown activation kind '{kind}', expected one of {ACTIVATIONS}")
+
+
 def activation(a: Tensor, kind: str = "gelu") -> Tensor:
     """Pointwise nonlinearity. ``kind`` is one of gelu, relu, silu."""
-    if kind == "gelu":
-        value, local = _gelu_value_grad(a.data)
-    elif kind == "relu":
-        value = np.maximum(a.data, 0.0)
-        local = (a.data > 0.0).astype(np.float64)
-    elif kind == "silu":
-        value, local = _silu_value_grad(a.data)
-    else:
-        raise ContractError(f"unknown activation kind '{kind}', expected one of {ACTIVATIONS}")
+    value, local = _activate(a.data, kind)
     return _result(value, (a,), lambda g: (g * local,), f"activation[{kind}]")
 
 
@@ -459,10 +462,14 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.data.ndim == 0 or p.data.shape[1:] != tail:
             raise ShapeError("concat_rows needs tensors whose shapes differ only in the first axis")
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def grad_fn(g: np.ndarray):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        grads, start = [], 0
+        for p in parts:
+            stop = start + p.data.shape[0]
+            grads.append(g[start:stop])
+            start = stop
+        return grads
 
     return _result(np.concatenate([p.data for p in parts]), tuple(parts), grad_fn, "concat_rows")
 
@@ -514,6 +521,120 @@ def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
         return (probs * (m[:, None] * (gs / count)),)
 
     return _result(loss, (logits,), grad_fn, "masked_cross_entropy")
+
+
+# -- fused blocks -------------------------------------------------------
+
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, d) -> (heads, rows, d / heads): head h owns its h-th run of columns."""
+    rows, d = a.shape
+    return a.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(heads, rows, d_head) -> (rows, heads * d_head), the heads side by side."""
+    heads, rows, d_head = a.shape
+    return a.transpose(1, 0, 2).reshape(rows, heads * d_head)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
+    """Scaled dot-product attention for every head in one op.
+
+    ``q`` is (T, d), ``k`` and ``v`` are (S, d), and head h owns columns
+    ``h*d/n_heads`` to ``(h+1)*d/n_heads`` of each. ``mask`` is a constant
+    additive (T, S) array: 0 where a row may attend and a large negative
+    score where it may not. Head h computes
+    softmax(q_h k_h^T / sqrt(d_head) + mask) v_h; the result holds the
+    heads side by side, (T, d).
+    """
+    m = np.asarray(mask, dtype=np.float64)
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.shape != k.data.shape:
+        raise ShapeError(f"attention needs (T,d) queries and equal (S,d) keys and values, "
+                         f"got {q.data.shape}, {k.data.shape} and {v.data.shape}")
+    rows, d = q.data.shape
+    if k.data.shape[1] != d:
+        raise ShapeError(f"attention keys have width {k.data.shape[1]}, queries {d}")
+    if not (isinstance(n_heads, int) and n_heads >= 1 and d % n_heads == 0):
+        raise ContractError(f"attention needs a head count >= 1 that divides {d}, got {n_heads}")
+    if m.shape != (rows, k.data.shape[0]):
+        raise ShapeError(f"attention mask must have shape {(rows, k.data.shape[0])}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NumericError("attention mask holds non-finite values")
+    scale = (d // n_heads) ** -0.5
+    qh, kh, vh = (_split_heads(t.data, n_heads) for t in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale + m
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+
+    def grad_fn(g: np.ndarray):
+        gh = _split_heads(g, n_heads)
+        d_probs = np.matmul(gh, vh.transpose(0, 2, 1))
+        d_scores = (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
+        return (_merge_heads(np.matmul(d_scores, kh)),
+                _merge_heads(np.matmul(d_scores.transpose(0, 2, 1), qh)),
+                _merge_heads(np.matmul(probs.transpose(0, 2, 1), gh)))
+
+    return _result(_merge_heads(np.matmul(probs, vh)), (q, k, v), grad_fn, "attention")
+
+
+def adapter_bank(base: Tensor, rows, bounds, w_downs: Sequence[Tensor], w_ups: Sequence[Tensor],
+                 act: str = "gelu") -> Tensor:
+    """A bank of bottleneck adapters, each run once on its own rows.
+
+    ``rows`` lists rows of ``base`` sorted by adapter: adapter e reads rows
+    ``rows[bounds[e]:bounds[e + 1]]`` and writes act(base_rows @ w_downs[e])
+    @ w_ups[e] to the same span of the result, which has one row per entry
+    of ``rows`` (repeats allowed). An adapter with no rows does no work, and
+    its weights get no gradient: None, not zeros.
+    """
+    idx = np.asarray(rows, dtype=np.int64)
+    ends = np.asarray(bounds, dtype=np.int64).tolist()
+    n = len(w_downs)
+    if base.data.ndim != 2:
+        raise ShapeError(f"adapter_bank needs a 2-D base, got {base.data.shape}")
+    if idx.ndim != 1:
+        raise ShapeError(f"adapter_bank needs a 1-D row list, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= base.data.shape[0]):
+        raise ContractError(f"adapter_bank row out of range for {base.data.shape[0]} rows")
+    if n == 0 or len(w_ups) != n:
+        raise ContractError(f"adapter_bank needs one up projection per down projection, "
+                            f"got {n} and {len(w_ups)}")
+    if (not isinstance(ends, list) or len(ends) != n + 1 or ends[0] != 0 or ends[-1] != idx.size
+            or any(lo > hi for lo, hi in zip(ends, ends[1:]))):
+        raise ContractError(f"adapter_bank needs {n + 1} bounds rising from 0 to {idx.size}")
+    d = base.data.shape[1]
+    for w_down, w_up in zip(w_downs, w_ups):
+        rank = w_down.data.shape[1] if w_down.data.ndim == 2 else -1
+        if w_down.data.shape != (d, rank) or w_up.data.shape != (rank, d):
+            raise ShapeError(f"adapter_bank needs ({d}, r) and (r, {d}) projections, "
+                             f"got {w_down.data.shape} and {w_up.data.shape}")
+    if act not in ACTIVATIONS:
+        raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
+    spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(ends, ends[1:])) if lo < hi]
+    out = np.empty((idx.size, d))
+    saved = {}
+    for e, lo, hi in spans:
+        x = base.data[idx[lo:hi]]
+        value, local = _activate(x @ w_downs[e].data, act)
+        out[lo:hi] = value @ w_ups[e].data
+        saved[e] = (x, value, local)
+
+    def grad_fn(g: np.ndarray):
+        d_downs, d_ups = [None] * n, [None] * n
+        d_rows = np.empty_like(g)
+        for e, lo, hi in spans:
+            x, value, local = saved[e]
+            d_ups[e] = value.T @ g[lo:hi]
+            d_pre = (g[lo:hi] @ w_ups[e].data.T) * local
+            d_downs[e] = x.T @ d_pre
+            d_rows[lo:hi] = d_pre @ w_downs[e].data.T
+        d_base = None
+        if base.requires_grad:
+            d_base = np.zeros_like(base.data)
+            np.add.at(d_base, idx, d_rows)
+        return (d_base, *d_downs, *d_ups)
+
+    return _result(out, (base, *w_downs, *w_ups), grad_fn, f"adapter_bank[{act}]")
 
 
 # -- the numerical oracle ----------------------------------------------

@@ -4,11 +4,12 @@ sequences compute one at a time, and one packed step must stay small."""
 import numpy as np
 import pytest
 
-from moce.data import encode_example, make_two_dialect_corpus, training_pair
+from moce import tensor
+from moce.data import encode_example, make_two_dialect_corpus, prompt_ids, training_pair
 from moce.errors import ContractError
 from moce.harness import RunConfig, _packed_batch, model_config_from
 from moce.layer import RoutingRecord, load_balance_loss
-from moce.model import DenseBaseModel, ModelConfig, lm_loss, upcycle_init
+from moce.model import DenseBaseModel, ModelConfig, greedy_decode, lm_loss, upcycle_init
 from moce.tensor import add, backward, mul
 
 
@@ -229,3 +230,36 @@ def test_adapter_step_stays_small():
     assert nodes <= 250, nodes
     assert calls <= 16, calls
     assert rows == sum(len(ids) for ids in inputs) * mcfg.n_layers * mcfg.top_k
+
+
+def test_fused_ops_keep_decode_and_step_small(monkeypatch):
+    """On the criterion-8 shapes a decoded token costs at most 50 engine ops
+    (about 43 with all heads in one attention op and one adapter-bank op per
+    router call; 95 with per-head and per-expert chains), and one adapter
+    step records at most 70 tape nodes (58; 125 with the chains)."""
+    cfg = RunConfig(seed=0, n_groups=2, d_model=24, n_layers=2, n_heads=2, d_ff=48,
+                    n_experts=4, adapter_rank=4, top_k=2, batch_size=8)
+    mcfg = model_config_from(cfg, 2)
+    model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
+    records = make_two_dialect_corpus(100, seed=0)
+    examples = [training_pair(encode_example(r)) for r in records]
+    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    record = RoutingRecord()
+    logits = model.forward(inputs, [i % 2 for i in range(8)], record)
+    loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
+    assert _tape_nodes(loss) <= 70
+
+    ops = []
+    result = tensor._result
+
+    def counted(data, parents, backward_fn, op):
+        ops.append(op)
+        return result(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(tensor, "_result", counted)
+    generated = 0
+    for r in records[:5]:
+        prompt = prompt_ids(r)
+        generated += len(greedy_decode(model, prompt, 0, mcfg.max_seq_len, eos_id=-1)) - len(prompt)
+    assert generated > 0
+    assert len(ops) / generated <= 50, len(ops) / generated

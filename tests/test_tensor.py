@@ -10,7 +10,9 @@ from moce.errors import ContractError, NumericError, ShapeError, StateError
 from moce.tensor import (
     Tensor,
     activation,
+    adapter_bank,
     add,
+    attention,
     backward,
     concat_cols,
     concat_rows,
@@ -197,6 +199,18 @@ class TestBackward:
             gain = rng.standard_normal(k)
             col = rng.standard_normal(m)
             kind = ("gelu", "silu")[seed % 2]
+            # Attention as in a cached step: fewer query rows than keys, 2 or
+            # 3 heads, and a mask blocking random keys but never the first.
+            heads, t_rows = 2 + seed % 2, int(rng.integers(1, 4))
+            s_rows = t_rows + int(rng.integers(1, 3))
+            q, kv = rng.standard_normal((t_rows, 2 * heads)), rng.standard_normal((2, s_rows, 2 * heads))
+            blocked = rng.random((t_rows, s_rows)) < 0.4
+            blocked[:, 0] = False
+            att_mask = np.where(blocked, -1.0e30, 0.0)
+            # An adapter bank with repeated rows, and expert 1 given none.
+            bank_rows = [m - 1, 0, 0, 1, m - 1]
+            downs = [rng.standard_normal((k, 3)) for _ in range(3)]
+            ups = [rng.standard_normal((3, k)) for _ in range(3)]
 
             cases = [
                 (lambda p: tensor_sum(matmul(p[0], p[1])), [a, b]),
@@ -217,10 +231,27 @@ class TestBackward:
                 (lambda p: tensor_sum(mul(scatter_add_rows(p[0], [m - 1] + list(range(m - 1)), m + 1),
                                           scatter_add_rows(p[1], [0] * m, m + 1))), [a, c]),
                 (lambda p: tensor_sum(mul(concat_rows([p[0], p[1]]), concat_rows([p[1], p[0]]))), [a, c]),
+                (lambda p: tensor_sum(mul(attention(p[0], p[1], p[2], att_mask, heads), p[3])),
+                 [q, kv[0], kv[1], rng.standard_normal(q.shape)]),
+                (lambda p: tensor_sum(mul(adapter_bank(p[0], bank_rows, [0, 2, 2, 5], p[1:4], p[4:7],
+                                                       kind), p[7])),
+                 [a, *downs, *ups, rng.standard_normal((5, k))]),
             ]
             for build, arrays in cases:
                 worst = max(worst, gradcheck(build, arrays))
         assert worst < 1e-6, f"worst op relative error {worst:.3e}"
+
+    def test_adapter_bank_idle_expert_gets_no_gradient(self):
+        """An adapter with no rows gets None, not zeros, so Adam leaves it be."""
+        rng = np.random.default_rng(5)
+        base = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        downs = [Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(3)]
+        ups = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
+        backward(tensor_sum(adapter_bank(base, [3, 0, 0], [0, 2, 2, 3], downs, ups)))
+        assert downs[1].grad is None and ups[1].grad is None
+        for w in (downs[0], ups[0], downs[2], ups[2], base):
+            assert w.grad is not None and np.any(w.grad != 0)
+        assert np.array_equal(base.grad[[1, 2]], np.zeros((2, 3)))
 
     def test_relu_gradient_away_from_kink(self):
         """relu passes the check when no input sits within h of zero."""
