@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError, NumericError
-from .fileio import write_atomic, write_csv
+from .fileio import read_lines, write_atomic, write_csv
 from .seeding import substream, substream_seed
 
 KMEANS_MAGIC = "MOCE-KMEANS"
@@ -249,31 +249,35 @@ def save_kmeans(path: str, model: KMeansModel) -> None:
 
 
 def load_kmeans(path: str) -> KMeansModel:
-    """Read the format written by ``save_kmeans``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("k-means file is empty")
-    header = lines[0].split()
+    """Read the format written by ``save_kmeans``. Every error names the
+    file and the 1-based line; a blank line, which ``save_kmeans`` never
+    writes, is one."""
+    lines = read_lines(path, FormatError)
+    header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != KMEANS_MAGIC or header[1] != KMEANS_VERSION:
-        raise FormatError(f"line 1: expected header '{KMEANS_MAGIC} {KMEANS_VERSION} <k> <dim> <seed>'")
+        raise FormatError(f"{path}:1: expected header '{KMEANS_MAGIC} {KMEANS_VERSION} <k> <dim> <seed>'")
     try:
         k, dim, seed = int(header[2]), int(header[3]), int(header[4])
     except ValueError:
-        raise FormatError("line 1: k, dim and seed must be integers") from None
-    if len(lines) - 1 != k:
-        raise FormatError(f"header declares {k} centroids, file has {len(lines) - 1}")
-    centroids = np.empty((k, dim), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
+        raise FormatError(f"{path}:1: k, dim and seed must be integers") from None
+    if k < 1 or dim < 1:
+        raise FormatError(f"{path}:1: invalid k {k} or dim {dim}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
+        if not parts:
+            raise FormatError(f"{path}:{lineno}: blank line")
         if len(parts) != dim:
-            raise FormatError(f"line {i + 2}: expected {dim} values, got {len(parts)}")
+            raise FormatError(f"{path}:{lineno}: expected {dim} values, got {len(parts)}")
         try:
-            centroids[i] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError:
-            raise FormatError(f"line {i + 2}: non-numeric value") from None
-    if not np.all(np.isfinite(centroids)):
-        raise NumericError("k-means file contains non-finite centroid values")
+            raise FormatError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise NumericError(f"{path}:{lineno}: non-finite centroid value")
+    if len(rows) != k:
+        raise FormatError(f"{path}:1: header declares {k} centroids, file has {len(rows)}")
+    centroids = np.array(rows, dtype=np.float64).reshape(k, dim)
     return KMeansModel(
         k=k,
         dimension=dim,

@@ -17,6 +17,7 @@ import typing
 from dataclasses import MISSING, field
 
 from .errors import ConfigError
+from .fileio import read_lines
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 _KIND_CLASSES = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
@@ -103,12 +104,7 @@ def read_values(path, keys: dict, fmt: KeyValueFormat, header: str | None = None
     a key must be set unless its field has a default that ``fmt`` allows.
     A ``header``, if given, is the first line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise fmt.error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    lines = read_lines(path, fmt.error)
     first = 1
     if header is not None:
         if not lines or lines[0].split() != header.split():

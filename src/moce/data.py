@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractError, FormatError
+from .fileio import read_lines, write_atomic
 from .seeding import substream
 
 BOS_ID = 0
@@ -85,61 +86,75 @@ def completed_response(generated: list[int]) -> str:
     return decode_text(generated)
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object's fields, refusing a name given twice: json.loads
+    alone would keep the last value without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [key for key, _ in pairs]
+        twice = next(k for i, k in enumerate(names) if k in names[:i])
+        raise FormatError(f"duplicate field '{twice}'")
+    return obj
+
+
+# Built once: json.loads with a hook argument builds a new decoder per call.
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_fields)
+
+
 def ingest_dataset(path: str) -> list[InstructionRecord]:
     """Read a JSONL instruction file, validating every line.
 
     Each line must be a JSON object with string fields ``id``,
     ``instruction``, and ``response`` (all non-empty) and optionally
-    ``source``. Any other key is an error so silent typos cannot pass.
+    ``source``. Any other key, or a key given twice, is an error so silent
+    typos cannot pass. Blank lines are skipped.
     """
     records: list[InstructionRecord] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise FormatError(f"{path}:{lineno}: expected a JSON object")
-            unknown = set(obj) - _ALLOWED_KEYS
-            if unknown:
-                raise FormatError(
-                    f"{path}:{lineno}: unknown field(s) {sorted(unknown)}"
-                )
-            for key in _REQUIRED_KEYS:
-                if key not in obj:
-                    raise FormatError(f"{path}:{lineno}: missing field '{key}'")
-                if not isinstance(obj[key], str):
-                    raise FormatError(
-                        f"{path}:{lineno}: field '{key}' must be a string"
-                    )
-                if obj[key] == "":
-                    raise FormatError(f"{path}:{lineno}: field '{key}' is empty")
-            source = obj.get("source", "")
-            if not isinstance(source, str):
-                raise FormatError(f"{path}:{lineno}: field 'source' must be a string")
-            if obj["id"] in seen_ids:
-                raise FormatError(f"{path}:{lineno}: duplicate id '{obj['id']}'")
-            seen_ids.add(obj["id"])
-            records.append(
-                InstructionRecord(obj["id"], obj["instruction"], obj["response"], source)
-            )
+    for lineno, line in enumerate(read_lines(path, FormatError), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = _JSON.decode(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: invalid JSON: {exc}") from None
+        except FormatError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise FormatError(f"{where}: expected a JSON object")
+        unknown = set(obj) - _ALLOWED_KEYS
+        if unknown:
+            raise FormatError(f"{where}: unknown field(s) {sorted(unknown)}")
+        for key in _REQUIRED_KEYS:
+            if key not in obj:
+                raise FormatError(f"{where}: missing field '{key}'")
+            if not isinstance(obj[key], str):
+                raise FormatError(f"{where}: field '{key}' must be a string")
+            if obj[key] == "":
+                raise FormatError(f"{where}: field '{key}' is empty")
+        source = obj.get("source", "")
+        if not isinstance(source, str):
+            raise FormatError(f"{where}: field 'source' must be a string")
+        if obj["id"] in seen_ids:
+            raise FormatError(f"{where}: duplicate id '{obj['id']}'")
+        seen_ids.add(obj["id"])
+        records.append(InstructionRecord(obj["id"], obj["instruction"], obj["response"], source))
     if not records:
         raise ContractError(f"{path}: dataset is empty")
     return records
 
 
 def save_dataset(path: str, records: list[InstructionRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            obj = {"id": r.record_id, "instruction": r.instruction, "response": r.response}
-            if r.source:
-                obj["source"] = r.source
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    """Write one JSON object per line, in the format ``ingest_dataset`` reads."""
+    lines = []
+    for r in records:
+        obj = {"id": r.record_id, "instruction": r.instruction, "response": r.response}
+        if r.source:
+            obj["source"] = r.source
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(lines))
 
 
 def split_dataset(

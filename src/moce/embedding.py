@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, FormatError, NumericError
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 
 EMB_MAGIC = "MOCE-EMB"
 EMB_VERSION = "v1"
@@ -52,9 +52,6 @@ class EmbeddingSet:
         if not self.items:
             return np.zeros((0, self.dimension))
         return np.stack([e.vector for e in self.items])
-
-    def ids(self) -> list[str]:
-        return [e.source_id for e in self.items]
 
 
 def _hash_feature(seed: int, tag: str, payload: str) -> int:
@@ -117,38 +114,34 @@ def save_embeddings(path: str, embeddings: EmbeddingSet) -> None:
 def load_embeddings(path: str) -> EmbeddingSet:
     """Read the format written by ``save_embeddings``, validating as it goes.
 
-    Errors carry 1-based line numbers so a corrupt row is easy to find.
+    Every error names the file and the 1-based line; a blank line, which
+    ``save_embeddings`` never writes, is one.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("embedding file is empty")
-
-    header = lines[0].split()
+    lines = read_lines(path, FormatError)
+    header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != EMB_MAGIC or header[1] != EMB_VERSION:
-        raise FormatError(f"line 1: expected header '{EMB_MAGIC} {EMB_VERSION} <count> <dim>'")
+        raise FormatError(f"{path}:1: expected header '{EMB_MAGIC} {EMB_VERSION} <count> <dim>'")
     try:
         count, dim = int(header[2]), int(header[3])
     except ValueError:
-        raise FormatError("line 1: count and dim must be integers") from None
+        raise FormatError(f"{path}:1: count and dim must be integers") from None
     if count < 0 or dim < 1:
-        raise FormatError(f"line 1: invalid count {count} or dim {dim}")
-
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != count:
-        raise FormatError(f"header declares {count} rows, file has {len(body)}")
+        raise FormatError(f"{path}:1: invalid count {count} or dim {dim}")
 
     items = []
-    for offset, line in enumerate(body):
-        lineno = offset + 2
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
+        if not parts:
+            raise FormatError(f"{path}:{lineno}: blank line")
         if len(parts) != dim + 1:
-            raise FormatError(f"line {lineno}: expected id plus {dim} values, got {len(parts) - 1}")
+            raise FormatError(f"{path}:{lineno}: expected id plus {dim} values, got {len(parts) - 1}")
         try:
             vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise FormatError(f"line {lineno}: non-numeric value") from None
+            raise FormatError(f"{path}:{lineno}: non-numeric value") from None
         if not np.all(np.isfinite(vec)):
-            raise NumericError(f"line {lineno}: non-finite embedding value")
+            raise NumericError(f"{path}:{lineno}: non-finite embedding value")
         items.append(SequenceEmbedding(parts[0], vec))
+    if len(items) != count:
+        raise FormatError(f"{path}:1: header declares {count} rows, file has {len(items)}")
     return EmbeddingSet(dimension=dim, items=items)

@@ -1,4 +1,5 @@
-"""Whole-file replacement, so that no artifact is ever left half written."""
+"""Whole-file replacement, so that no artifact is ever left half written,
+and the one reader every text loader starts from."""
 
 from __future__ import annotations
 
@@ -31,3 +32,24 @@ def write_csv(path, header, rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, buffer.getvalue())
+
+
+def read_lines(path, error: type) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, without their ends.
+
+    Lines end at \\n, \\r\\n or \\r, as in a file opened in text mode, and
+    not at the other breaks ``str.splitlines`` knows, which a JSON string
+    may hold. Bytes that are not UTF-8 raise ``error`` naming the file, the
+    line and the byte offset.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text (byte {exc.start})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

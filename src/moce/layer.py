@@ -135,16 +135,6 @@ class ExpertGroup:
         return out
 
 
-def router_logits(w_router: Tensor, x: Tensor) -> Tensor:
-    """Per-token expert scores: x @ W_G, one row per token."""
-    return matmul(x, w_router)
-
-
-def gate(logits: Tensor) -> Tensor:
-    """Row-wise softmax over expert scores; every row sums to one."""
-    return softmax(logits, axis=-1)
-
-
 def top_k_mask(gates: np.ndarray, k: int) -> np.ndarray:
     """0/1 selection mask keeping the k largest entries per row.
 
@@ -160,19 +150,6 @@ def top_k_mask(gates: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-gates, axis=1, kind="stable")[:, :k]
     np.put_along_axis(mask, order, 1.0, axis=1)
     return mask
-
-
-def top_k_select(weights: Tensor, k: int) -> Tensor:
-    """Keep the k largest weights per row at their original values, zero the rest.
-
-    The selection mask is treated as a constant in the backward pass:
-    gradients flow only through the surviving entries.
-    """
-    row = weights.data.ndim == 1
-    values = weights.data[None, :] if row else weights.data
-    mask = top_k_mask(values, k)
-    mask_t = Tensor(mask[0] if row else mask)
-    return mul(weights, mask_t)
 
 
 @dataclass
@@ -205,7 +182,6 @@ class RoutingRecord:
 
     routers: dict = field(default_factory=dict)
     tokens_seen: int = 0
-    active_experts_per_token: int | None = None
     _calls: list = field(default_factory=list, repr=False)   # (key, gates, mask, token indices)
     _starts: list = field(default_factory=list, repr=False)  # first token index of each sequence
 
@@ -365,7 +341,7 @@ class MoCELayer:
         """
         outputs, weights, targets = [], [], []
         for key, group, rows in routes:
-            gates = gate(router_logits(group.router, x if rows is None else take_rows(x, rows)))
+            gates = softmax(matmul(x if rows is None else take_rows(x, rows), group.router))
             mask = top_k_mask(gates.data, k)
             if record is not None:
                 record.observe(key, gates, mask, record.tokens_seen, rows)

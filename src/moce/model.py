@@ -312,9 +312,6 @@ class MoCEModel:
         if record is not None:
             for n in batch.lengths:
                 record.advance(int(n))
-            record.active_experts_per_token = (2 if self.cfg.variant else 1) * (
-                self.cfg.n_experts if self.cfg.mode == "soft" else self.cfg.top_k
-            )
         if cache is not None:
             cache.length += int(batch.lengths[0])
         return self.backbone.project(x)

@@ -53,45 +53,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def sum(self) -> "Tensor":
-        return tensor_sum(self)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -205,19 +170,6 @@ def add(a: Tensor, b) -> Tensor:
     return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return add(a, -float(b))
-    b = _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub needs matching shapes, got {a.data.shape} and {b.data.shape}")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise (Hadamard) product, or scaling by a Python scalar."""
     if isinstance(b, (int, float)):
@@ -257,23 +209,10 @@ def reciprocal(a: Tensor) -> Tensor:
     return _result(inv, (a,), lambda g: (-g * inv * inv,), "reciprocal")
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.data.shape}")
-    return _result(a.data.T, (a,), lambda g: (np.ascontiguousarray(g.T),), "transpose")
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
     data = np.array(np.sum(a.data), dtype=np.float64)
     return _result(data, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),), "sum")
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    if n == 0:
-        raise ContractError("mean of an empty tensor")
-    return mul(tensor_sum(a), 1.0 / n)
 
 
 # -- nonlinearities -----------------------------------------------------
@@ -358,52 +297,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _result(a.data[idx], (a,), grad_fn, "take_rows")
 
 
-def pad_rows(a: Tensor, indices, total_rows: int) -> Tensor:
-    """Place rows of ``a`` at the given positions of a zero (total_rows, d) tensor."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"pad_rows needs a 2-D tensor, got {a.data.shape}")
-    if idx.shape != (a.data.shape[0],):
-        raise ShapeError(f"pad_rows needs one index per row, got {idx.shape} for {a.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= total_rows):
-        raise ContractError(f"pad_rows index out of range for {total_rows} rows")
-    if idx.size != np.unique(idx).size:
-        raise ContractError("pad_rows indices must be unique")
-    data = np.zeros((total_rows, a.data.shape[1]), dtype=np.float64)
-    data[idx] = a.data
-    return _result(data, (a,), lambda g: (g[idx].copy(),), "pad_rows")
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-D tensor, got {a.data.shape}")
-    if not (0 <= start < stop <= a.data.shape[1]):
-        raise ContractError(f"slice_cols range [{start}, {stop}) invalid for {a.data.shape[1]} columns")
-
-    def grad_fn(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        da[:, start:stop] = g
-        return (da,)
-
-    return _result(a.data[:, start:stop].copy(), (a,), grad_fn, "slice_cols")
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one tensor")
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
-            raise ShapeError("concat_cols needs 2-D tensors with equal row counts")
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def grad_fn(g: np.ndarray):
-        return tuple(g[:, offsets[i]:offsets[i + 1]].copy() for i in range(len(parts)))
-
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), grad_fn, "concat_cols")
-
-
 def mul_rows(a: Tensor, scale: Tensor) -> Tensor:
     """Scale each row of a (T, d) tensor by the matching entry of a (T,) tensor."""
     if a.data.ndim != 2 or scale.data.ndim != 1 or scale.data.shape[0] != a.data.shape[0]:
@@ -472,14 +365,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return grads
 
     return _result(np.concatenate([p.data for p in parts]), tuple(parts), grad_fn, "concat_rows")
-
-
-def flatten_to_vector(a: Tensor) -> Tensor:
-    """Reshape a 2-D (T, 1) or (1, T) tensor to a 1-D (T,) tensor."""
-    if a.data.ndim != 2 or 1 not in a.data.shape:
-        raise ShapeError(f"flatten_to_vector needs a single-row or single-column tensor, got {a.data.shape}")
-    shape = a.data.shape
-    return _result(a.data.reshape(-1), (a,), lambda g: (g.reshape(shape),), "flatten_to_vector")
 
 
 def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:

@@ -37,25 +37,22 @@ from moce.seeding import substream
 from moce.tensor import (
     Tensor,
     activation,
+    adapter_bank,
     add,
+    attention,
     backward,
-    concat_cols,
-    flatten_to_vector,
+    concat_rows,
     masked_cross_entropy,
     matmul,
-    mean,
     mul,
     mul_rows,
-    neg,
-    pad_rows,
     reciprocal,
     rmsnorm,
-    slice_cols,
+    scatter_add_rows,
     softmax,
-    sub,
+    take_entries,
     take_rows,
     tensor_sum,
-    transpose,
 )
 
 
@@ -67,25 +64,28 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
 
 def _ops_loss(params: list[Tensor]) -> Tensor:
     """One composite graph that exercises every differentiable op."""
-    a, b, gain, scale = params
-    h = matmul(a, b)
-    h = rmsnorm(h, gain)
-    h = activation(h, "gelu")
-    h = add(h, mul(neg(sub(h, 1.5)), 0.25))
-    joined = concat_cols([slice_cols(h, 0, 3), h])
-    picked = take_rows(joined, [2, 0])
-    spread = pad_rows(picked, [1, 2], 3)
-    scaled = mul_rows(spread, scale)
+    a, b, gain, scale, proj = params
+    h = activation(rmsnorm(matmul(a, b), gain), "gelu")
+    h = add(h, mul(add(h, -1.5), -0.25))
+    x = matmul(h, proj)
+    # Two heads; two query rows over three keys, each query blocked from one.
+    att = attention(take_rows(x, [0, 2]), x, mul_rows(x, scale),
+                    [[0.0, 0.0, -1.0e30], [-1.0e30, 0.0, 0.0]], 2)
+    # Three adapters read from rows of ``proj``; adapter 1 gets no rows,
+    # and row 2 goes to both others.
+    downs = [take_rows(proj, r) for r in ([0, 1, 2, 3], [1, 2, 3, 4], [4, 4, 0, 2])]
+    ups = [take_rows(proj, r) for r in ([3, 0, 1, 1], [2, 3, 4, 0], [1, 0, 3, 2])]
+    rows, experts = [2, 0, 1, 2], [0, 0, 2, 2]
+    update = adapter_bank(x, rows, [0, 2, 2, 4], downs, ups, "silu")
+    weight = take_entries(softmax(matmul(x, b)), rows, experts)
+    mixed = scatter_add_rows(mul_rows(update, weight), rows, 3)
+    stacked = concat_rows([att, mul_rows(mixed, scale)])
     # squaring keeps the relu input >= 0.3, clear of its kink at 0
-    relu_part = activation(add(mul(scaled, scaled), 0.3), "relu")
-    mixed = add(relu_part, activation(scaled, "silu"))
-    logits = matmul(slice_cols(softmax(mixed), 2, 6), b)
-    ce = masked_cross_entropy(logits, [1, 0, 3], [1.0, 0.0, 1.0])
-    inv = reciprocal(add(mean(mul(h, h)), 1.0))
-    sym = mean(matmul(transpose(a), a))
-    col = flatten_to_vector(slice_cols(joined, 0, 1))
-    total = add(ce, mul(inv, 0.5))
-    return add(total, add(mul(tensor_sum(mul(col, col)), 0.1), mul(sym, 0.05)))
+    relu_part = activation(add(mul(stacked, stacked), 0.3), "relu")
+    logits = matmul(softmax(add(relu_part, activation(stacked, "silu"))), b)
+    ce = masked_cross_entropy(logits, [1, 0, 3, 4, 2], [1.0, 0.0, 1.0, 0.5, 1.0])
+    inv = reciprocal(add(mul(tensor_sum(mul(h, h)), 1.0 / 15.0), 1.0))
+    return add(ce, mul(inv, 0.5))
 
 
 def _fd_over_model(build_loss, params, h=1e-5):
@@ -124,6 +124,7 @@ class TestCriterion1Gradients:
                 rng.normal(size=5) * 0.5 + 1.0,
                 rng.normal(size=3) * 0.5 + 1.5,
             ]
+            arrays.append(rng.normal(size=(5, 4)) * 0.5)
             worst_ops = max(worst_ops, gradcheck(_ops_loss, arrays))
 
         cfg = ModelConfig(vocab_size=11, d_model=8, n_layers=2, n_heads=2,

@@ -1,6 +1,8 @@
 """K-means fit quality against exhaustive enumeration, elbow selection on
 planted structure, and the persistence format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,7 @@ class TestPersistence:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("MOCE-KMEANS v2 1 2 0\n0 0\n")
-        with pytest.raises(FormatError, match="line 1"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1:")):
             load_kmeans(str(p))
 
     def test_row_count_mismatch(self, tmp_path):
@@ -190,5 +192,12 @@ class TestPersistence:
     def test_row_width_mismatch(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("MOCE-KMEANS v1 1 3 0\n0 0\n")
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:2:")):
+            load_kmeans(str(p))
+
+    def test_blank_line_rejected_at_its_own_line(self, tmp_path):
+        """A blank line is an error; rows after it keep their true line numbers."""
+        p = tmp_path / "bad.txt"
+        p.write_text("MOCE-KMEANS v1 2 2 0\n0 0\n\n1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{p}:3: blank line")):
             load_kmeans(str(p))

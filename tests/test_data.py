@@ -1,8 +1,11 @@
 """Tokeniser round trips, JSONL validation, and corpus structure."""
 
+import re
+
 import numpy as np
 import pytest
 
+from moce.cli import main
 from moce.data import (
     BOS_ID,
     EOS_ID,
@@ -123,6 +126,21 @@ class TestIngest:
         ])
         with pytest.raises(FormatError, match="duplicate"):
             ingest_dataset(path)
+
+    def test_duplicate_field(self, tmp_path):
+        """json.loads alone would keep the last 'id' and load record 'b'."""
+        path = self.write(tmp_path, ['{"id": "a", "id": "b", "instruction": "x", "response": "y"}'])
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: duplicate field 'id'")):
+            ingest_dataset(path)
+
+    def test_bad_utf8_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        p = tmp_path / "data.jsonl"
+        p.write_bytes(b'{"id": "a", "instruction": "x", "response": "y"}\n'
+                      b'{"id": "b", "instruction": "\xff", "response": "y"}\n')
+        out = tmp_path / "emb.txt"
+        assert main(["embed", "--data", str(p), "--output", str(out)]) == 3
+        assert f"{p}:2: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"

@@ -1,8 +1,11 @@
 """Hashing embedder properties and the embedding file round trip."""
 
+import re
+
 import numpy as np
 import pytest
 
+from moce.cli import main
 from moce.embedding import (
     EmbeddingSet,
     SequenceEmbedding,
@@ -79,19 +82,19 @@ class TestEmbeddingFile:
         save_embeddings(str(path), es)
         loaded = load_embeddings(str(path))
         assert loaded.dimension == 24 and len(loaded) == 10
-        assert loaded.ids() == es.ids()
+        assert [e.source_id for e in loaded.items] == [e.source_id for e in es.items]
         assert np.max(np.abs(loaded.matrix() - es.matrix())) < 1e-7
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("WRONG v1 1 4\nx 0 0 0 1\n")
-        with pytest.raises(FormatError, match="line 1"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1:")):
             load_embeddings(str(p))
 
     def test_row_width_error_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("MOCE-EMB v1 2 3\na 1 0 0\nb 1 0\n")
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:3:")):
             load_embeddings(str(p))
 
     def test_count_mismatch_rejected(self, tmp_path):
@@ -103,8 +106,23 @@ class TestEmbeddingFile:
     def test_non_finite_value_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("MOCE-EMB v1 1 2\na nan 0\n")
-        with pytest.raises(NumericError, match="line 2"):
+        with pytest.raises(NumericError, match=re.escape(f"{p}:2:")):
             load_embeddings(str(p))
+
+    def test_blank_line_rejected_at_its_own_line(self, tmp_path):
+        """A blank line is an error; rows after it keep their true line numbers."""
+        p = tmp_path / "bad.txt"
+        p.write_text("MOCE-EMB v1 2 3\na 1 0 0\n\nb 1 0\n")
+        with pytest.raises(FormatError, match=re.escape(f"{p}:3: blank line")):
+            load_embeddings(str(p))
+
+    def test_bad_utf8_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(b"MOCE-EMB v1 2 2\na 1 0\nb\xff 0 1\n")
+        out = tmp_path / "km.txt"
+        assert main(["cluster", "--embeddings", str(p), "--k", "1", "--output", str(out)]) == 3
+        assert f"{p}:3: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_in_set_rejected(self):
         with pytest.raises(ContractError):

@@ -1,5 +1,5 @@
-"""The fused ops against the op chains they replace: ``attention`` against a
-per-head loop of slices, matmuls and softmaxes, ``adapter_bank`` against one
+"""The fused ops against the op chains they replace: ``attention`` against
+one matmul-softmax-matmul chain per head, ``adapter_bank`` against one
 gather-matmul-activation-matmul chain per expert."""
 
 import numpy as np
@@ -13,31 +13,30 @@ from moce.tensor import (
     add,
     attention,
     backward,
-    concat_cols,
     concat_rows,
     matmul,
     mul,
-    slice_cols,
     softmax,
     take_rows,
     tensor_sum,
-    transpose,
 )
 
 NEG = -1.0e30
 
 
-def per_head_attention(q, k, v, mask, n_heads):
-    """Reference: one slice, score, softmax and mix per head, then a concat."""
+def per_head_attention(arrays, mask, weight, n_heads):
+    """Reference: each head on its own leaves q_h, k_h^T and v_h, sliced in
+    numpy. Yields each head's columns, its output, and the gradients of
+    sum(out_h * weight_h) with respect to q_h, k_h and v_h."""
+    q, k, v = arrays
     d_head = q.shape[1] // n_heads
-    mask_t = Tensor(mask)
-    heads = []
     for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        scores = add(mul(matmul(slice_cols(q, lo, hi), transpose(slice_cols(k, lo, hi))),
-                         d_head ** -0.5), mask_t)
-        heads.append(matmul(softmax(scores, axis=-1), slice_cols(v, lo, hi)))
-    return concat_cols(heads)
+        cols = slice(h * d_head, (h + 1) * d_head)
+        q_h, k_ht, v_h = (Tensor(a, requires_grad=True) for a in (q[:, cols], k[:, cols].T, v[:, cols]))
+        scores = add(mul(matmul(q_h, k_ht), d_head ** -0.5), Tensor(mask))
+        out = matmul(softmax(scores, axis=-1), v_h)
+        backward(tensor_sum(mul(out, Tensor(weight[:, cols]))))
+        yield cols, out.data, [q_h.grad, k_ht.grad.T, v_h.grad]
 
 
 def per_expert_chain(base, rows, bounds, w_downs, w_ups, act):
@@ -90,11 +89,10 @@ def test_attention_matches_per_head_reference(n_heads, shape):
                   rng.standard_normal((keys, d))]
         weight = rng.standard_normal((rows, d))
         fused, fused_grads = run(lambda p: attention(p[0], p[1], p[2], mask, n_heads), arrays, weight)
-        ref, ref_grads = run(lambda p: per_head_attention(p[0], p[1], p[2], mask, n_heads),
-                             arrays, weight)
-        assert np.max(np.abs(fused - ref)) < 1e-12
-        for got, want in zip(fused_grads, ref_grads):
-            assert np.max(np.abs(got - want)) < 1e-12
+        for cols, ref, ref_grads in per_head_attention(arrays, mask, weight, n_heads):
+            assert np.max(np.abs(fused[:, cols] - ref)) < 1e-12
+            for got, want in zip(fused_grads, ref_grads):
+                assert np.max(np.abs(got[:, cols] - want)) < 1e-12
 
 
 @pytest.mark.parametrize("act", ["gelu", "relu", "silu"])

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -370,6 +371,20 @@ class TestCli:
         code = main(["embed", "--data", str(bad), "--output", str(tmp_path / "e.txt")])
         assert code == 3
         capsys.readouterr()
+
+    def test_bad_utf8_kmeans_exits_3_naming_file_and_line(self, trained_run, corpus, tmp_path,
+                                                        capsys):
+        run_dir = str(tmp_path / "run")
+        shutil.copytree(trained_run[0], run_dir)
+        km = os.path.join(run_dir, "kmeans.txt")
+        with open(km, "rb") as fh:
+            raw = fh.read()
+        with open(km, "wb") as fh:
+            fh.write(raw.replace(b"\n", b"\n\xff", 1))
+        data = str(tmp_path / "data.jsonl")
+        save_dataset(data, corpus[:3])
+        assert main(["eval", "--run-dir", run_dir, "--data", data]) == 3
+        assert f"{km}:2: not UTF-8 text" in capsys.readouterr().err
 
     def test_exit_code_missing_file(self, tmp_path, capsys):
         code = main(["embed", "--data", str(tmp_path / "absent.jsonl"),

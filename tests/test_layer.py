@@ -5,6 +5,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 from conftest import gradcheck
@@ -15,12 +18,12 @@ from moce.layer import (
     FeedForward,
     MoCELayer,
     RoutingRecord,
-    gate,
     load_balance_loss,
-    router_logits,
-    top_k_select,
+    top_k_mask,
 )
-from moce.tensor import Tensor, adapter_bank, add, backward, tensor_sum
+from moce.tensor import Tensor, adapter_bank, add, backward, matmul, softmax, tensor_sum
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def np_gelu(x):
@@ -80,33 +83,71 @@ class TestGateAndTopK:
         for _ in range(30):
             w = Tensor(rng.standard_normal((5, 4)))
             x = Tensor(rng.standard_normal((7, 5)))
-            g = gate(router_logits(w, x)).data
+            g = softmax(matmul(x, w)).data
             assert np.max(np.abs(g.sum(axis=1) - 1.0)) < 1e-12
 
     def test_single_expert_gate_is_one(self):
-        g = gate(router_logits(Tensor(np.ones((3, 1))), Tensor([[2.0, -1.0, 0.5]])))
+        g = softmax(matmul(Tensor([[2.0, -1.0, 0.5]]), Tensor(np.ones((3, 1)))))
         assert g.data.shape == (1, 1) and g.data[0, 0] == 1.0
 
     def test_top_k_keeps_original_values(self):
-        out = top_k_select(Tensor([0.1, 0.5, 0.2, 0.2]), k=2)
-        assert np.array_equal(out.data, [0.0, 0.5, 0.2, 0.0])
+        gates = np.array([[0.1, 0.5, 0.2, 0.2]])
+        assert np.array_equal(gates * top_k_mask(gates, 2), [[0.0, 0.5, 0.2, 0.0]])
 
     def test_top_k_tie_breaks_to_lowest_index(self):
-        out = top_k_select(Tensor([0.25, 0.25, 0.25, 0.25]), k=2)
-        assert np.array_equal(out.data, [0.25, 0.25, 0.0, 0.0])
+        assert np.array_equal(top_k_mask(np.full((1, 4), 0.25), 2), [[1.0, 1.0, 0.0, 0.0]])
 
     def test_top_k_exact_count_per_row(self):
         rng = np.random.default_rng(1)
         values = np_softmax(rng.standard_normal((20, 6)))
         for k in (1, 2, 5, 6):
-            out = top_k_select(Tensor(values), k=k)
-            assert np.all(np.count_nonzero(out.data, axis=1) == k)
+            assert np.all(np.count_nonzero(top_k_mask(values, k), axis=1) == k)
 
     def test_top_k_bad_k(self):
         with pytest.raises(ContractError):
-            top_k_select(Tensor([0.5, 0.5]), k=3)
+            top_k_mask(np.array([[0.5, 0.5]]), 3)
         with pytest.raises(ContractError):
-            top_k_select(Tensor([0.5, 0.5]), k=0)
+            top_k_mask(np.array([[0.5, 0.5]]), 0)
+
+
+@st.composite
+def gate_rows(draw, elements):
+    """A (tokens, experts) array of ``elements`` and a k in 1..experts."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 8)))
+    return draw(arrays(np.float64, shape, elements=elements)), draw(st.integers(1, shape[1]))
+
+
+# Multiples of 1/16 whose sums stay far below 2**53 / 16 add exactly, so a
+# shift cannot round two distinct values into a tie. The narrow range
+# makes ties common.
+ON_GRID = st.integers(-12, 12).map(lambda i: i / 16.0)
+
+
+class TestTopKMaskProperties:
+    @PROPERTY
+    @given(case=gate_rows(st.floats(-1e6, 1e6)))
+    def test_each_row_keeps_exactly_k(self, case):
+        gates, k = case
+        mask = top_k_mask(gates, k)
+        assert set(np.unique(mask)) <= {0.0, 1.0}
+        assert np.all(mask.sum(axis=1) == k)
+
+    @PROPERTY
+    @given(case=gate_rows(ON_GRID))
+    def test_ties_go_to_the_lowest_expert_index(self, case):
+        """The kept experts are the first k by descending gate, then ascending index."""
+        gates, k = case
+        mask = top_k_mask(gates, k)
+        for row, kept in zip(gates, mask):
+            best = sorted(range(row.size), key=lambda i: (-row[i], i))[:k]
+            assert sorted(np.flatnonzero(kept).tolist()) == sorted(best)
+
+    @PROPERTY
+    @given(case=gate_rows(ON_GRID), shifts=st.lists(st.integers(-4000, 4000), min_size=6, max_size=6))
+    def test_adding_a_constant_to_a_row_keeps_the_mask(self, case, shifts):
+        gates, k = case
+        shifted = gates + np.array(shifts[:gates.shape[0]])[:, None] / 16.0
+        assert np.array_equal(top_k_mask(shifted, k), top_k_mask(gates, k))
 
 
 def expert_output(e, base, x):

@@ -143,7 +143,9 @@ class TestForwardContracts:
         moce.forward([1, 2, 3], 1, record)
         assert set(record.routers) == {"L0.1", "L1.1"}
         assert record.tokens_seen == 3
-        assert record.active_experts_per_token == cfg.top_k
+        for key in ("L0.1", "L1.1"):
+            tokens = [token for token, group, _, _ in record.rows if group == key]
+            assert sorted(tokens) == [t for t in range(3) for _ in range(cfg.top_k)]
 
     def test_frozen_backbone_receives_no_gradient(self):
         cfg = micro_cfg()

@@ -14,26 +14,19 @@ from moce.tensor import (
     add,
     attention,
     backward,
-    concat_cols,
     concat_rows,
     finite_difference_gradient,
-    flatten_to_vector,
     masked_cross_entropy,
     matmul,
-    mean,
     mul,
     mul_rows,
-    pad_rows,
     reciprocal,
     rmsnorm,
     scatter_add_rows,
-    slice_cols,
     softmax,
-    sub,
     take_entries,
     take_rows,
     tensor_sum,
-    transpose,
 )
 
 
@@ -126,17 +119,12 @@ class TestForwardValues:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[10.0, 20.0], [30.0, 40.0]])
         assert np.array_equal(add(a, b).data, [[11.0, 22.0], [33.0, 44.0]])
-        assert np.array_equal(sub(b, a).data, [[9.0, 18.0], [27.0, 36.0]])
+        assert np.array_equal(add(a, -1.5).data, [[-0.5, 0.5], [1.5, 2.5]])
         assert np.array_equal(mul(a, b).data, [[10.0, 40.0], [90.0, 160.0]])
-        assert np.array_equal(transpose(a).data, [[1.0, 3.0], [2.0, 4.0]])
+        assert np.array_equal(mul(a, -0.5).data, [[-0.5, -1.0], [-1.5, -2.0]])
         assert tensor_sum(a).item() == 10.0
-        assert mean(a).item() == 2.5
         assert np.array_equal(take_rows(a, [1, 0, 1]).data, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(pad_rows(a, [2, 0], 3).data, [[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]])
-        assert np.array_equal(slice_cols(a, 1, 2).data, [[2.0], [4.0]])
-        assert np.array_equal(concat_cols([a, b]).data, [[1, 2, 10, 20], [3, 4, 30, 40]])
         assert np.array_equal(mul_rows(a, Tensor([2.0, 0.5])).data, [[2.0, 4.0], [1.5, 2.0]])
-        assert np.array_equal(flatten_to_vector(slice_cols(a, 0, 1)).data, [1.0, 3.0])
         assert np.array_equal(take_entries(a, [1, 0, 1], [0, 1, 1]).data, [3.0, 2.0, 4.0])
         assert np.array_equal(scatter_add_rows(a, [2, 2], 3).data, [[0, 0], [0, 0], [4.0, 6.0]])
         assert np.array_equal(concat_rows([a, b]).data, [[1, 2], [3, 4], [10, 20], [30, 40]])
@@ -214,17 +202,12 @@ class TestBackward:
 
             cases = [
                 (lambda p: tensor_sum(matmul(p[0], p[1])), [a, b]),
-                (lambda p: tensor_sum(mul(add(p[0], p[1]), sub(p[0], p[1]))), [a, c]),
+                (lambda p: tensor_sum(mul(add(p[0], p[1]), add(p[0], mul(p[1], -1.0)))), [a, c]),
                 (lambda p: tensor_sum(mul(softmax(p[0]), p[1])), [a, c]),
                 (lambda p: tensor_sum(activation(p[0], kind)), [a]),
                 (lambda p: tensor_sum(mul(rmsnorm(p[0], p[1]), p[2])), [a, gain, c]),
-                (lambda p: tensor_sum(transpose(mul(p[0], p[0]))), [a]),
                 (lambda p: tensor_sum(take_rows(p[0], [0, 0, m - 1])), [a]),
                 (lambda p: tensor_sum(mul_rows(p[0], p[1])), [a, col]),
-                (lambda p: tensor_sum(mul(pad_rows(p[0], list(range(m)), m + 2), 3.0)), [a]),
-                (lambda p: tensor_sum(concat_cols([slice_cols(p[0], 0, 1), p[0]])), [a]),
-                (lambda p: mean(mul(p[0], p[0])), [a]),
-                (lambda p: tensor_sum(flatten_to_vector(slice_cols(p[0], 0, 1))), [a]),
                 (lambda p: tensor_sum(reciprocal(add(mul(p[0], p[0]), 1.0))), [a]),
                 (lambda p: tensor_sum(mul(take_entries(p[0], [0, m - 1, 0], [k - 1, 0, k - 1]),
                                           take_entries(p[0], [1, 1, 0], [0, 0, 0]))), [a]),
