@@ -1,10 +1,13 @@
 """K-means over sequence embeddings, plus elbow-based cluster-count choice.
 
 One fitted cluster model drives the sequence-level routing stage: every
-cluster index maps one-to-one onto an expert group. Fitting is plain
-Lloyd iteration with k-means++ seeding; the objective (sum of squared
+cluster index maps one-to-one onto an expert group. Fitting is k-means++
+seeding with restarts, then Lloyd iteration whose centroid update is one
+vectorised product over all clusters; the objective (sum of squared
 distances to the assigned centroid) is asserted non-increasing at every
-step, so a regression in the update rule fails loudly.
+step, so a regression in the update rule fails loudly. The elbow sweep
+warm-starts each k from the k - 1 winner, which keeps its SSE curve
+non-increasing.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .seeding import substream, substream_seed
 
 KMEANS_MAGIC = "MOCE-KMEANS"
 KMEANS_VERSION = "v1"
+_MAX_ITERS = 100
+# Restarts per elbow attempt; a lone kmeans_fit keeps its default of 10.
+_ELBOW_RESTARTS = 3
 
 
 @dataclass
@@ -54,6 +60,7 @@ class ElbowReport:
     selected_k: int
     monotonic: bool
     violations: list[int] = field(default_factory=list)
+    fit: KMeansModel | None = None         # the selected k's winning fit
 
     def write_csv(self, path: str) -> None:
         curvature = {k: f"{c:.17g}" for k, c in self.curvature.items()}
@@ -94,6 +101,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 def _repair_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Give each empty cluster the point currently farthest from its centroid."""
     k = centroids.shape[0]
+    if np.bincount(labels, minlength=k).all():
+        return labels
     labels = labels.copy()
     for cluster in range(k):
         if np.any(labels == cluster):
@@ -105,6 +114,19 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray)
     return labels
 
 
+def _update(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> None:
+    """Move each non-empty cluster's centroid to its members' mean, in place.
+
+    One (k, n) one-hot product sums every cluster at once; an empty
+    cluster's centroid stays where it is.
+    """
+    k = centroids.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    onehot = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
+    filled = counts > 0
+    centroids[filled] = (onehot @ points)[filled] / counts[filled, None]
+
+
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.ndarray, list[float], int]:
     centroids = centroids.copy()
     labels = _assign(points, centroids)
@@ -113,10 +135,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        for cluster in range(centroids.shape[0]):
-            members = points[labels == cluster]
-            if members.shape[0]:
-                centroids[cluster] = members.mean(axis=0)
+        _update(points, centroids, labels)
         new_labels = _assign(points, centroids)
         new_labels = _repair_empty(points, centroids, new_labels)
         current = sse(points, centroids, new_labels)
@@ -136,7 +155,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float
     return centroids, labels, history, iterations
 
 
-def kmeans_fit(embeddings, k: int, seed: int, max_iters: int = 100, tol: float = 0.0,
+def kmeans_fit(embeddings, k: int, seed: int, max_iters: int = _MAX_ITERS, tol: float = 0.0,
                n_init: int = 10) -> KMeansModel:
     """Fit k centroids with k-means++ init and Lloyd iteration.
 
@@ -200,10 +219,14 @@ def elbow_curvature(sse_curve: list[float]) -> dict[int, float]:
 def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
     """Fit k = 1..k_max and pick the sharpest bend of the SSE curve.
 
-    Each k keeps the best of three seeded restarts so a single bad init
-    cannot dent the curve. If the best-of-3 curve still is not
-    non-increasing the report flags the offending k values instead of
-    reordering anything.
+    Each k runs three seeded ``kmeans_fit`` attempts of a few restarts each.
+    For k >= 2 it also runs Lloyd from a warm start: the k - 1 winner's
+    centroids plus the point farthest from its assigned centroid. Adding a
+    centroid cannot raise the assignment SSE and Lloyd never raises it
+    either, so with the warm candidate in the running the curve is
+    non-increasing by construction. The lowest final SSE wins each k, and
+    the report keeps the selected k's winning fit. ``violations`` lists any
+    k whose SSE still rose, which only a broken invariant can cause.
     """
     points = embeddings.matrix() if hasattr(embeddings, "matrix") else np.asarray(embeddings, dtype=np.float64)
     if k_max < 3:
@@ -211,13 +234,16 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
     if points.shape[0] < k_max:
         raise ContractError(f"need at least k_max={k_max} points, got {points.shape[0]}")
 
-    sse_curve = []
+    fits = []
     for k in range(1, k_max + 1):
-        best = np.inf
-        for attempt in range(3):
-            fit = kmeans_fit(points, k, seed=_elbow_seed(seed, k, attempt))
-            best = min(best, fit.final_sse)
-        sse_curve.append(best)
+        candidates = [kmeans_fit(points, k, seed=_elbow_seed(seed, k, attempt), n_init=_ELBOW_RESTARTS)
+                      for attempt in range(3)]
+        if fits:
+            candidates.append(_warm_fit(points, fits[-1], seed))
+        # min() keeps the first minimiser: a later candidate wins only when
+        # strictly lower.
+        fits.append(min(candidates, key=lambda fit: fit.final_sse))
+    sse_curve = [fit.final_sse for fit in fits]
 
     violations = [
         k for k in range(2, k_max + 1)
@@ -234,7 +260,19 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
         selected_k=selected,
         monotonic=not violations,
         violations=violations,
+        fit=fits[selected - 1],
     )
+
+
+def _warm_fit(points: np.ndarray, previous: KMeansModel, seed: int) -> KMeansModel:
+    """Lloyd from ``previous``'s centroids plus the point farthest from its
+    assigned centroid (the first such point on ties)."""
+    centroids = previous.centroids
+    d2 = np.sum((points - centroids[_assign(points, centroids)]) ** 2, axis=1)
+    start = np.vstack([centroids, points[int(np.argmax(d2))]])
+    centroids, _, history, iterations = _lloyd(points, start, _MAX_ITERS, 0.0)
+    return KMeansModel(k=start.shape[0], dimension=points.shape[1], seed=seed, centroids=centroids,
+                       final_sse=history[-1], iterations=iterations, sse_history=history)
 
 
 def _elbow_seed(seed: int, k: int, attempt: int) -> int:
@@ -252,7 +290,7 @@ def load_kmeans(path: str) -> KMeansModel:
     """Read the format written by ``save_kmeans``. Every error names the
     file and the 1-based line; a blank line, which ``save_kmeans`` never
     writes, is one."""
-    lines = read_lines(path, FormatError)
+    lines = read_lines(path)
     header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != KMEANS_MAGIC or header[1] != KMEANS_VERSION:
         raise FormatError(f"{path}:1: expected header '{KMEANS_MAGIC} {KMEANS_VERSION} <k> <dim> <seed>'")

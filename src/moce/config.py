@@ -104,7 +104,7 @@ def read_values(path, keys: dict, fmt: KeyValueFormat, header: str | None = None
     a key must be set unless its field has a default that ``fmt`` allows.
     A ``header``, if given, is the first line.
     """
-    lines = read_lines(path, fmt.error)
+    lines = read_lines(path)
     first = 1
     if header is not None:
         if not lines or lines[0].split() != header.split():

@@ -111,7 +111,7 @@ def ingest_dataset(path: str) -> list[InstructionRecord]:
     """
     records: list[InstructionRecord] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(read_lines(path, FormatError), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue

@@ -117,7 +117,7 @@ def load_embeddings(path: str) -> EmbeddingSet:
     Every error names the file and the 1-based line; a blank line, which
     ``save_embeddings`` never writes, is one.
     """
-    lines = read_lines(path, FormatError)
+    lines = read_lines(path)
     header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != EMB_MAGIC or header[1] != EMB_VERSION:
         raise FormatError(f"{path}:1: expected header '{EMB_MAGIC} {EMB_VERSION} <count> <dim>'")

@@ -7,6 +7,8 @@ import csv
 import io
 import os
 
+from .errors import FormatError
+
 
 def write_atomic(path, data: str | bytes) -> None:
     """Write ``data`` to a temporary file beside ``path``, then ``os.replace``
@@ -34,13 +36,14 @@ def write_csv(path, header, rows) -> None:
     write_atomic(path, buffer.getvalue())
 
 
-def read_lines(path, error: type) -> list[str]:
+def read_lines(path) -> list[str]:
     """The lines of the UTF-8 text file at ``path``, without their ends.
 
     Lines end at \\n, \\r\\n or \\r, as in a file opened in text mode, and
     not at the other breaks ``str.splitlines`` knows, which a JSON string
-    may hold. Bytes that are not UTF-8 raise ``error`` naming the file, the
-    line and the byte offset.
+    may hold. Bytes that are not UTF-8 make a malformed file whatever it
+    holds, so they raise ``FormatError`` naming the file, the line and the
+    byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -48,7 +51,7 @@ def read_lines(path, error: type) -> list[str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-        raise error(f"{path}:{line}: not UTF-8 text (byte {exc.start})") from None
+        raise FormatError(f"{path}:{line}: not UTF-8 text (byte {exc.start})") from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()

@@ -201,10 +201,10 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     if cfg.k_max is not None:
         report = elbow_select(emb, k_max=cfg.k_max, seed=cfg.seed)
         report.write_csv(os.path.join(out_dir, ELBOW_FILE))
-        n_groups = report.selected_k
+        km = report.fit
     else:
-        n_groups = cfg.n_groups
-    km = kmeans_fit(emb, n_groups, seed=cfg.seed)
+        km = kmeans_fit(emb, cfg.n_groups, seed=cfg.seed)
+    n_groups = km.k
     save_kmeans(os.path.join(out_dir, KMEANS_FILE), km)
     group_labels = kmeans_predict(km, emb).labels
 

@@ -1,16 +1,20 @@
 """K-means fit quality against exhaustive enumeration, elbow selection on
 planted structure, and the persistence format."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import exhaustive_two_means, make_planted_blobs
 from moce.clustering import (
     ElbowReport,
     KMeansModel,
     _lloyd,
+    _update,
     elbow_curvature,
     elbow_select,
     kmeans_fit,
@@ -19,6 +23,8 @@ from moce.clustering import (
     save_kmeans,
     sse,
 )
+from moce.data import make_two_dialect_corpus, split_dataset
+from moce.embedding import embed_dataset
 from moce.errors import ContractError, FormatError
 
 
@@ -94,6 +100,38 @@ class TestKMeansFit:
         assert len(np.unique(labels)) == 2
         assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
 
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_update_matches_per_cluster_mean(self, k):
+        """The one-hot product gives each member mean within 1e-12 and leaves
+        an empty cluster's centroid untouched."""
+        rng = np.random.default_rng(k)
+        points = rng.standard_normal((40, 5)) * 3.0 + 1.0
+        labels = rng.integers(0, max(1, k - 1), size=40)  # for k > 1, cluster k - 1 is empty
+        centroids = rng.standard_normal((k, 5))
+        expected = centroids.copy()
+        for cluster in range(k):
+            members = points[labels == cluster]
+            if members.shape[0]:
+                expected[cluster] = members.mean(axis=0)
+        _update(points, centroids, labels)
+        assert np.max(np.abs(centroids - expected)) <= 1e-12
+        if k > 1:
+            assert centroids[k - 1].tobytes() == expected[k - 1].tobytes()
+
+    def test_criterion_8_cell_centroids_keep_their_bytes(self):
+        """k=2 on the criterion-8 cell's training embeddings (seeds 0-2) gives
+        the centroid bytes of the per-cluster mean loop it replaced."""
+        digests = [
+            "0b46406957610eab9b6937007990a29ebee1bc8672b90fc94f3f00c2461a3685",
+            "d5524388b8a1f9dd19dd773c935c71c48d58a307175783f9af6353f40a9a3116",
+            "0ce45ba8760fa67db042e20138d95e86fb74c26a285bf1496c83ac66c91fd4d7",
+        ]
+        for seed, digest in enumerate(digests):
+            train, _ = split_dataset(make_two_dialect_corpus(100, seed), 0.2, seed)
+            emb = embed_dataset([(r.record_id, r.instruction) for r in train], d_e=64, seed=seed)
+            model = kmeans_fit(emb, 2, seed=seed)
+            assert hashlib.sha256(model.centroids.tobytes()).hexdigest() == digest, seed
+
     def test_prediction_tie_breaks_to_lower_index(self):
         model = KMeansModel(
             k=2, dimension=1, seed=0,
@@ -129,6 +167,29 @@ class TestElbow:
         points, _, _ = make_planted_blobs(n_centers=3, n_points=120, dim=4, radius=0.5, rng=rng)
         report = elbow_select(points, k_max=8, seed=5)
         assert report.selected_k == 3
+        assert report.monotonic, f"violations at k={report.violations}"
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_curve_is_non_increasing(self, data):
+        k_max = data.draw(st.integers(3, 6))
+        n = data.draw(st.integers(k_max, 24))
+        d = data.draw(st.integers(1, 3))
+        coord = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+        points = np.array(data.draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+        report = elbow_select(points, k_max=k_max, seed=data.draw(st.integers(0, 2**16)))
+        assert report.monotonic, f"violations at k={report.violations}"
+        assert report.fit.k == report.selected_k
+        assert report.fit.final_sse == report.sse_curve[report.selected_k - 1]
+
+    def test_curve_is_non_increasing_where_restarts_alone_rise(self):
+        """Corpus 291 (2x40 records, d_e 64): the best of the three seeded
+        attempts alone rises at k=8; the warm-started candidate holds it."""
+        records = make_two_dialect_corpus(40, 291)
+        emb = embed_dataset([(r.record_id, r.instruction) for r in records], d_e=64, seed=291)
+        report = elbow_select(emb, k_max=8, seed=291)
         assert report.monotonic, f"violations at k={report.violations}"
 
     def test_tie_breaks_to_smaller_k(self):

@@ -81,12 +81,13 @@ def test_manifest_parses_or_raises_package_error(scratch, lines, header):
 @FUZZ
 @given(raw=st.binary(max_size=64))
 def test_raw_bytes_parse_or_raise_package_errors(scratch, raw):
-    """Bytes that are not UTF-8 are a malformed file, not a traceback."""
+    """Bytes that are not UTF-8 are a malformed file (``FormatError``), not a
+    traceback; text that is not a valid run file is a ``ConfigError``."""
     path = scratch / "raw.cfg"
     path.write_bytes(raw)
     try:
         parse_run_config(str(path))
-    except ConfigError:
+    except (ConfigError, FormatError):
         pass
     manifest = scratch / "raw-manifest.txt"
     manifest.write_bytes(HEADER.encode() + b"\n" + raw)

@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+import moce.clustering
 import moce.harness
 import moce.model
 from moce.cli import main
@@ -188,6 +189,31 @@ class TestPipeline:
         summary = pipeline_train(micro_cfg(n_groups=None, k_max=6), corpus, out)
         assert os.path.exists(os.path.join(out, "elbow.csv"))
         assert summary["n_groups"] == 2
+
+    def test_elbow_mode_keeps_the_sweeps_fit(self, tmp_path, corpus, monkeypatch):
+        """The selected k is not fitted again: three attempts per k, no more."""
+        calls, reports = [], []
+        fit, sweep = moce.clustering.kmeans_fit, moce.harness.elbow_select
+
+        def fit_spy(*args, **kwargs):
+            calls.append(args[1])
+            return fit(*args, **kwargs)
+
+        def sweep_spy(*args, **kwargs):
+            reports.append(sweep(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(moce.clustering, "kmeans_fit", fit_spy)
+        monkeypatch.setattr(moce.harness, "kmeans_fit", fit_spy)
+        monkeypatch.setattr(moce.harness, "elbow_select", sweep_spy)
+        out = str(tmp_path / "elbow")
+        pipeline_train(micro_cfg(n_groups=None, k_max=4, pretrain_steps=1, train_steps=1),
+                       corpus, out)
+        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+        (report,) = reports
+        saved = moce.clustering.load_kmeans(os.path.join(out, "kmeans.txt"))
+        assert saved.k == report.selected_k == report.fit.k
+        assert np.array_equal(saved.centroids, report.fit.centroids)
 
     def test_eval_output(self, trained_run, corpus):
         out, _ = trained_run
@@ -385,6 +411,16 @@ class TestCli:
         save_dataset(data, corpus[:3])
         assert main(["eval", "--run-dir", run_dir, "--data", data]) == 3
         assert f"{km}:2: not UTF-8 text" in capsys.readouterr().err
+
+    def test_bad_utf8_run_file_exits_3_naming_file_and_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"n_groups=2\nseed=\xff\n")
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(data, make_two_dialect_corpus(5, seed=0))
+        code = main(["train", "--config", str(cfg_path), "--data", data,
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 3
+        assert f"{cfg_path}:2: not UTF-8 text" in capsys.readouterr().err
 
     def test_exit_code_missing_file(self, tmp_path, capsys):
         code = main(["embed", "--data", str(tmp_path / "absent.jsonl"),
