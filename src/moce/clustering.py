@@ -92,7 +92,10 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            # rng.choice(n, p=d2 / total)'s own draw, minus its checks of p
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         centroids[j] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
     return centroids

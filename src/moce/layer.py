@@ -7,7 +7,8 @@ softmax router scores the group's adapter experts per token and the top-k
 keep their original softmax weights with no renormalisation, so the weights
 of unselected experts are simply zero. Each expert is a bottleneck
 adapter over one shared frozen feed-forward block and contributes a
-residual update; experts that win no tokens do no work at all.
+residual update; one ``adapter_mixture`` op per router call runs the
+selected experts, and experts that win no tokens do no work at all.
 """
 
 from __future__ import annotations
@@ -22,16 +23,11 @@ from .fileio import write_csv
 from .tensor import (
     Tensor,
     activation,
-    adapter_bank,
+    adapter_mixture,
     add,
-    concat_rows,
     matmul,
     mul,
-    mul_rows,
-    reciprocal,
-    scatter_add_rows,
     softmax,
-    take_entries,
     take_rows,
     tensor_sum,
 )
@@ -71,7 +67,7 @@ class AdapterExpert:
     """A bottleneck adapter acting as one expert.
 
     Its update is act(base_out @ W_down) @ W_up, with its group's ``act``;
-    ``adapter_bank`` computes it for all of one router call's experts at
+    ``adapter_mixture`` computes it for all of one router call's experts at
     once, and the full output adds the residual input x. With W_up all
     zero the update is exactly zero, which is what makes zero-initialised
     upcycling function-preserving. ``forward_calls`` and ``rows_processed``
@@ -135,20 +131,24 @@ class ExpertGroup:
         return out
 
 
-def top_k_mask(gates: np.ndarray, k: int) -> np.ndarray:
-    """0/1 selection mask keeping the k largest entries per row.
+def _top_k_order(gates: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k largest entries of each row, largest first.
 
     Ties resolve to the lowest expert index: the stable descending sort
     keeps equal values in original order.
     """
+    return np.argsort(-gates, axis=1, kind="stable")[:, :k]
+
+
+def top_k_mask(gates: np.ndarray, k: int) -> np.ndarray:
+    """0/1 selection mask keeping the k largest entries per row."""
     if gates.ndim != 2:
         raise ShapeError(f"expected (tokens, experts) gate values, got shape {gates.shape}")
     n = gates.shape[1]
     if not (1 <= k <= n):
         raise ContractError(f"top-k needs 1 <= k <= {n}, got k={k}")
     mask = np.zeros_like(gates)
-    order = np.argsort(-gates, axis=1, kind="stable")[:, :k]
-    np.put_along_axis(mask, order, 1.0, axis=1)
+    np.put_along_axis(mask, _top_k_order(gates, k), 1.0, axis=1)
     return mask
 
 
@@ -332,40 +332,39 @@ class MoCELayer:
 
         ``routes`` lists (record key, group, rows) for each router call;
         ``rows`` are the block rows the group owns, or None for all rows.
-        The selected (token, expert) pairs are sorted by expert, so one
-        ``adapter_bank`` op per router call runs each selected expert once,
-        on exactly the rows that selected it; one weighted scatter-add
-        returns every contribution to its token. With ``include_residual``
+        Each call sorts its selected (token, expert) pairs by expert, so
+        one ``adapter_mixture`` runs each selected expert once, on exactly
+        the rows that selected it, and adds the weighted outputs back into
+        those rows; the calls' results are added. With ``include_residual``
         each expert contributes its full output (update plus residual
-        input) instead of the bare update.
+        input) instead of the bare update. The 0/1 mask is built only for
+        a record or the renormalisation.
         """
-        outputs, weights, targets = [], [], []
+        renormalize = self.renormalize and self.mode == "topk"
+        combined = None
         for key, group, rows in routes:
             gates = softmax(matmul(x if rows is None else take_rows(x, rows), group.router))
-            mask = top_k_mask(gates.data, k)
+            order = _top_k_order(gates.data, k)
+            mask = None
+            if record is not None or renormalize:
+                mask = np.zeros_like(gates.data)
+                np.put_along_axis(mask, order, 1.0, axis=1)
             if record is not None:
                 record.observe(key, gates, mask, record.tokens_seen, rows)
-            pair_expert, pair_token = np.nonzero(mask.T)
-            pair_weight = take_entries(gates, pair_token, pair_expert)
-            if self.renormalize and self.mode == "topk":
-                totals = matmul(mul(gates, Tensor(mask)), Tensor(np.ones((mask.shape[1], 1))))
-                inverse = take_entries(reciprocal(totals), pair_token, np.zeros_like(pair_token))
-                pair_weight = mul(pair_weight, inverse)
-            pair_row = pair_token if rows is None else rows[pair_token]
-            bounds = np.searchsorted(pair_expert, np.arange(group.n_experts + 1))
-            for expert, lo, hi in zip(group.experts, bounds[:-1], bounds[1:]):
+            flat = order.ravel()
+            pair_token = np.argsort(flat, kind="stable") // k  # entry i is token i // k
+            bounds = [0, *np.cumsum(np.bincount(flat, minlength=group.n_experts)).tolist()]
+            for expert, lo, hi in zip(group.experts, bounds, bounds[1:]):
                 if hi > lo:
                     expert.forward_calls += 1
-                    expert.rows_processed += int(hi - lo)
-            update = adapter_bank(base_out, pair_row, bounds, [e.w_down for e in group.experts],
-                                  [e.w_up for e in group.experts], group.act)
-            outputs.append(add(update, take_rows(x, pair_row)) if include_residual else update)
-            weights.append(pair_weight)
-            targets.append(pair_row)
-        combined = scatter_add_rows(mul_rows(concat_rows(outputs), concat_rows(weights)),
-                                    np.concatenate(targets), x.shape[0])
-        if self.moe_scale != 1.0:
-            combined = mul(combined, self.moe_scale)
+                    expert.rows_processed += hi - lo
+            pair_row = pair_token if rows is None else rows[pair_token]
+            mixed = adapter_mixture(base_out, gates, pair_token, pair_row, bounds,
+                                    [e.w_down for e in group.experts],
+                                    [e.w_up for e in group.experts], group.act, x.shape[0],
+                                    mask if renormalize else None, self.moe_scale,
+                                    x if include_residual else None)
+            combined = mixed if combined is None else add(combined, mixed)
         return combined
 
     def _group_path(self, x: Tensor, base_out: Tensor, group_id,

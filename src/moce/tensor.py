@@ -83,13 +83,18 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
+def _tracked(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op over ``parents`` is recorded, so a backward may read it."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data, dtype=np.float64)
     out.grad = None
-    out.requires_grad = _recording and any(p.requires_grad for p in parents)
+    out.requires_grad = _tracked(parents)
     out._consumed = False
     if out.requires_grad:
         out._parents = parents
@@ -201,14 +206,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
-def reciprocal(a: Tensor) -> Tensor:
-    """Elementwise 1/x; rejects inputs close enough to zero to blow up."""
-    if np.any(np.abs(a.data) < 1e-300):
-        raise NumericError("reciprocal of a (near-)zero value")
-    inv = 1.0 / a.data
-    return _result(inv, (a,), lambda g: (-g * inv * inv,), "reciprocal")
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor."""
     data = np.array(np.sum(a.data), dtype=np.float64)
@@ -230,31 +227,24 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(s, (a,), grad_fn, "softmax")
 
 
-def _gelu_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return x * cdf, cdf + x * pdf
-
-
-def _silu_value_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sig = 1.0 / (1.0 + np.exp(-x))
-    return x * sig, sig * (1.0 + x * (1.0 - sig))
-
-
-def _activate(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """A nonlinearity's value and its pointwise derivative at ``x``."""
+def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """A nonlinearity's value at ``x`` and, when ``need`` is set, its
+    pointwise derivative there (else None: no backward will read it)."""
     if kind == "gelu":
-        return _gelu_value_grad(x)
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        local = cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI) if need else None
+        return x * cdf, local
     if kind == "relu":
-        return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)
+        return np.maximum(x, 0.0), (x > 0.0).astype(np.float64) if need else None
     if kind == "silu":
-        return _silu_value_grad(x)
+        sig = 1.0 / (1.0 + np.exp(-x))
+        return x * sig, sig * (1.0 + x * (1.0 - sig)) if need else None
     raise ContractError(f"unknown activation kind '{kind}', expected one of {ACTIVATIONS}")
 
 
 def activation(a: Tensor, kind: str = "gelu") -> Tensor:
     """Pointwise nonlinearity. ``kind`` is one of gelu, relu, silu."""
-    value, local = _activate(a.data, kind)
+    value, local = _activate(a.data, kind, _tracked((a,)))
     return _result(value, (a,), lambda g: (g * local,), f"activation[{kind}]")
 
 
@@ -295,54 +285,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
         return (da,)
 
     return _result(a.data[idx], (a,), grad_fn, "take_rows")
-
-
-def mul_rows(a: Tensor, scale: Tensor) -> Tensor:
-    """Scale each row of a (T, d) tensor by the matching entry of a (T,) tensor."""
-    if a.data.ndim != 2 or scale.data.ndim != 1 or scale.data.shape[0] != a.data.shape[0]:
-        raise ShapeError(f"mul_rows needs (T,d) and (T,), got {a.data.shape} and {scale.data.shape}")
-
-    def grad_fn(g: np.ndarray):
-        return g * scale.data[:, None], np.sum(g * a.data, axis=1)
-
-    return _result(a.data * scale.data[:, None], (a, scale), grad_fn, "mul_rows")
-
-
-def take_entries(a: Tensor, rows, cols) -> Tensor:
-    """Gather the entries a[rows[i], cols[i]] into a 1-D tensor; gradient scatter-adds back."""
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_entries needs a 2-D tensor, got {a.data.shape}")
-    if r.ndim != 1 or r.shape != c.shape:
-        raise ShapeError(f"take_entries needs two equal 1-D index lists, got {r.shape} and {c.shape}")
-    if r.size and (r.min() < 0 or r.max() >= a.data.shape[0] or c.min() < 0
-                   or c.max() >= a.data.shape[1]):
-        raise ContractError(f"take_entries index out of range for shape {a.data.shape}")
-
-    def grad_fn(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        np.add.at(da, (r, c), g)
-        return (da,)
-
-    return _result(a.data[r, c], (a,), grad_fn, "take_entries")
-
-
-def scatter_add_rows(a: Tensor, indices, total_rows: int) -> Tensor:
-    """Add each row of ``a`` into the given row of a zero (total_rows, d) tensor.
-
-    Rows sent to the same index add up, in the order they come in.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"scatter_add_rows needs a 2-D tensor, got {a.data.shape}")
-    if idx.shape != (a.data.shape[0],):
-        raise ShapeError(f"scatter_add_rows needs one index per row, got {idx.shape} for {a.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= total_rows):
-        raise ContractError(f"scatter_add_rows index out of range for {total_rows} rows")
-    data = np.zeros((total_rows, a.data.shape[1]), dtype=np.float64)
-    np.add.at(data, idx, a.data)
-    return _result(data, (a,), lambda g: (g[idx],), "scatter_add_rows")
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -462,64 +404,108 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
     return _result(_merge_heads(np.matmul(probs, vh)), (q, k, v), grad_fn, "attention")
 
 
-def adapter_bank(base: Tensor, rows, bounds, w_downs: Sequence[Tensor], w_ups: Sequence[Tensor],
-                 act: str = "gelu") -> Tensor:
-    """A bank of bottleneck adapters, each run once on its own rows.
+def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: Sequence[Tensor],
+                    w_ups: Sequence[Tensor], act: str, n_rows: int, renorm_mask=None,
+                    scale: float = 1.0, residual: Tensor | None = None) -> Tensor:
+    """One router call's adapters, weighted by their gates and added into their rows.
 
-    ``rows`` lists rows of ``base`` sorted by adapter: adapter e reads rows
-    ``rows[bounds[e]:bounds[e + 1]]`` and writes act(base_rows @ w_downs[e])
-    @ w_ups[e] to the same span of the result, which has one row per entry
-    of ``rows`` (repeats allowed). An adapter with no rows does no work, and
-    its weights get no gradient: None, not zeros.
+    Pairs come sorted by expert: pair i, in expert e's span
+    ``bounds[e]:bounds[e + 1]``, sends row ``rows[i]`` to e with gate
+    ``gates[tokens[i], e]``, divided by the token's total gate over the 0/1
+    ``renorm_mask`` when given. Expert e runs act(base[rows] @ w_downs[e])
+    @ w_ups[e] once over its span, plus ``residual[rows]`` when given. The
+    weighted outputs are added, in pair order, into zero (n_rows, d), and
+    the sum is multiplied by ``scale``. An expert with no pairs does no
+    work, and its weights get no gradient: None, not zeros.
     """
     idx = np.asarray(rows, dtype=np.int64)
+    tok = np.asarray(tokens, dtype=np.int64)
     ends = np.asarray(bounds, dtype=np.int64).tolist()
     n = len(w_downs)
     if base.data.ndim != 2:
-        raise ShapeError(f"adapter_bank needs a 2-D base, got {base.data.shape}")
-    if idx.ndim != 1:
-        raise ShapeError(f"adapter_bank needs a 1-D row list, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= base.data.shape[0]):
-        raise ContractError(f"adapter_bank row out of range for {base.data.shape[0]} rows")
+        raise ShapeError(f"adapter_mixture needs a 2-D base, got {base.data.shape}")
+    if idx.ndim != 1 or tok.shape != idx.shape:
+        raise ShapeError(f"adapter_mixture needs equal 1-D tokens and rows, got {tok.shape}, {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= min(base.data.shape[0], n_rows)):
+        raise ContractError(f"adapter_mixture row out of range for {base.data.shape[0]} or {n_rows} rows")
+    if gates.data.ndim != 2 or gates.data.shape[1] != n:
+        raise ShapeError(f"adapter_mixture needs (tokens, {n}) gates, got {gates.data.shape}")
+    if tok.size and (tok.min() < 0 or tok.max() >= gates.data.shape[0]):
+        raise ContractError(f"adapter_mixture token out of range for {gates.data.shape[0]} gate rows")
     if n == 0 or len(w_ups) != n:
-        raise ContractError(f"adapter_bank needs one up projection per down projection, "
-                            f"got {n} and {len(w_ups)}")
-    if (not isinstance(ends, list) or len(ends) != n + 1 or ends[0] != 0 or ends[-1] != idx.size
+        raise ContractError(f"adapter_mixture needs one up per down projection, got {n} and {len(w_ups)}")
+    if (len(ends) != n + 1 or ends[0] != 0 or ends[-1] != idx.size
             or any(lo > hi for lo, hi in zip(ends, ends[1:]))):
-        raise ContractError(f"adapter_bank needs {n + 1} bounds rising from 0 to {idx.size}")
+        raise ContractError(f"adapter_mixture needs {n + 1} bounds rising from 0 to {idx.size}")
     d = base.data.shape[1]
     for w_down, w_up in zip(w_downs, w_ups):
         rank = w_down.data.shape[1] if w_down.data.ndim == 2 else -1
         if w_down.data.shape != (d, rank) or w_up.data.shape != (rank, d):
-            raise ShapeError(f"adapter_bank needs ({d}, r) and (r, {d}) projections, "
+            raise ShapeError(f"adapter_mixture needs ({d}, r) and (r, {d}) projections, "
                              f"got {w_down.data.shape} and {w_up.data.shape}")
     if act not in ACTIVATIONS:
         raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
+    if residual is not None and residual.data.shape != base.data.shape:
+        raise ShapeError(f"adapter_mixture residual must match the base {base.data.shape}, "
+                         f"got {residual.data.shape}")
+    experts = np.repeat(np.arange(n), [hi - lo for lo, hi in zip(ends, ends[1:])])
+    weight = pair_gate = gates.data[tok, experts]
+    if renorm_mask is not None:
+        mask = np.asarray(renorm_mask, dtype=np.float64)
+        if mask.shape != gates.data.shape:
+            raise ShapeError(f"adapter_mixture renorm mask must be {gates.data.shape}, got {mask.shape}")
+        totals = (gates.data * mask) @ np.ones((n, 1))
+        if np.any(np.abs(totals) < 1e-300):
+            raise NumericError("adapter_mixture cannot renormalise a (near-)zero gate total")
+        inverse = 1.0 / totals
+        weight = pair_gate * inverse[tok, 0]
+    parents = (base, gates, *w_downs, *w_ups) + ((residual,) if residual is not None else ())
+    need = _tracked(parents)
     spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(ends, ends[1:])) if lo < hi]
     out = np.empty((idx.size, d))
     saved = {}
     for e, lo, hi in spans:
         x = base.data[idx[lo:hi]]
-        value, local = _activate(x @ w_downs[e].data, act)
+        value, local = _activate(x @ w_downs[e].data, act, need)
         out[lo:hi] = value @ w_ups[e].data
         saved[e] = (x, value, local)
+    if residual is not None:
+        out = out + residual.data[idx]
+    data = np.zeros((n_rows, d))
+    np.add.at(data, idx, out * weight[:, None])
 
     def grad_fn(g: np.ndarray):
+        g_pairs = (g * scale if scale != 1.0 else g)[idx]
+        d_out = g_pairs * weight[:, None]
+        d_gates = d_base = d_residual = None
+        if gates.requires_grad:
+            d_weight = np.sum(g_pairs * out, axis=1)
+            d_gates = np.zeros_like(gates.data)
+            np.add.at(d_gates, (tok, experts), d_weight if renorm_mask is None
+                      else d_weight * inverse[tok, 0])
+            if renorm_mask is not None:
+                d_inverse = np.zeros_like(totals)
+                np.add.at(d_inverse, (tok, 0), d_weight * pair_gate)
+                d_gates = d_gates + (-d_inverse * inverse * inverse) * mask
         d_downs, d_ups = [None] * n, [None] * n
-        d_rows = np.empty_like(g)
+        d_rows = np.empty_like(d_out)
         for e, lo, hi in spans:
             x, value, local = saved[e]
-            d_ups[e] = value.T @ g[lo:hi]
-            d_pre = (g[lo:hi] @ w_ups[e].data.T) * local
+            d_ups[e] = value.T @ d_out[lo:hi]
+            d_pre = (d_out[lo:hi] @ w_ups[e].data.T) * local
             d_downs[e] = x.T @ d_pre
-            d_rows[lo:hi] = d_pre @ w_downs[e].data.T
-        d_base = None
+            if base.requires_grad:
+                d_rows[lo:hi] = d_pre @ w_downs[e].data.T
         if base.requires_grad:
             d_base = np.zeros_like(base.data)
             np.add.at(d_base, idx, d_rows)
-        return (d_base, *d_downs, *d_ups)
+        if residual is not None and residual.requires_grad:
+            d_residual = np.zeros_like(residual.data)
+            np.add.at(d_residual, idx, d_out)
+        return (d_base, d_gates, *d_downs, *d_ups) + ((d_residual,) if residual is not None else ())
 
-    return _result(out, (base, *w_downs, *w_ups), grad_fn, f"adapter_bank[{act}]")
+    return _result(data * scale if scale != 1.0 else data, parents, grad_fn,
+                   f"adapter_mixture[{act}]")
 
 
 # -- the numerical oracle ----------------------------------------------

@@ -37,7 +37,7 @@ from moce.seeding import substream
 from moce.tensor import (
     Tensor,
     activation,
-    adapter_bank,
+    adapter_mixture,
     add,
     attention,
     backward,
@@ -45,12 +45,8 @@ from moce.tensor import (
     masked_cross_entropy,
     matmul,
     mul,
-    mul_rows,
-    reciprocal,
     rmsnorm,
-    scatter_add_rows,
     softmax,
-    take_entries,
     take_rows,
     tensor_sum,
 )
@@ -69,23 +65,33 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     h = add(h, mul(add(h, -1.5), -0.25))
     x = matmul(h, proj)
     # Two heads; two query rows over three keys, each query blocked from one.
-    att = attention(take_rows(x, [0, 2]), x, mul_rows(x, scale),
+    att = attention(take_rows(x, [0, 2]), x, activation(x, "silu"),
                     [[0.0, 0.0, -1.0e30], [-1.0e30, 0.0, 0.0]], 2)
-    # Three adapters read from rows of ``proj``; adapter 1 gets no rows,
-    # and row 2 goes to both others.
-    downs = [take_rows(proj, r) for r in ([0, 1, 2, 3], [1, 2, 3, 4], [4, 4, 0, 2])]
-    ups = [take_rows(proj, r) for r in ([3, 0, 1, 1], [2, 3, 4, 0], [1, 0, 3, 2])]
-    rows, experts = [2, 0, 1, 2], [0, 0, 2, 2]
-    update = adapter_bank(x, rows, [0, 2, 2, 4], downs, ups, "silu")
-    weight = take_entries(softmax(matmul(x, b)), rows, experts)
-    mixed = scatter_add_rows(mul_rows(update, weight), rows, 3)
-    stacked = concat_rows([att, mul_rows(mixed, scale)])
+    # Five adapters read from rows of ``proj``, gated by softmax(x b).
+    downs = [take_rows(proj, r) for r in ([0, 1, 2, 3], [1, 2, 3, 4], [4, 4, 0, 2], [3, 1, 4, 0],
+                                          [2, 0, 1, 3])]
+    ups = [take_rows(proj, r) for r in ([3, 0, 1, 1], [2, 3, 4, 0], [1, 0, 3, 2], [0, 4, 2, 3],
+                                        [4, 1, 1, 0])]
+    gates = softmax(matmul(x, b))
+    # Pairs sorted by adapter: adapter 1 idle, row 2 sent to adapters 0 and
+    # 2; gates renormalised over the pairs, and the result halved.
+    tokens = [0, 2, 1, 2, 0, 1]
+    selected = np.zeros((3, 5))
+    selected[tokens, [0, 0, 2, 2, 3, 4]] = 1.0
+    mixed = adapter_mixture(x, gates, tokens, tokens, [0, 2, 2, 4, 5, 6], downs, ups, "silu", 3,
+                            selected, 0.5)
+    # The attention rows as the base of a second call, with gates of other
+    # rows and a residual; adapters 1 and 4 idle.
+    second = adapter_mixture(att, gates, [1, 0, 2], [0, 1, 1], [0, 1, 1, 2, 3, 3], downs, ups,
+                             "gelu", 2, residual=take_rows(x, [2, 0]))
+    stacked = concat_rows([second, mixed])
     # squaring keeps the relu input >= 0.3, clear of its kink at 0
     relu_part = activation(add(mul(stacked, stacked), 0.3), "relu")
     logits = matmul(softmax(add(relu_part, activation(stacked, "silu"))), b)
     ce = masked_cross_entropy(logits, [1, 0, 3, 4, 2], [1.0, 0.0, 1.0, 0.5, 1.0])
-    inv = reciprocal(add(mul(tensor_sum(mul(h, h)), 1.0 / 15.0), 1.0))
-    return add(ce, mul(inv, 0.5))
+    # ``scale`` reaches the loss through a product of two scalar sums.
+    reg = mul(tensor_sum(mul(h, h)), tensor_sum(activation(scale, "gelu")))
+    return add(ce, mul(reg, 1.0 / 600.0))
 
 
 def _fd_over_model(build_loss, params, h=1e-5):

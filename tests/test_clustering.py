@@ -13,6 +13,7 @@ from conftest import exhaustive_two_means, make_planted_blobs
 from moce.clustering import (
     ElbowReport,
     KMeansModel,
+    _kmeanspp_init,
     _lloyd,
     _update,
     elbow_curvature,
@@ -262,3 +263,35 @@ class TestPersistence:
         p.write_text("MOCE-KMEANS v1 2 2 0\n0 0\n\n1\n")
         with pytest.raises(FormatError, match=re.escape(f"{p}:3: blank line")):
             load_kmeans(str(p))
+
+
+def _kmeanspp_with_choice(points, k, rng):
+    """k-means++ seeding drawing each centre with ``Generator.choice``."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+def test_kmeanspp_draws_what_generator_choice_draws():
+    """Over 1,000 seeded cases (repeated points and a single distinct point
+    included) the seeding picks the centres ``Generator.choice`` picks and
+    leaves the generator where it leaves it: the next ``random()`` agrees."""
+    cases = np.random.default_rng(12)
+    for case in range(1000):
+        n = int(cases.integers(1, 40))
+        points = cases.normal(size=(n, int(cases.integers(1, 5))))
+        if case % 5 == 0:
+            points = points[cases.integers(0, max(1, n // 3), size=n)]
+        k = int(cases.integers(1, n + 1))
+        got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+        got = _kmeanspp_init(points, k, got_rng)
+        want = _kmeanspp_with_choice(points, k, want_rng)
+        assert got.tobytes() == want.tobytes(), case
+        assert got_rng.random() == want_rng.random(), case

@@ -1,15 +1,17 @@
 """The fused ops against the op chains they replace: ``attention`` against
-one matmul-softmax-matmul chain per head, ``adapter_bank`` against one
-gather-matmul-activation-matmul chain per expert."""
+one matmul-softmax-matmul chain per head, ``adapter_mixture`` against one
+gather-matmul-activation-matmul chain per expert with the weighting and
+the scatter back to rows spelled out in plain ops."""
 
 import numpy as np
 import pytest
 
+from moce import tensor
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.tensor import (
     Tensor,
     activation,
-    adapter_bank,
+    adapter_mixture,
     add,
     attention,
     backward,
@@ -39,14 +41,40 @@ def per_head_attention(arrays, mask, weight, n_heads):
         yield cols, out.data, [q_h.grad, k_ht.grad.T, v_h.grad]
 
 
-def per_expert_chain(base, rows, bounds, w_downs, w_ups, act):
-    """Reference: each expert with rows gathers them and runs its own chain."""
+def reciprocal(a):
+    """Elementwise 1/x, a test-local op for the renormalisation reference."""
+    inv = 1.0 / a.data
+    return tensor._result(inv, (a,), lambda g: (-g * inv * inv,), "reciprocal")
+
+
+def per_expert_chain(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
+                     renorm_mask=None, scale=1.0, residual=None):
+    """Reference: each expert with rows gathers them and runs its own chain;
+    constant 0/1 matrices pick each pair's gate; each result row adds its
+    pairs one at a time onto zeros, in pair order."""
     outputs = []
     for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi > lo:
             h = activation(matmul(take_rows(base, rows[lo:hi]), w_downs[e]), act)
             outputs.append(matmul(h, w_ups[e]))
-    return concat_rows(outputs)
+    out = concat_rows(outputs)
+    if residual is not None:
+        out = add(out, take_rows(residual, rows))
+    n, d = len(w_downs), base.shape[1]
+    pick = Tensor(np.eye(n)[np.repeat(np.arange(n), np.diff(bounds))])
+    weight = matmul(mul(take_rows(gates, tokens), pick), Tensor(np.ones((n, 1))))
+    if renorm_mask is not None:
+        totals = matmul(mul(gates, Tensor(renorm_mask)), Tensor(np.ones((n, 1))))
+        weight = mul(weight, take_rows(reciprocal(totals), tokens))
+    weighted = mul(out, matmul(weight, Tensor(np.ones((1, d)))))
+    result = []
+    for r in range(n_rows):
+        acc = Tensor(np.zeros((1, d)))
+        for i in np.flatnonzero(rows == r):
+            acc = add(acc, take_rows(weighted, [i]))
+        result.append(acc)
+    result = concat_rows(result)
+    return mul(result, scale) if scale != 1.0 else result
 
 
 def packed_mask(lengths):
@@ -97,28 +125,39 @@ def test_attention_matches_per_head_reference(n_heads, shape):
 
 @pytest.mark.parametrize("act", ["gelu", "relu", "silu"])
 def test_adapter_bank_matches_per_expert_chain(act):
+    """``adapter_mixture`` equals the reference bit for bit, with gradients
+    within 1e-12: an idle expert, repeated rows, tokens that differ from
+    rows, plain, renormalised and scaled, and with a residual."""
     rng = np.random.default_rng(len(act))
-    n_experts, d, rank = 4, 6, 3
-    for _ in range(5):
+    n_experts, d, rank, n_rows = 4, 6, 3, 5
+    for trial in range(6):
         counts = rng.integers(0, 4, size=n_experts)
         idle = int(rng.integers(n_experts))
         counts[idle] = 0
         counts[(idle + 1) % n_experts] += 1
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        rows = rng.integers(0, 5, size=int(bounds[-1]))
-        arrays = ([rng.standard_normal((5, d))]
+        rows = rng.integers(0, n_rows, size=int(bounds[-1]))
+        tokens = rng.integers(0, 4, size=rows.size)
+        experts = np.repeat(np.arange(n_experts), counts)
+        mask = np.zeros((4, n_experts))
+        mask[tokens, experts] = 1.0
+        mask[mask.sum(axis=1) == 0, idle] = 1.0
+        options = [{}, {"renorm_mask": mask, "scale": 0.5}, {"residual": True}][trial % 3]
+        arrays = ([rng.standard_normal((n_rows, d)), rng.random((4, n_experts)) + 0.5]
                   + [rng.standard_normal((d, rank)) for _ in range(n_experts)]
-                  + [rng.standard_normal((rank, d)) for _ in range(n_experts)])
-        weight = rng.standard_normal((rows.size, d))
+                  + [rng.standard_normal((rank, d)) for _ in range(n_experts)]
+                  + ([rng.standard_normal((n_rows, d))] if options.get("residual") else []))
+        weight = rng.standard_normal((n_rows, d))
 
-        def bank(p):
-            return adapter_bank(p[0], rows, bounds, p[1:1 + n_experts], p[1 + n_experts:], act)
+        def call(fn):
+            def build(p):
+                kwargs = dict(options, residual=p[-1]) if "residual" in options else options
+                return fn(p[0], p[1], tokens, rows, bounds, p[2:2 + n_experts],
+                          p[2 + n_experts:2 + 2 * n_experts], act, n_rows, **kwargs)
+            return build
 
-        def chain(p):
-            return per_expert_chain(p[0], rows, bounds, p[1:1 + n_experts], p[1 + n_experts:], act)
-
-        fused, fused_grads = run(bank, arrays, weight)
-        ref, ref_grads = run(chain, arrays, weight)
+        fused, fused_grads = run(call(adapter_mixture), arrays, weight)
+        ref, ref_grads = run(call(per_expert_chain), arrays, weight)
         assert np.array_equal(fused, ref)
         for got, want in zip(fused_grads, ref_grads):
             assert (got is None) == (want is None)
@@ -143,15 +182,66 @@ def test_attention_checks_its_inputs():
 def test_adapter_bank_checks_its_inputs():
     rng = np.random.default_rng(0)
     base = Tensor(rng.standard_normal((3, 4)))
+    gates = Tensor(rng.random((3, 2)) + 0.5)
     downs = [Tensor(rng.standard_normal((4, 2))) for _ in range(2)]
     ups = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
-    with pytest.raises(ContractError, match="out of range"):
-        adapter_bank(base, [0, 3], [0, 1, 2], downs, ups)
+
+    def mixture(tokens=(0, 1), rows=(0, 1), bounds=(0, 1, 2), w_ups=ups, act="gelu", n_rows=3,
+                **kwargs):
+        return adapter_mixture(base, kwargs.pop("gates", gates), tokens, rows, bounds, downs,
+                               w_ups, act, n_rows, **kwargs)
+
+    with pytest.raises(ContractError, match="row out of range"):
+        mixture(rows=[0, 3])
+    with pytest.raises(ContractError, match="row out of range"):
+        mixture(rows=[0, 2], n_rows=2)
+    with pytest.raises(ContractError, match="token out of range"):
+        mixture(tokens=[0, 3])
+    with pytest.raises(ShapeError, match="tokens and rows"):
+        mixture(tokens=[0])
+    with pytest.raises(ShapeError, match="gates"):
+        mixture(gates=Tensor(np.ones((3, 3))))
     with pytest.raises(ContractError, match="bounds"):
-        adapter_bank(base, [0, 1], [0, 2, 1], downs, ups)
-    with pytest.raises(ContractError, match="one up projection"):
-        adapter_bank(base, [0, 1], [0, 1, 2], downs, ups[:1])
+        mixture(bounds=[0, 2, 1])
+    with pytest.raises(ContractError, match="one up per down"):
+        mixture(w_ups=ups[:1])
     with pytest.raises(ShapeError, match="projections"):
-        adapter_bank(base, [0, 1], [0, 1, 2], downs, [ups[0], Tensor(np.zeros((2, 3)))])
+        mixture(w_ups=[ups[0], Tensor(np.zeros((2, 3)))])
     with pytest.raises(ContractError, match="unknown activation"):
-        adapter_bank(base, [0, 1], [0, 1, 2], downs, ups, "tanh")
+        mixture(act="tanh")
+    with pytest.raises(ShapeError, match="renorm mask"):
+        mixture(renorm_mask=np.ones((3, 3)))
+    with pytest.raises(NumericError, match="zero gate total"):
+        mixture(renorm_mask=[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ShapeError, match="residual"):
+        mixture(residual=Tensor(np.ones((2, 4))))
+
+
+def test_no_grad_skips_the_activation_derivative(monkeypatch):
+    """Under ``no_grad`` no activation derivative is computed, and the
+    values are bit-identical to those of the recorded path."""
+    from moce.model import DenseBaseModel, ModelConfig, upcycle_init
+
+    cfg = ModelConfig(vocab_size=11, d_model=8, n_layers=2, n_heads=2, max_seq_len=10, d_ff=12,
+                      n_groups=2, n_experts=3, adapter_rank=3, top_k=2, variant=True)
+    model = upcycle_init(DenseBaseModel.build(cfg, seed=1), cfg, seed=1)
+    rng = np.random.default_rng(1)
+    for p in model.trainable_parameters():
+        p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+    derivatives = []
+    activate = tensor._activate
+
+    def spy(x, kind, need):
+        value, local = activate(x, kind, need)
+        derivatives.append(local is not None)
+        return value, local
+
+    monkeypatch.setattr(tensor, "_activate", spy)
+    ids = [[1, 4, 2, 7, 3], [5, 6]]
+    with tensor.no_grad():
+        quiet = model.forward(ids, [0, 1]).data
+    assert derivatives and not any(derivatives)
+    derivatives.clear()
+    recorded = model.forward(ids, [0, 1])
+    assert recorded.requires_grad and any(derivatives)
+    assert recorded.data.tobytes() == quiet.tobytes()

@@ -21,7 +21,7 @@ from moce.layer import (
     load_balance_loss,
     top_k_mask,
 )
-from moce.tensor import Tensor, adapter_bank, add, backward, matmul, softmax, tensor_sum
+from moce.tensor import Tensor, adapter_mixture, backward, matmul, softmax, tensor_sum
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -151,10 +151,11 @@ class TestTopKMaskProperties:
 
 
 def expert_output(e, base, x):
-    """One gelu expert's full output on every row: its update from a
-    one-adapter bank, plus the residual input."""
+    """One gelu expert's full output on every row: a one-adapter mixture
+    with every gate 1, and the residual input."""
     rows = np.arange(base.shape[0])
-    return add(adapter_bank(base, rows, [0, rows.size], [e.w_down], [e.w_up]), x)
+    return adapter_mixture(base, Tensor(np.ones((rows.size, 1))), rows, rows, [0, rows.size],
+                           [e.w_down], [e.w_up], "gelu", rows.size, residual=x)
 
 
 class TestAdapter:

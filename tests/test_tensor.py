@@ -10,7 +10,7 @@ from moce.errors import ContractError, NumericError, ShapeError, StateError
 from moce.tensor import (
     Tensor,
     activation,
-    adapter_bank,
+    adapter_mixture,
     add,
     attention,
     backward,
@@ -19,12 +19,8 @@ from moce.tensor import (
     masked_cross_entropy,
     matmul,
     mul,
-    mul_rows,
-    reciprocal,
     rmsnorm,
-    scatter_add_rows,
     softmax,
-    take_entries,
     take_rows,
     tensor_sum,
 )
@@ -124,9 +120,21 @@ class TestForwardValues:
         assert np.array_equal(mul(a, -0.5).data, [[-0.5, -1.0], [-1.5, -2.0]])
         assert tensor_sum(a).item() == 10.0
         assert np.array_equal(take_rows(a, [1, 0, 1]).data, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(mul_rows(a, Tensor([2.0, 0.5])).data, [[2.0, 4.0], [1.5, 2.0]])
-        assert np.array_equal(take_entries(a, [1, 0, 1], [0, 1, 1]).data, [3.0, 2.0, 4.0])
-        assert np.array_equal(scatter_add_rows(a, [2, 2], 3).data, [[0, 0], [0, 0], [4.0, 6.0]])
+        # Two relu adapters with identity down projections and up
+        # projections I and 2I: expert 0 takes token 0 on row 1, expert 1
+        # takes token 1 on row 1 and token 0 on row 0; one extra zero row.
+        eye = Tensor(np.eye(2))
+        gates = Tensor([[1.5, 0.5], [1.0, 0.25]])
+
+        def mixture(**kwargs):
+            return adapter_mixture(a, gates, [0, 1, 0], [1, 1, 0], [0, 1, 3], [eye, eye],
+                                   [eye, Tensor(2.0 * np.eye(2))], "relu", 3, **kwargs).data
+
+        assert np.array_equal(mixture(), [[1.0, 2.0], [6.0, 8.0], [0.0, 0.0]])
+        assert np.array_equal(mixture(scale=0.5), [[0.5, 1.0], [3.0, 4.0], [0.0, 0.0]])
+        assert np.array_equal(mixture(renorm_mask=[[1.0, 1.0], [0.0, 1.0]]),
+                              [[0.5, 1.0], [8.25, 11.0], [0.0, 0.0]])
+        assert np.array_equal(mixture(residual=b), [[6.0, 12.0], [58.5, 78.0], [0.0, 0.0]])
         assert np.array_equal(concat_rows([a, b]).data, [[1, 2], [3, 4], [10, 20], [30, 40]])
         assert np.array_equal(concat_rows([Tensor([1.0]), Tensor([2.0, 3.0])]).data, [1, 2, 3])
 
@@ -185,7 +193,6 @@ class TestBackward:
             b = rng.standard_normal((k, n))
             c = rng.standard_normal((m, k))
             gain = rng.standard_normal(k)
-            col = rng.standard_normal(m)
             kind = ("gelu", "silu")[seed % 2]
             # Attention as in a cached step: fewer query rows than keys, 2 or
             # 3 heads, and a mask blocking random keys but never the first.
@@ -195,10 +202,19 @@ class TestBackward:
             blocked = rng.random((t_rows, s_rows)) < 0.4
             blocked[:, 0] = False
             att_mask = np.where(blocked, -1.0e30, 0.0)
-            # An adapter bank with repeated rows, and expert 1 given none.
+            # Adapter mixtures with repeated rows, expert 1 given none, and
+            # one extra zero result row: the first renormalises over a mask
+            # (pairs plus column 1 for unselected tokens) and scales by 0.5;
+            # the second reads gates of other rows and adds a residual.
             bank_rows = [m - 1, 0, 0, 1, m - 1]
+            bounds = [0, 2, 2, 5]
             downs = [rng.standard_normal((k, 3)) for _ in range(3)]
             ups = [rng.standard_normal((3, k)) for _ in range(3)]
+            gates = rng.random((m, 3)) + 0.5
+            renorm = np.zeros((m, 3))
+            renorm[bank_rows, [0, 0, 2, 2, 2]] = 1.0
+            renorm[renorm.sum(axis=1) == 0, 1] = 1.0
+            other_tokens, other_gates = [2, 0, 1, 1, 2], rng.random((3, 3)) + 0.5
 
             cases = [
                 (lambda p: tensor_sum(matmul(p[0], p[1])), [a, b]),
@@ -207,34 +223,39 @@ class TestBackward:
                 (lambda p: tensor_sum(activation(p[0], kind)), [a]),
                 (lambda p: tensor_sum(mul(rmsnorm(p[0], p[1]), p[2])), [a, gain, c]),
                 (lambda p: tensor_sum(take_rows(p[0], [0, 0, m - 1])), [a]),
-                (lambda p: tensor_sum(mul_rows(p[0], p[1])), [a, col]),
-                (lambda p: tensor_sum(reciprocal(add(mul(p[0], p[0]), 1.0))), [a]),
-                (lambda p: tensor_sum(mul(take_entries(p[0], [0, m - 1, 0], [k - 1, 0, k - 1]),
-                                          take_entries(p[0], [1, 1, 0], [0, 0, 0]))), [a]),
-                (lambda p: tensor_sum(mul(scatter_add_rows(p[0], [m - 1] + list(range(m - 1)), m + 1),
-                                          scatter_add_rows(p[1], [0] * m, m + 1))), [a, c]),
                 (lambda p: tensor_sum(mul(concat_rows([p[0], p[1]]), concat_rows([p[1], p[0]]))), [a, c]),
                 (lambda p: tensor_sum(mul(attention(p[0], p[1], p[2], att_mask, heads), p[3])),
                  [q, kv[0], kv[1], rng.standard_normal(q.shape)]),
-                (lambda p: tensor_sum(mul(adapter_bank(p[0], bank_rows, [0, 2, 2, 5], p[1:4], p[4:7],
-                                                       kind), p[7])),
-                 [a, *downs, *ups, rng.standard_normal((5, k))]),
+                (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], bank_rows, bank_rows, bounds,
+                                                          p[2:5], p[5:8], kind, m + 1, renorm, 0.5),
+                                          p[8])),
+                 [a, gates, *downs, *ups, rng.standard_normal((m + 1, k))]),
+                (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], other_tokens, bank_rows, bounds,
+                                                          p[2:5], p[5:8], kind, m, residual=p[8]),
+                                          p[9])),
+                 [a, other_gates, *downs, *ups, c, rng.standard_normal((m, k))]),
             ]
             for build, arrays in cases:
                 worst = max(worst, gradcheck(build, arrays))
         assert worst < 1e-6, f"worst op relative error {worst:.3e}"
 
     def test_adapter_bank_idle_expert_gets_no_gradient(self):
-        """An adapter with no rows gets None, not zeros, so Adam leaves it be."""
+        """An adapter with no rows gets None, not zeros, so Adam leaves it
+        be; its gates get zeros, and so does every gate no pair reads."""
         rng = np.random.default_rng(5)
         base = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        gates = Tensor(rng.random((4, 3)) + 0.5, requires_grad=True)
         downs = [Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(3)]
         ups = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
-        backward(tensor_sum(adapter_bank(base, [3, 0, 0], [0, 2, 2, 3], downs, ups)))
+        backward(tensor_sum(adapter_mixture(base, gates, [3, 0, 0], [3, 0, 0], [0, 2, 2, 3],
+                                            downs, ups, "gelu", 4)))
         assert downs[1].grad is None and ups[1].grad is None
         for w in (downs[0], ups[0], downs[2], ups[2], base):
             assert w.grad is not None and np.any(w.grad != 0)
         assert np.array_equal(base.grad[[1, 2]], np.zeros((2, 3)))
+        read = np.zeros((4, 3), dtype=bool)
+        read[[3, 0, 0], [0, 0, 2]] = True
+        assert np.all(gates.grad[read] != 0) and np.all(gates.grad[~read] == 0)
 
     def test_relu_gradient_away_from_kink(self):
         """relu passes the check when no input sits within h of zero."""
