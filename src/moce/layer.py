@@ -7,8 +7,12 @@ softmax router scores the group's adapter experts per token and the top-k
 keep their original softmax weights with no renormalisation, so the weights
 of unselected experts are simply zero. Each expert is a bottleneck
 adapter over one shared frozen feed-forward block and contributes a
-residual update; one ``adapter_mixture`` op per router call runs the
-selected experts, and experts that win no tokens do no work at all.
+residual update. Per layer and path one ``router_gates`` op scores a
+packed block for every group present, each group over its own rows, and
+one ``adapter_mixture`` op runs all their selected experts; experts that
+win no tokens do no work at all. ``RoutingRecord`` keeps plain arrays and
+references to the gate tensors, and the balance loss is one
+``gate_balance`` op over them.
 """
 
 from __future__ import annotations
@@ -20,17 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .fileio import write_csv
-from .tensor import (
-    Tensor,
-    activation,
-    adapter_mixture,
-    add,
-    matmul,
-    mul,
-    softmax,
-    take_rows,
-    tensor_sum,
-)
+from .tensor import Tensor, activation, adapter_mixture, add, gate_balance, matmul, router_gates
 
 log = logging.getLogger(__name__)
 
@@ -154,12 +148,14 @@ def top_k_mask(gates: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class _RouterStats:
-    """Per-router accumulators backing the balance loss and the reports."""
+    """Per-router accumulators backing the balance loss and the reports:
+    plain arrays and counts, plus ``gate_calls``, one (block gate tensor,
+    this router's rows of it or None for all) per call."""
 
     n_experts: int
     top1_counts: np.ndarray
     token_count: int = 0
-    gate_prob_sums: list = field(default_factory=list)   # graph tensors, one (1, N) per batch
+    gate_calls: list = field(default_factory=list)      # (graph tensor, rows), one per call
     gate_value_sum: np.ndarray | None = None             # plain values for reporting
     selected_counts: np.ndarray | None = None
 
@@ -174,10 +170,10 @@ class _RouterStats:
 class RoutingRecord:
     """Everything observed about routing during one or more forward passes.
 
-    Keeps both plain numbers (for CSV / stats) and the live gate tensors
-    each router produced (so the balance loss can backpropagate). The
-    token-level ``rows`` are built only when read, from each router call's
-    gate and selection arrays.
+    Keeps plain arrays (for CSV / stats) and, per router call, the live
+    gate tensor with the router's rows of it (so the balance loss can
+    backpropagate). The token-level ``rows`` are built only when read,
+    from each router call's gate and selection arrays.
     """
 
     routers: dict = field(default_factory=dict)
@@ -201,23 +197,25 @@ class RoutingRecord:
 
     def observe(self, key, gates: Tensor, mask: np.ndarray, token_offset: int,
                 rows: np.ndarray | None = None) -> None:
-        """Record one router invocation over a block of tokens.
+        """Record one router's share of a router call over a block of tokens.
 
-        ``mask`` marks the selected experts; the top-1 tally uses the
-        pre-truncation argmax of the full gate row. Gate row t belongs to
-        token ``token_offset + rows[t]`` (``rows`` defaults to 0, 1, ...).
+        ``rows`` selects this router's rows of the block's ``gates`` and
+        ``mask`` (None: every row), and block row r is token
+        ``token_offset + r``. ``mask`` marks the selected experts; the
+        top-1 tally uses the pre-truncation argmax of the full gate row.
+        Records no engine op: the balance loss reads the kept
+        (gates, rows) pair.
         """
-        g = gates.data
+        g = gates.data if rows is None else gates.data[rows]
+        selected = mask if rows is None else mask[rows]
         stats = self._stats(key, g.shape[1])
         stats.token_count += g.shape[0]
-        top1 = np.argmax(g, axis=1)
-        np.add.at(stats.top1_counts, top1, 1)
+        stats.top1_counts += np.bincount(np.argmax(g, axis=1), minlength=g.shape[1])
         stats.gate_value_sum += g.sum(axis=0)
-        stats.selected_counts += mask.astype(np.int64).sum(axis=0)
-        ones = Tensor(np.ones((1, g.shape[0])))
-        stats.gate_prob_sums.append(matmul(ones, gates))
+        stats.selected_counts += selected.astype(np.int64).sum(axis=0)
+        stats.gate_calls.append((gates, rows))
         offsets = np.arange(g.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-        self._calls.append((key, g, mask, token_offset + offsets))
+        self._calls.append((key, g, selected, token_offset + offsets))
 
     @property
     def rows(self) -> list:
@@ -266,26 +264,20 @@ def load_balance_loss(record: RoutingRecord) -> Tensor:
 
     Per router: N * sum_i f_i * P_i, where f_i is the top-1 load fraction
     (a constant, since argmax does not differentiate) and P_i the mean gate
-    probability (a graph tensor, so routers feel the gradient). Uniform
-    routing scores 1.0; total collapse onto one expert approaches N.
+    probability (read from the recorded gate tensors, so routers feel the
+    gradient). Uniform routing scores 1.0; total collapse onto one expert
+    approaches N. One ``gate_balance`` op computes it for every router.
     """
-    terms = []
+    calls, weights = [], []
     for key, stats in record.routers.items():
         if stats.token_count == 0:
             continue
-        f = record.load_fractions(key)
-        prob_sum = stats.gate_prob_sums[0]
-        for extra in stats.gate_prob_sums[1:]:
-            prob_sum = add(prob_sum, extra)
-        weighted = mul(prob_sum, Tensor(f[None, :] * stats.n_experts / stats.token_count))
-        terms.append(tensor_sum(weighted))
-    if not terms:
+        calls.append(stats.gate_calls)
+        weights.append(record.load_fractions(key)[None, :] * stats.n_experts / stats.token_count)
+    if not calls:
         log.warning("load_balance_loss called on an empty routing record; returning 0")
         return Tensor(np.zeros(()))
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return total
+    return gate_balance(calls, weights)
 
 
 class MoCELayer:
@@ -310,6 +302,8 @@ class MoCELayer:
             raise ConfigError(f"unknown routing mode '{mode}', expected one of {ROUTING_MODES}")
         if not (1 <= k <= n):
             raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
+        if len({g.act for g in groups + ([general_group] if general_group else [])}) > 1:
+            raise ContractError("all expert groups of a layer must share one activation")
         self.groups = groups
         self.base_ffn = base_ffn
         self.k = k
@@ -328,44 +322,48 @@ class MoCELayer:
 
     def _dispatch(self, x: Tensor, base_out: Tensor, routes: list, k: int,
                   include_residual: bool, record: RoutingRecord | None) -> Tensor:
-        """Route tokens and combine the selected experts' outputs.
+        """Route tokens and combine the selected experts' outputs, in one call.
 
-        ``routes`` lists (record key, group, rows) for each router call;
-        ``rows`` are the block rows the group owns, or None for all rows.
-        Each call sorts its selected (token, expert) pairs by expert, so
-        one ``adapter_mixture`` runs each selected expert once, on exactly
-        the rows that selected it, and adds the weighted outputs back into
-        those rows; the calls' results are added. With ``include_residual``
-        each expert contributes its full output (update plus residual
-        input) instead of the bare update. The 0/1 mask is built only for
-        a record or the renormalisation.
+        ``routes`` lists (record key, group, rows) for each group present,
+        in ascending group id; ``rows`` are the block rows the group owns,
+        or None for all rows of a lone group. One ``router_gates`` op
+        scores each row with its group's router. A selected pair's global
+        expert id is its group's slot in ``routes`` times N plus the gate
+        column; sorting the pairs by it lets one ``adapter_mixture`` run
+        each selected expert once, on exactly the rows that selected it,
+        and add the weighted outputs back into those rows. With
+        ``include_residual`` each expert contributes its full output
+        (update plus residual input) instead of the bare update. The 0/1
+        mask is built only for a record or the renormalisation.
         """
         renormalize = self.renormalize and self.mode == "topk"
-        combined = None
-        for key, group, rows in routes:
-            gates = softmax(matmul(x if rows is None else take_rows(x, rows), group.router))
-            order = _top_k_order(gates.data, k)
-            mask = None
-            if record is not None or renormalize:
-                mask = np.zeros_like(gates.data)
-                np.put_along_axis(mask, order, 1.0, axis=1)
-            if record is not None:
+        groups = [group for _, group, _ in routes]
+        gates = router_gates(x, [g.router for g in groups], [rows for _, _, rows in routes])
+        order = _top_k_order(gates.data, k)
+        mask = None
+        if record is not None or renormalize:
+            mask = np.zeros_like(gates.data)
+            np.put_along_axis(mask, order, 1.0, axis=1)
+        if record is not None:
+            for key, _, rows in routes:
                 record.observe(key, gates, mask, record.tokens_seen, rows)
-            flat = order.ravel()
-            pair_token = np.argsort(flat, kind="stable") // k  # entry i is token i // k
-            bounds = [0, *np.cumsum(np.bincount(flat, minlength=group.n_experts)).tolist()]
-            for expert, lo, hi in zip(group.experts, bounds, bounds[1:]):
-                if hi > lo:
-                    expert.forward_calls += 1
-                    expert.rows_processed += hi - lo
-            pair_row = pair_token if rows is None else rows[pair_token]
-            mixed = adapter_mixture(base_out, gates, pair_token, pair_row, bounds,
-                                    [e.w_down for e in group.experts],
-                                    [e.w_up for e in group.experts], group.act, x.shape[0],
-                                    mask if renormalize else None, self.moe_scale,
-                                    x if include_residual else None)
-            combined = mixed if combined is None else add(combined, mixed)
-        return combined
+        if len(routes) > 1:
+            first = np.empty(x.shape[0], dtype=np.int64)  # each row's first global expert id
+            for slot, (_, group, rows) in enumerate(routes):
+                first[rows] = slot * group.n_experts
+            order = order + first[:, None]
+        flat = order.ravel()
+        experts = [e for g in groups for e in g.experts]
+        pair_token = np.argsort(flat, kind="stable") // k  # entry i is token i // k
+        bounds = [0, *np.cumsum(np.bincount(flat, minlength=len(experts))).tolist()]
+        for expert, lo, hi in zip(experts, bounds, bounds[1:]):
+            if hi > lo:
+                expert.forward_calls += 1
+                expert.rows_processed += hi - lo
+        return adapter_mixture(base_out, gates, pair_token, pair_token, bounds,
+                               [e.w_down for e in experts], [e.w_up for e in experts],
+                               groups[0].act, x.shape[0], mask if renormalize else None,
+                               self.moe_scale, x if include_residual else None)
 
     def _group_path(self, x: Tensor, base_out: Tensor, group_id,
                     record: RoutingRecord | None) -> Tensor:
@@ -399,7 +397,7 @@ class MoCELayer:
         """Group-path output: x plus the gated sum of selected adapter updates.
 
         ``group_id`` is one group for every row, or one group id per row of
-        a packed block; each group present gets one router call over its
+        a packed block; one router call scores each group present over its
         own rows. With every W_up at zero this is exactly the identity on
         x, for any k, the property upcycled initialisation relies on.
         """

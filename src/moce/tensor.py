@@ -207,25 +207,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    """Sum of all elements, returned as a scalar tensor."""
+    """Sum of all elements, returned as a scalar tensor. No model path calls
+    it; tests and the bench self-tests build scalar losses with it."""
     data = np.array(np.sum(a.data), dtype=np.float64)
     return _result(data, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),), "sum")
 
 
 # -- nonlinearities -----------------------------------------------------
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``: exp(x - max) normalised to sum 1."""
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.sum(e, axis=axis, keepdims=True)
-
-    def grad_fn(g: np.ndarray):
-        inner = np.sum(g * s, axis=axis, keepdims=True)
-        return ((g - inner) * s,)
-
-    return _result(s, (a,), grad_fn, "softmax")
-
 
 def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """A nonlinearity's value at ``x`` and, when ``need`` is set, its
@@ -404,19 +392,104 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
     return _result(_merge_heads(np.matmul(probs, vh)), (q, k, v), grad_fn, "attention")
 
 
+def router_gates(x: Tensor, routers: Sequence[Tensor], rows: Sequence) -> Tensor:
+    """The softmax gates of several routers over one block, in one (T, N) tensor.
+
+    Router i scores the 1-D row list ``rows[i]`` of ``x``: those gate rows
+    are softmax(x[rows[i]] @ routers[i]). The lists cover every row of
+    ``x`` exactly once; a lone router may take None, for every row without
+    a gather or a check.
+    """
+    shape = routers[0].data.shape if routers else ()
+    if (x.data.ndim != 2 or len(shape) != 2 or shape[0] != x.data.shape[1]
+            or any(r.data.shape != shape for r in routers)):
+        raise ShapeError(f"router_gates needs a 2-D input and (d, N) routers of one shape, "
+                         f"got {x.data.shape} and {[r.data.shape for r in routers]}")
+    if len(rows) != len(routers):
+        raise ContractError(f"router_gates needs one row list per router, got {len(rows)}")
+    n_rows = x.data.shape[0]
+    if len(routers) == 1 and rows[0] is None:
+        idx = [slice(None)]
+    else:
+        if any(r is None for r in rows):
+            raise ContractError("router_gates takes None rows only for a lone router")
+        idx = [np.asarray(r, dtype=np.int64) for r in rows]
+        if any(i.ndim != 1 for i in idx):
+            raise ShapeError("router_gates needs 1-D row lists")
+        flat = np.concatenate(idx)
+        if flat.size and (flat.min() < 0 or flat.max() >= n_rows):
+            raise ContractError(f"router_gates row out of range for {n_rows} rows")
+        if not np.array_equal(np.bincount(flat, minlength=n_rows), np.ones(n_rows, dtype=np.int64)):
+            raise ContractError(f"router_gates row lists must cover each of {n_rows} rows once")
+    xs = [x.data[i] for i in idx]
+    logits = np.empty((n_rows, shape[1]))
+    for i, xi, router in zip(idx, xs, routers):
+        logits[i] = xi @ router.data
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    s = e / np.sum(e, axis=-1, keepdims=True)
+
+    def grad_fn(g: np.ndarray):
+        d_logits = (g - np.sum(g * s, axis=-1, keepdims=True)) * s
+        d_x = np.zeros_like(x.data) if x.requires_grad else None
+        d_routers = []
+        for i, xi, router in zip(idx, xs, routers):
+            d = d_logits[i]
+            d_routers.append(xi.T @ d if router.requires_grad else None)
+            if d_x is not None:
+                d_x[i] = d @ router.data.T
+        return (d_x, *d_routers)
+
+    return _result(s, (x, *routers), grad_fn, "router_gates")
+
+
+def gate_balance(calls: Sequence[Sequence[tuple]], weights: Sequence) -> Tensor:
+    """The routers' gate column sums, weighted and summed, in one op.
+
+    ``calls[r]`` lists router r's (gates, rows) pairs in call order, rows
+    None meaning every row. Each pair's column sums ``ones @ gates[rows]``
+    are added in call order, multiplied by the constant (1, N)
+    ``weights[r]`` and summed; the routers' terms are added in order.
+    """
+    if len(weights) != len(calls) or not all(calls):
+        raise ContractError("gate_balance needs one weight row and at least one call per router")
+    parents, spans, terms = [], [], []
+    for router_calls, w in zip(calls, weights):
+        w = np.asarray(w, dtype=np.float64)
+        sums = []
+        for gates, rows in router_calls:
+            if gates.data.ndim != 2 or w.shape != (1, gates.data.shape[1]):
+                raise ShapeError(f"gate_balance needs (T, N) gates and (1, N) weights, "
+                                 f"got {gates.data.shape} and {w.shape}")
+            picked = gates.data if rows is None else gates.data[rows]
+            sums.append(np.ones((1, picked.shape[0])) @ picked)
+            parents.append(gates)
+            spans.append((slice(None) if rows is None else rows, w))
+        terms.append(np.sum(sum(sums[1:], sums[0]) * w))
+
+    def grad_fn(g: np.ndarray):
+        grads = [np.zeros_like(gates.data) for gates in parents]
+        for d, (rows, w) in zip(grads, spans):
+            d[rows] = g * w
+        return grads
+
+    return _result(np.array(sum(terms[1:], terms[0])), tuple(parents), grad_fn, "gate_balance")
+
+
 def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: Sequence[Tensor],
                     w_ups: Sequence[Tensor], act: str, n_rows: int, renorm_mask=None,
                     scale: float = 1.0, residual: Tensor | None = None) -> Tensor:
-    """One router call's adapters, weighted by their gates and added into their rows.
+    """The adapters of one or more routers, weighted by their gates and added into their rows.
 
-    Pairs come sorted by expert: pair i, in expert e's span
-    ``bounds[e]:bounds[e + 1]``, sends row ``rows[i]`` to e with gate
-    ``gates[tokens[i], e]``, divided by the token's total gate over the 0/1
-    ``renorm_mask`` when given. Expert e runs act(base[rows] @ w_downs[e])
-    @ w_ups[e] once over its span, plus ``residual[rows]`` when given. The
-    weighted outputs are added, in pair order, into zero (n_rows, d), and
-    the sum is multiplied by ``scale``. An expert with no pairs does no
-    work, and its weights get no gradient: None, not zeros.
+    The experts come in blocks of N = ``gates.shape[1]``, one block per
+    router, and expert e reads gate column c = e % N. Pairs come sorted by
+    expert: pair i, in expert e's span ``bounds[e]:bounds[e + 1]``, sends
+    row ``rows[i]`` to e with gate ``gates[tokens[i], c]``, divided by the
+    token's total gate over the 0/1 ``renorm_mask`` when given. Expert e
+    runs act(base[rows] @ w_downs[e]) @ w_ups[e] once over its span, plus
+    ``residual[rows]`` when given. The weighted outputs are added, in pair
+    order, into zero (n_rows, d), and the sum is multiplied by ``scale``.
+    An expert with no pairs does no work, and its weights get no gradient:
+    None, not zeros.
     """
     idx = np.asarray(rows, dtype=np.int64)
     tok = np.asarray(tokens, dtype=np.int64)
@@ -428,8 +501,9 @@ def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: 
         raise ShapeError(f"adapter_mixture needs equal 1-D tokens and rows, got {tok.shape}, {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= min(base.data.shape[0], n_rows)):
         raise ContractError(f"adapter_mixture row out of range for {base.data.shape[0]} or {n_rows} rows")
-    if gates.data.ndim != 2 or gates.data.shape[1] != n:
-        raise ShapeError(f"adapter_mixture needs (tokens, {n}) gates, got {gates.data.shape}")
+    if gates.data.ndim != 2 or gates.data.shape[1] == 0 or n % gates.data.shape[1]:
+        raise ShapeError(f"adapter_mixture needs (tokens, N) gates with N dividing the {n} "
+                         f"experts, got {gates.data.shape}")
     if tok.size and (tok.min() < 0 or tok.max() >= gates.data.shape[0]):
         raise ContractError(f"adapter_mixture token out of range for {gates.data.shape[0]} gate rows")
     if n == 0 or len(w_ups) != n:
@@ -448,13 +522,15 @@ def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: 
     if residual is not None and residual.data.shape != base.data.shape:
         raise ShapeError(f"adapter_mixture residual must match the base {base.data.shape}, "
                          f"got {residual.data.shape}")
+    width = gates.data.shape[1]
     experts = np.repeat(np.arange(n), [hi - lo for lo, hi in zip(ends, ends[1:])])
-    weight = pair_gate = gates.data[tok, experts]
+    cols = experts if width == n else experts % width
+    weight = pair_gate = gates.data[tok, cols]
     if renorm_mask is not None:
         mask = np.asarray(renorm_mask, dtype=np.float64)
         if mask.shape != gates.data.shape:
             raise ShapeError(f"adapter_mixture renorm mask must be {gates.data.shape}, got {mask.shape}")
-        totals = (gates.data * mask) @ np.ones((n, 1))
+        totals = (gates.data * mask) @ np.ones((width, 1))
         if np.any(np.abs(totals) < 1e-300):
             raise NumericError("adapter_mixture cannot renormalise a (near-)zero gate total")
         inverse = 1.0 / totals
@@ -481,7 +557,7 @@ def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: 
         if gates.requires_grad:
             d_weight = np.sum(g_pairs * out, axis=1)
             d_gates = np.zeros_like(gates.data)
-            np.add.at(d_gates, (tok, experts), d_weight if renorm_mask is None
+            np.add.at(d_gates, (tok, cols), d_weight if renorm_mask is None
                       else d_weight * inverse[tok, 0])
             if renorm_mask is not None:
                 d_inverse = np.zeros_like(totals)

@@ -1,11 +1,26 @@
 """Shared test helpers: gradient checking against the finite-difference
-oracle, and synthetic cluster geometry."""
+oracle, a test-local softmax op, and synthetic cluster geometry."""
 
 import itertools
 
 import numpy as np
 
+from moce import tensor
 from moce.tensor import Tensor, backward, finite_difference_gradient
+
+
+def softmax(a, axis=-1):
+    """Stable softmax along ``axis``, a test-local op for reference chains:
+    exp(x - max) normalised to sum 1."""
+    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / np.sum(e, axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        inner = np.sum(g * s, axis=axis, keepdims=True)
+        return ((g - inner) * s,)
+
+    return tensor._result(s, (a,), grad_fn, "softmax")
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:

@@ -42,11 +42,12 @@ from moce.tensor import (
     attention,
     backward,
     concat_rows,
+    gate_balance,
     masked_cross_entropy,
     matmul,
     mul,
     rmsnorm,
-    softmax,
+    router_gates,
     take_rows,
     tensor_sum,
 )
@@ -67,18 +68,22 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     # Two heads; two query rows over three keys, each query blocked from one.
     att = attention(take_rows(x, [0, 2]), x, activation(x, "silu"),
                     [[0.0, 0.0, -1.0e30], [-1.0e30, 0.0, 0.0]], 2)
-    # Five adapters read from rows of ``proj``, gated by softmax(x b).
+    # Five adapters read from rows of ``proj``. Two routers gate them: b
+    # scores rows 0 and 2 of x, silu(b) scores row 1.
     downs = [take_rows(proj, r) for r in ([0, 1, 2, 3], [1, 2, 3, 4], [4, 4, 0, 2], [3, 1, 4, 0],
                                           [2, 0, 1, 3])]
     ups = [take_rows(proj, r) for r in ([3, 0, 1, 1], [2, 3, 4, 0], [1, 0, 3, 2], [0, 4, 2, 3],
                                         [4, 1, 1, 0])]
-    gates = softmax(matmul(x, b))
-    # Pairs sorted by adapter: adapter 1 idle, row 2 sent to adapters 0 and
-    # 2; gates renormalised over the pairs, and the result halved.
-    tokens = [0, 2, 1, 2, 0, 1]
+    gates = router_gates(x, [b, activation(b, "silu")], [[0, 2], [1]])
+    # Two gate blocks of five adapters each, the second block the five
+    # rotated by one. Pairs sorted by adapter: rows 0 and 2 in block 0 with
+    # adapter 1 idle and row 2 sent to adapters 0 and 2, row 1 in block 1;
+    # gates renormalised over the pairs, and the result halved.
+    tokens = [0, 2, 2, 0, 1, 1]
     selected = np.zeros((3, 5))
-    selected[tokens, [0, 0, 2, 2, 3, 4]] = 1.0
-    mixed = adapter_mixture(x, gates, tokens, tokens, [0, 2, 2, 4, 5, 6], downs, ups, "silu", 3,
+    selected[tokens, [0, 0, 2, 3, 2, 4]] = 1.0
+    mixed = adapter_mixture(x, gates, tokens, tokens, [0, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6],
+                            downs + downs[1:] + downs[:1], ups + ups[1:] + ups[:1], "silu", 3,
                             selected, 0.5)
     # The attention rows as the base of a second call, with gates of other
     # rows and a residual; adapters 1 and 4 idle.
@@ -87,11 +92,17 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     stacked = concat_rows([second, mixed])
     # squaring keeps the relu input >= 0.3, clear of its kink at 0
     relu_part = activation(add(mul(stacked, stacked), 0.3), "relu")
-    logits = matmul(softmax(add(relu_part, activation(stacked, "silu"))), b)
+    logits = matmul(router_gates(add(relu_part, activation(stacked, "silu")),
+                                 [Tensor(np.eye(4))], [None]), b)
+    # The balance op: one router over x's rows 0 and 2 and over the
+    # attention rows (gated by b alone), a second over x's row 1.
+    att_gates = router_gates(att, [b], [None])
+    balance = gate_balance([[(gates, [0, 2]), (att_gates, None)], [(gates, [1])]],
+                           [[[0.6, 1.2, 0.9, 1.5, 0.3]], [[1.1, 0.4, 0.8, 1.3, 0.7]]])
     ce = masked_cross_entropy(logits, [1, 0, 3, 4, 2], [1.0, 0.0, 1.0, 0.5, 1.0])
     # ``scale`` reaches the loss through a product of two scalar sums.
     reg = mul(tensor_sum(mul(h, h)), tensor_sum(activation(scale, "gelu")))
-    return add(ce, mul(reg, 1.0 / 600.0))
+    return add(add(ce, mul(reg, 1.0 / 600.0)), mul(balance, 0.1))
 
 
 def _fd_over_model(build_loss, params, h=1e-5):
@@ -190,7 +201,7 @@ class TestCriterion2RoutingInvariants:
             layer.layer_key = 0
             x = Tensor(rng.normal(size=(t, d)), requires_grad=True)
 
-            gates = softmax(matmul(x, groups[0].router)).data
+            gates = router_gates(x, [groups[0].router], [None]).data
             worst_sum = max(worst_sum, float(np.max(np.abs(gates.sum(axis=1) - 1.0))))
             mask = top_k_mask(gates, k)
             if not np.all(mask.sum(axis=1) == k):
@@ -299,19 +310,19 @@ class TestCriterion5ElbowRecovery:
 class TestCriterion6BalanceLoss:
     def test_exact_values_and_training_effect(self, tmp_path):
         rec = RoutingRecord()
-        uniform = softmax(Tensor(np.zeros((7, 4))))
+        uniform = router_gates(Tensor(np.eye(7)), [Tensor(np.zeros((7, 4)))], [None])
         rec.observe("r", uniform, top_k_mask(uniform.data, 2), 0)
         uniform_err = abs(load_balance_loss(rec).item() - 1.0)
 
         rec = RoutingRecord()
         logits = np.zeros((6, 4))
         logits[:, 1] = 60.0
-        collapsed = softmax(Tensor(logits))
+        collapsed = router_gates(Tensor(np.eye(6)), [Tensor(logits)], [None])
         rec.observe("r", collapsed, top_k_mask(collapsed.data, 1), 0)
         collapse_err = abs(load_balance_loss(rec).item() - 4.0)
 
         rec = RoutingRecord()
-        solo = softmax(Tensor(np.zeros((5, 1))))
+        solo = router_gates(Tensor(np.eye(5)), [Tensor(np.zeros((5, 1)))], [None])
         rec.observe("r", solo, top_k_mask(solo.data, 1), 0)
         solo_err = abs(load_balance_loss(rec).item() - 1.0)
 

@@ -1,11 +1,14 @@
 """The fused ops against the op chains they replace: ``attention`` against
 one matmul-softmax-matmul chain per head, ``adapter_mixture`` against one
 gather-matmul-activation-matmul chain per expert with the weighting and
-the scatter back to rows spelled out in plain ops."""
+the scatter back to rows spelled out in plain ops, ``router_gates``
+against one gather-matmul-softmax chain per router, and ``gate_balance``
+against ones-matmul column sums added, weighted and summed."""
 
 import numpy as np
 import pytest
 
+from conftest import softmax
 from moce import tensor
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.tensor import (
@@ -16,9 +19,10 @@ from moce.tensor import (
     attention,
     backward,
     concat_rows,
+    gate_balance,
     matmul,
     mul,
-    softmax,
+    router_gates,
     take_rows,
     tensor_sum,
 )
@@ -165,6 +169,142 @@ def test_adapter_bank_matches_per_expert_chain(act):
                 assert np.max(np.abs(got - want)) < 1e-12
 
 
+def partition(rng, n_rows, parts):
+    """A random split of range(n_rows) into ``parts`` ascending row lists."""
+    owner = rng.integers(0, parts, size=n_rows)
+    return [np.flatnonzero(owner == i) for i in range(parts)]
+
+
+def test_router_gates_matches_per_router_chain():
+    """Each router's gate rows equal take_rows, matmul and softmax over its
+    rows bit for bit, the lone router's matmul and softmax over all rows;
+    gradients within 1e-12."""
+    rng = np.random.default_rng(4)
+    for trial in range(12):
+        parts = 1 + trial % 3
+        n_rows, d, n = int(rng.integers(1, 9)), 5, int(rng.integers(1, 5))
+        rows = [None] if trial % 6 == 0 else partition(rng, n_rows, parts)
+        parts = len(rows)
+        arrays = [rng.standard_normal((n_rows, d))] + [rng.standard_normal((d, n))
+                                                       for _ in range(parts)]
+        weight = rng.standard_normal((n_rows, n))
+        fused, fused_grads = run(lambda p: router_gates(p[0], p[1:], rows), arrays, weight)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        parts_out = []
+        for i, r in enumerate(rows):
+            inputs = leaves[0] if r is None else take_rows(leaves[0], r)
+            gates = softmax(matmul(inputs, leaves[1 + i]))
+            parts_out.append(tensor_sum(mul(gates, Tensor(weight if r is None else weight[r]))))
+            assert gates.data.tobytes() == (fused if r is None else fused[r]).tobytes()
+        total = parts_out[0]
+        for extra in parts_out[1:]:
+            total = add(total, extra)
+        backward(total)
+        for got, leaf in zip(fused_grads, leaves):
+            assert np.max(np.abs(got - leaf.grad)) < 1e-12
+
+
+def test_gate_balance_matches_ones_matmul_chain():
+    """One router over a block's rows and over a whole tensor, a second
+    over the block's other rows: the value is the ones-matmul chain's bit
+    for bit, and the gradients agree within 1e-12."""
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        n_rows, n = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        first, second = partition(rng, n_rows, 2)
+        arrays = [rng.random((n_rows, n)), rng.random((int(rng.integers(1, 5)), n))]
+        weights = [rng.random((1, n)) * 2.0, rng.random((1, n)) * 2.0]
+
+        def calls(p):
+            return [[(p[0], first), (p[1], None)], [(p[0], second)]]
+
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        fused = gate_balance(calls(leaves), weights)
+        backward(fused)
+        fused_grads = [leaf.grad for leaf in leaves]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        total = None
+        for router_calls, w in zip(calls(leaves), weights):
+            prob_sum = None
+            for gates, rows in router_calls:
+                picked = gates if rows is None else take_rows(gates, rows)
+                part = matmul(Tensor(np.ones((1, picked.shape[0]))), picked)
+                prob_sum = part if prob_sum is None else add(prob_sum, part)
+            term = tensor_sum(mul(prob_sum, Tensor(w)))
+            total = term if total is None else add(total, term)
+        backward(total)
+        assert fused.data.tobytes() == total.data.tobytes()
+        for got, leaf in zip(fused_grads, leaves):
+            assert np.max(np.abs(got - leaf.grad)) < 1e-12
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_adapter_mixture_reads_one_gate_block_per_router(blocks):
+    """With ``blocks`` routers' experts and (T, N) gates, expert e reads gate
+    column e % N: the value equals the per-expert reference on the gates
+    tiled across the blocks bit for bit, gradients within 1e-12."""
+    rng = np.random.default_rng(blocks)
+    n, d, rank, n_rows = 3, 5, 2, 6
+    experts = n * blocks
+    for trial in range(6):
+        counts = rng.integers(0, 3, size=experts)
+        counts[int(rng.integers(experts))] += 1
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        rows = rng.integers(0, n_rows, size=int(bounds[-1]))
+        options = [{}, {"scale": 0.5}, {"residual": True}][trial % 3]
+        arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n)) + 0.5]
+                  + [rng.standard_normal((d, rank)) for _ in range(experts)]
+                  + [rng.standard_normal((rank, d)) for _ in range(experts)]
+                  + ([rng.standard_normal((n_rows, d))] if options.get("residual") else []))
+        weight = rng.standard_normal((n_rows, d))
+        tile = Tensor(np.tile(np.eye(n), blocks))
+
+        def call(fn, tiled):
+            def build(p):
+                kwargs = dict(options, residual=p[-1]) if "residual" in options else options
+                gates = matmul(p[1], tile) if tiled else p[1]
+                return fn(p[0], gates, rows, rows, bounds, p[2:2 + experts],
+                          p[2 + experts:2 + 2 * experts], "gelu", n_rows, **kwargs)
+            return build
+
+        fused, fused_grads = run(call(adapter_mixture, False), arrays, weight)
+        ref, ref_grads = run(call(per_expert_chain, True), arrays, weight)
+        assert np.array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_router_gates_and_gate_balance_check_their_inputs():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4, 3)))
+    r = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
+    with pytest.raises(ContractError, match="once"):
+        router_gates(x, r, [[0, 1, 2], [2, 3]])
+    with pytest.raises(ContractError, match="once"):
+        router_gates(x, r, [[0, 1], [3]])
+    with pytest.raises(ContractError, match="out of range"):
+        router_gates(x, r, [[0, 1], [2, 3, 4]])
+    with pytest.raises(ContractError, match="lone router"):
+        router_gates(x, r, [None, [0, 1, 2, 3]])
+    with pytest.raises(ShapeError, match="routers of one shape"):
+        router_gates(x, [r[0], Tensor(np.ones((3, 3)))], [[0, 1], [2, 3]])
+    with pytest.raises(ShapeError, match="routers of one shape"):
+        router_gates(x, [Tensor(np.ones((2, 2)))], [None])
+    with pytest.raises(ContractError, match="one row list per router"):
+        router_gates(x, r, [None])
+    with pytest.raises(ShapeError, match="1-D"):
+        router_gates(x, r, [[[0, 1]], [2, 3]])
+    gates = Tensor(rng.random((4, 2)))
+    with pytest.raises(ShapeError, match="weights"):
+        gate_balance([[(gates, None)]], [np.ones((1, 3))])
+    with pytest.raises(ContractError, match="one call"):
+        gate_balance([[]], [np.ones((1, 2))])
+    with pytest.raises(ContractError, match="one weight row"):
+        gate_balance([[(gates, None)]], [])
+
+
 def test_attention_checks_its_inputs():
     rng = np.random.default_rng(0)
     q, kv = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((3, 4)))
@@ -201,6 +341,8 @@ def test_adapter_bank_checks_its_inputs():
         mixture(tokens=[0])
     with pytest.raises(ShapeError, match="gates"):
         mixture(gates=Tensor(np.ones((3, 3))))
+    with pytest.raises(ShapeError, match="dividing the 2 experts"):
+        mixture(gates=Tensor(np.ones((3, 4))))
     with pytest.raises(ContractError, match="bounds"):
         mixture(bounds=[0, 2, 1])
     with pytest.raises(ContractError, match="one up per down"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
-from conftest import gradcheck
+from conftest import gradcheck, softmax
 from moce.errors import ConfigError, ContractError
 from moce.layer import (
     AdapterExpert,
@@ -21,7 +21,17 @@ from moce.layer import (
     load_balance_loss,
     top_k_mask,
 )
-from moce.tensor import Tensor, adapter_mixture, backward, matmul, softmax, tensor_sum
+from moce.tensor import (
+    Tensor,
+    adapter_mixture,
+    add,
+    backward,
+    matmul,
+    mul,
+    router_gates,
+    take_rows,
+    tensor_sum,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -83,11 +93,11 @@ class TestGateAndTopK:
         for _ in range(30):
             w = Tensor(rng.standard_normal((5, 4)))
             x = Tensor(rng.standard_normal((7, 5)))
-            g = softmax(matmul(x, w)).data
+            g = router_gates(x, [w], [None]).data
             assert np.max(np.abs(g.sum(axis=1) - 1.0)) < 1e-12
 
     def test_single_expert_gate_is_one(self):
-        g = softmax(matmul(Tensor([[2.0, -1.0, 0.5]]), Tensor(np.ones((3, 1)))))
+        g = router_gates(Tensor([[2.0, -1.0, 0.5]]), [Tensor(np.ones((3, 1)))], [None])
         assert g.data.shape == (1, 1) and g.data[0, 0] == 1.0
 
     def test_top_k_keeps_original_values(self):
@@ -395,6 +405,99 @@ class TestGradients:
             checked += 1
         assert checked == 5, "could not find enough margin-safe routing instances"
         assert worst < 1e-6, f"worst layer relative error {worst:.3e}"
+
+
+def routed_per_group(layer, x, row_groups):
+    """Reference: each group present routes its own rows in its own call
+    (``take_rows``, ``matmul``, softmax, one ``adapter_mixture``), the
+    calls' results are added, and in a variant layer the general group
+    routes every row. The balance loss is each call's ``ones @ gates``
+    weighted by N f / T, summed, and the routers' terms added in call order."""
+    base_out = layer.base_ffn.forward(x)
+    renorm = layer.renormalize and layer.mode == "topk"
+    terms = []
+
+    def call(group, rows, include_residual):
+        n = group.n_experts
+        gates = softmax(matmul(x if rows is None else take_rows(x, rows), group.router))
+        mask = top_k_mask(gates.data, n if layer.mode == "soft" else layer.k)
+        experts, tokens = np.nonzero(mask.T)
+        t = gates.shape[0]
+        f = np.bincount(np.argmax(gates.data, axis=1), minlength=n) / t
+        terms.append(tensor_sum(mul(matmul(Tensor(np.ones((1, t))), gates),
+                                    Tensor(f[None, :] * n / t))))
+        return adapter_mixture(base_out, gates, tokens, tokens if rows is None else rows[tokens],
+                               np.concatenate([[0], np.cumsum(np.bincount(experts, minlength=n))]),
+                               [e.w_down for e in group.experts], [e.w_up for e in group.experts],
+                               group.act, x.shape[0], mask if renorm else None, layer.moe_scale,
+                               x if include_residual else None)
+
+    present = np.unique(row_groups)
+    combined = None
+    for g in present:
+        mixed = call(layer.groups[g], None if present.size == 1 else
+                     np.flatnonzero(row_groups == g), False)
+        combined = mixed if combined is None else add(combined, mixed)
+    out = add(x, combined)
+    if layer.general_group is not None:
+        out = add(out, call(layer.general_group, None, True))
+    balance = terms[0]
+    for term in terms[1:]:
+        balance = add(balance, term)
+    return out, balance
+
+
+class TestOneRouterCall:
+    @pytest.mark.parametrize("options", [
+        dict(mode="topk", k=2),
+        dict(mode="soft", k=3),
+        dict(mode="topk", k=2, renormalize=True, moe_scale=0.5),
+        dict(mode="topk", k=1, general=True),
+    ], ids=["topk", "soft", "renormalize", "variant"])
+    def test_packed_block_matches_a_call_per_group(self, options):
+        """Routing a block's groups in one call gives the bytes of one call
+        per group: the output, the balance loss and every parameter
+        gradient, and x's gradient within 1e-12."""
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            layer = build_layer(rng, n_groups=3, **options)
+            rows = int(rng.integers(2, 12))
+            row_groups = rng.integers(0, 3, size=rows)
+            row_groups[:2] = rng.choice(3, size=2, replace=False)
+            x = rng.standard_normal((rows, 6))
+            weight = Tensor(rng.standard_normal((rows, 6)))
+            params = layer.parameters()
+
+            def run(fn):
+                leaf = Tensor(x, requires_grad=True)
+                out, balance = fn(leaf)
+                backward(add(tensor_sum(mul(out, weight)), mul(balance, 0.01)))
+                grads = [None if p.grad is None else p.grad.tobytes() for p in params]
+                for p in params:
+                    p.grad = None
+                return out.data.tobytes(), balance.data.tobytes(), grads, leaf.grad
+
+            def merged(leaf):
+                record = RoutingRecord()
+                if layer.general_group is None:
+                    out = layer.forward(leaf, row_groups, record)
+                else:
+                    out = layer.variant_forward(leaf, row_groups, record)
+                return out, load_balance_loss(record)
+
+            got, want = run(merged), run(lambda leaf: routed_per_group(layer, leaf, row_groups))
+            assert got[:3] == want[:3]
+            assert np.max(np.abs(got[3] - want[3])) < 1e-12
+
+    def test_groups_must_share_one_activation(self):
+        rng = np.random.default_rng(3)
+        layer = build_layer(rng, general=True)
+        layer.general_group.act = "silu"
+        with pytest.raises(ContractError, match="one activation"):
+            MoCELayer(layer.groups, layer.base_ffn, k=2, general_group=layer.general_group)
+        layer.groups[1].act = "relu"
+        with pytest.raises(ContractError, match="one activation"):
+            MoCELayer(layer.groups, layer.base_ffn, k=2)
 
 
 class TestBalanceLoss:

@@ -296,3 +296,40 @@ def test_one_mixture_op_per_router_call(monkeypatch):
         generated += len(greedy_decode(model, prompt, 0, mcfg.max_seq_len, eos_id=-1)) - len(prompt)
     assert generated > 0
     assert len(ops) / generated <= 37, len(ops) / generated
+
+
+def test_one_router_call_per_layer(monkeypatch):
+    """On the criterion-8 shapes one adapter step over a block of both
+    groups makes one ``router_gates`` and one ``adapter_mixture`` op per
+    layer and records at most 22 tape nodes (48 with a router call per
+    group and the balance loss op by op), and a decoded token costs at most
+    35 engine ops (about 36.9 with ``matmul`` and ``softmax`` per router)."""
+    cfg = RunConfig(seed=0, n_groups=2, d_model=24, n_layers=2, n_heads=2, d_ff=48,
+                    n_experts=4, adapter_rank=4, top_k=2, batch_size=8)
+    mcfg = model_config_from(cfg, 2)
+    model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
+    records = make_two_dialect_corpus(100, seed=0)
+    examples = [training_pair(encode_example(r)) for r in records]
+    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    ops = []
+    result = tensor._result
+
+    def counted(data, parents, backward_fn, op):
+        ops.append(op)
+        return result(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(tensor, "_result", counted)
+    record = RoutingRecord()
+    logits = model.forward(inputs, [i % 2 for i in range(8)], record)
+    assert ops.count("router_gates") == ops.count("adapter_mixture[gelu]") == mcfg.n_layers
+    loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
+    assert ops.count("gate_balance") == 1
+    assert _tape_nodes(loss) <= 22, _tape_nodes(loss)
+
+    ops.clear()
+    generated = 0
+    for r in records[:5]:
+        prompt = prompt_ids(r)
+        generated += len(greedy_decode(model, prompt, 0, mcfg.max_seq_len, eos_id=-1)) - len(prompt)
+    assert generated > 0
+    assert len(ops) / generated <= 35, len(ops) / generated

@@ -16,11 +16,12 @@ from moce.tensor import (
     backward,
     concat_rows,
     finite_difference_gradient,
+    gate_balance,
     masked_cross_entropy,
     matmul,
     mul,
     rmsnorm,
-    softmax,
+    router_gates,
     take_rows,
     tensor_sum,
 )
@@ -46,6 +47,12 @@ def softmax_oracle(values):
         exps = [mpmath.e ** mpmath.mpf(repr(v)) for v in values]
         total = mpmath.fsum(exps)
         return np.array([float(e / total) for e in exps])
+
+
+def row_softmax(x):
+    """``router_gates`` with an identity router: the softmax of each row of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    return router_gates(Tensor(x), [Tensor(np.eye(x.shape[1]))], [None])
 
 
 def gelu_oracle(x):
@@ -75,7 +82,7 @@ class TestForwardValues:
 
     def test_softmax_against_extended_precision(self):
         """softmax([1,2,3]) matches the 50-digit oracle within 1e-15."""
-        out = softmax(Tensor([[1.0, 2.0, 3.0]]))
+        out = row_softmax([[1.0, 2.0, 3.0]])
         expected = softmax_oracle([1.0, 2.0, 3.0])
         assert np.max(np.abs(out.data[0] - expected)) < 1e-15
 
@@ -83,17 +90,17 @@ class TestForwardValues:
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.standard_normal((5, 7)) * 3
-            s = softmax(Tensor(x)).data
+            s = row_softmax(x).data
             assert np.max(np.abs(s.sum(axis=1) - 1.0)) < 1e-12
 
     def test_softmax_shift_invariance(self):
         """Adding a constant to every logit leaves the output unchanged to 1e-12."""
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 6))
-        assert np.max(np.abs(softmax(Tensor(x)).data - softmax(Tensor(x + 123.456)).data)) < 1e-12
+        assert np.max(np.abs(row_softmax(x).data - row_softmax(x + 123.456).data)) < 1e-12
 
     def test_softmax_large_logits_no_overflow(self):
-        s = softmax(Tensor([[1000.0, 1001.0, 1002.0]])).data
+        s = row_softmax([[1000.0, 1001.0, 1002.0]]).data
         assert np.all(np.isfinite(s)) and abs(s.sum() - 1.0) < 1e-12
 
     def test_gelu_against_extended_precision(self):
@@ -153,7 +160,7 @@ class TestForwardValues:
         w = rng.standard_normal((6, 6))
 
         def run():
-            return softmax(matmul(activation(Tensor(x), "gelu"), Tensor(w))).data.tobytes()
+            return router_gates(activation(Tensor(x), "gelu"), [Tensor(w)], [None]).data.tobytes()
 
         assert run() == run()
 
@@ -219,7 +226,8 @@ class TestBackward:
             cases = [
                 (lambda p: tensor_sum(matmul(p[0], p[1])), [a, b]),
                 (lambda p: tensor_sum(mul(add(p[0], p[1]), add(p[0], mul(p[1], -1.0)))), [a, c]),
-                (lambda p: tensor_sum(mul(softmax(p[0]), p[1])), [a, c]),
+                (lambda p: tensor_sum(mul(router_gates(p[0], [p[1]], [None]), matmul(p[0], p[1]))),
+                 [a, b]),
                 (lambda p: tensor_sum(activation(p[0], kind)), [a]),
                 (lambda p: tensor_sum(mul(rmsnorm(p[0], p[1]), p[2])), [a, gain, c]),
                 (lambda p: tensor_sum(take_rows(p[0], [0, 0, m - 1])), [a]),
@@ -238,6 +246,30 @@ class TestBackward:
             for build, arrays in cases:
                 worst = max(worst, gradcheck(build, arrays))
         assert worst < 1e-6, f"worst op relative error {worst:.3e}"
+
+    def test_router_gates_and_gate_balance_against_central_differences(self):
+        """``router_gates`` with one to three routers (or a lone router over
+        every row) and ``gate_balance`` over its rows, one router reading
+        every part in separate calls and one router per part, pass the
+        finite-difference check at 1e-6 over 50 seeds."""
+        worst = 0.0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            m, k, n = rng.integers(2, 7, size=3)
+            owner = rng.integers(0, 1 + seed % 3, size=m)
+            rows = [None] if seed % 4 == 0 else [np.flatnonzero(owner == i)
+                                                 for i in range(1 + seed % 3)]
+            arrays = [rng.standard_normal((m, k))] + [rng.standard_normal((k, n)) for _ in rows]
+            weight = rng.standard_normal((m, n))
+            balance_weights = [rng.random((1, n)) for _ in range(1 + len(rows))]
+
+            def build(p):
+                gates = router_gates(p[0], p[1:], rows)
+                calls = [[(gates, r) for r in rows]] + [[(gates, r)] for r in rows]
+                return add(tensor_sum(mul(gates, Tensor(weight))), gate_balance(calls, balance_weights))
+
+            worst = max(worst, gradcheck(build, arrays))
+        assert worst < 1e-6, f"worst relative error {worst:.3e}"
 
     def test_adapter_bank_idle_expert_gets_no_gradient(self):
         """An adapter with no rows gets None, not zeros, so Adam leaves it
