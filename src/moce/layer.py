@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .fileio import write_csv
-from .tensor import Tensor, activation, adapter_mixture, add, gate_balance, matmul, router_gates
+from .tensor import Tensor, adapter_mixture, add, feed_forward, gate_balance, router_gates
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +51,7 @@ class FeedForward:
         return cls(w1, w2, act)
 
     def forward(self, x: Tensor) -> Tensor:
-        return matmul(activation(matmul(x, self.w1), self.act), self.w2)
+        return feed_forward(x, self.w1, self.w2, self.act)
 
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.w2]
@@ -178,7 +178,7 @@ class RoutingRecord:
 
     routers: dict = field(default_factory=dict)
     tokens_seen: int = 0
-    _calls: list = field(default_factory=list, repr=False)   # (key, gates, mask, token indices)
+    _calls: list = field(default_factory=list, repr=False)   # (key, gates, mask, rows, offset)
     _starts: list = field(default_factory=list, repr=False)  # first token index of each sequence
 
     def advance(self, n_tokens: int) -> None:
@@ -203,19 +203,18 @@ class RoutingRecord:
         ``mask`` (None: every row), and block row r is token
         ``token_offset + r``. ``mask`` marks the selected experts; the
         top-1 tally uses the pre-truncation argmax of the full gate row.
-        Records no engine op: the balance loss reads the kept
-        (gates, rows) pair.
+        Records no engine op and copies nothing: the balance loss reads the
+        kept (gates, rows) pair, and ``rows`` gathers the selections from
+        the kept references when it is read.
         """
         g = gates.data if rows is None else gates.data[rows]
-        selected = mask if rows is None else mask[rows]
         stats = self._stats(key, g.shape[1])
         stats.token_count += g.shape[0]
         stats.top1_counts += np.bincount(np.argmax(g, axis=1), minlength=g.shape[1])
         stats.gate_value_sum += g.sum(axis=0)
-        stats.selected_counts += selected.astype(np.int64).sum(axis=0)
+        stats.selected_counts += (mask if rows is None else mask[rows]).sum(axis=0).astype(np.int64)
         stats.gate_calls.append((gates, rows))
-        offsets = np.arange(g.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-        self._calls.append((key, g, selected, token_offset + offsets))
+        self._calls.append((key, gates, mask, rows, token_offset))
 
     @property
     def rows(self) -> list:
@@ -227,12 +226,12 @@ class RoutingRecord:
         if not self._calls:
             return []
         calls, tokens, experts, weights = [], [], [], []
-        for i, (_, g, mask, token_idx) in enumerate(self._calls):
-            t, e = np.nonzero(mask)
+        for i, (_, gates, mask, rows, offset) in enumerate(self._calls):
+            t, e = np.nonzero(mask if rows is None else mask[rows])
             calls.append(np.full(t.size, i))
-            tokens.append(token_idx[t])
+            tokens.append(offset + (t if rows is None else np.asarray(rows, dtype=np.int64)[t]))
             experts.append(e)
-            weights.append(g[t, e])
+            weights.append((gates.data if rows is None else gates.data[rows])[t, e])
         call, token, expert, weight = (np.concatenate(a) for a in (calls, tokens, experts, weights))
         sequence = np.searchsorted(np.asarray(self._starts, dtype=np.int64), token, side="right")
         order = np.lexsort((expert, token, call, sequence))
@@ -371,15 +370,15 @@ class MoCELayer:
             raise ContractError("cannot route an empty token block")
         row_groups = np.asarray(group_id, dtype=np.int64)
         if row_groups.ndim == 0:
-            row_groups = np.full(x.shape[0], row_groups)
-        if row_groups.shape != (x.shape[0],):
+            present, rows = row_groups.reshape(1), [None]
+        elif row_groups.shape != (x.shape[0],):
             raise ShapeError(f"need one group id per row, got {row_groups.shape} for {x.shape[0]} rows")
-        if row_groups.min() < 0 or row_groups.max() >= len(self.groups):
+        else:
+            present = np.unique(row_groups)
+            rows = [None] if present.size == 1 else [np.nonzero(row_groups == g)[0] for g in present]
+        if present[0] < 0 or present[-1] >= len(self.groups):
             raise ContractError(f"group id out of range for {len(self.groups)} groups")
-        present = np.unique(row_groups)
-        routes = [(self._record_key(int(g)), self.groups[g],
-                   None if present.size == 1 else np.nonzero(row_groups == g)[0])
-                  for g in present]
+        routes = [(self._record_key(int(g)), self.groups[g], r) for g, r in zip(present, rows)]
         k = self.groups[0].n_experts if self.mode == "soft" else self.k
         return add(x, self._dispatch(x, base_out, routes, k, False, record))
 

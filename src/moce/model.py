@@ -6,6 +6,12 @@ solely to feed adapter bottlenecks after upcycling. Upcycling copies and
 freezes the whole backbone and drops a fresh mixture layer (zero-init
 adapters) into every block, so the upcycled model computes bit-for-bit
 the dense base's function until training moves the adapters.
+
+Each block's attention sublayer is one ``attention_block`` engine op and
+its frozen feed-forward one ``feed_forward`` op. Greedy decoding reads
+the prompt once into a ``KVCache`` whose per-block arrays the attention
+op fills in place, then runs one forward per new token: 15 engine ops on
+the criterion-8 shapes.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from .tensor import (
     ACTIVATIONS,
     Tensor,
     add,
-    attention,
-    concat_rows,
+    attention_block,
     masked_cross_entropy,
     matmul,
     no_grad,
@@ -106,20 +111,14 @@ class _Block:
         base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=requires_grad)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
-    def attend(self, x: Tensor, mask: np.ndarray, cache: _BlockCache | None = None) -> Tensor:
-        """Causal self-attention over a packed block, all heads in one op;
-        ``mask`` holds 0 where a row may attend and a large negative score
-        where it may not. With a ``cache``, the rows' keys and values are
-        appended to the cached ones and the rows attend over all of them."""
-        z = rmsnorm(x, self.norm)
-        q = matmul(z, self.wq)
-        k = matmul(z, self.wk)
-        v = matmul(z, self.wv)
-        if cache is not None:
-            if cache.k is not None:
-                k, v = concat_rows([cache.k, k]), concat_rows([cache.v, v])
-            cache.k, cache.v = k, v
-        return add(x, matmul(attention(q, k, v, mask, self.n_heads), self.wo))
+    def attend(self, x: Tensor, mask: np.ndarray, cache: tuple | None = None) -> Tensor:
+        """Causal self-attention over a packed block plus the residual, in one
+        ``attention_block`` op; ``mask`` holds 0 where a row may attend and a
+        large negative score where it may not. With ``cache`` (see
+        ``_BlockCache.rows``) the rows' keys and values are written after the
+        cached ones and the rows attend over all of them."""
+        return attention_block(x, self.norm, self.wq, self.wk, self.wv, self.wo, mask,
+                               self.n_heads, cache)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [
@@ -134,17 +133,26 @@ class _Block:
 
 
 class _BlockCache:
-    """One block's keys and values for the rows a sequence has read so far."""
+    """One block's keys and values: two (max_seq_len, d_model) arrays,
+    allocated on first use, whose leading rows hold the rows read so far."""
 
     def __init__(self):
-        self.k: Tensor | None = None
-        self.v: Tensor | None = None
+        self.keys: np.ndarray | None = None
+        self.values: np.ndarray | None = None
+
+    def rows(self, cfg: ModelConfig, start: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The ``attention_block`` cache for rows that follow the first ``start``."""
+        if self.keys is None:
+            self.keys = np.zeros((cfg.max_seq_len, cfg.d_model))
+            self.values = np.zeros((cfg.max_seq_len, cfg.d_model))
+        return self.keys, self.values, start
 
 
 class KVCache:
     """What an incremental forward keeps between calls over one sequence:
     how many rows it has read, and every block's keys and values for them.
-    A forward that raises part way through leaves the cache unusable."""
+    A forward that raises leaves ``length`` as it was; the next forward
+    overwrites whatever rows the failed one wrote after it."""
 
     def __init__(self, n_blocks: int):
         self.length = 0
@@ -167,19 +175,23 @@ class _Packed:
         if len(token_ids) == 0:
             raise ContractError("token_ids must hold at least one sequence")
         seqs = [np.asarray(s, dtype=np.int64) for s in token_ids]
-        for ids in seqs:
-            if ids.ndim != 1 or ids.size == 0:
-                raise ContractError("every sequence of token ids must be non-empty and 1-D")
-            if start + ids.size > cfg.max_seq_len:
-                raise ContractError(
-                    f"sequence length {start + ids.size} exceeds max_seq_len {cfg.max_seq_len}"
-                )
-            if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-                raise ContractError(f"token id out of range for vocab size {cfg.vocab_size}")
+        if any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
+            raise ContractError("every sequence of token ids must be non-empty and 1-D")
         self.lengths = np.array([ids.size for ids in seqs])
-        self.ids = np.concatenate(seqs)
-        self.positions = np.concatenate([np.arange(start, start + n) for n in self.lengths])
+        longest = int(self.lengths.max())
+        if start + longest > cfg.max_seq_len:
+            raise ContractError(
+                f"sequence length {start + longest} exceeds max_seq_len {cfg.max_seq_len}"
+            )
+        self.ids = seqs[0] if len(seqs) == 1 else np.concatenate(seqs)
+        if self.ids.min() < 0 or self.ids.max() >= cfg.vocab_size:
+            raise ContractError(f"token id out of range for vocab size {cfg.vocab_size}")
         n = self.ids.size
+        self.positions = (np.arange(start, start + n) if len(seqs) == 1
+                          else np.concatenate([np.arange(start, start + k) for k in self.lengths]))
+        if n == 1:  # a decoded token: it may attend to every row
+            self.mask = np.zeros((1, start + 1))
+            return
         allowed = np.tri(n, start + n, start, dtype=bool)
         if len(seqs) > 1:
             segment = np.repeat(np.arange(len(seqs)), self.lengths)
@@ -287,7 +299,8 @@ class MoCEModel:
         ``group_id`` is the expert group of every sequence, or one group per
         sequence. The rows of the result follow the sequences in order.
         With a ``cache``, ``token_ids`` continue the one sequence the cache
-        has read so far; their keys and values are added to it.
+        has read so far; their keys and values are added to it. A cached
+        forward has no gradient: run it under ``no_grad``.
         """
         if cache is not None and record is not None:
             raise ContractError("a K/V cache cannot be combined with a routing record")
@@ -295,15 +308,15 @@ class MoCEModel:
         if cache is not None and batch.lengths.size != 1:
             raise ContractError(f"a K/V cache holds one sequence, got {batch.lengths.size}")
         groups = np.asarray(group_id, dtype=np.int64)
-        if groups.ndim == 0:
-            groups = np.full(batch.lengths.size, groups)
-        if groups.shape != batch.lengths.shape:
+        if groups.ndim != 0 and groups.shape != batch.lengths.shape:
             raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
                                 f"for {batch.lengths.size} sequences")
-        row_groups = np.repeat(groups, batch.lengths)
+        # One group for every row stays a scalar, so no layer searches the rows for groups.
+        row_groups = groups.reshape(()) if groups.size == 1 else np.repeat(groups, batch.lengths)
         x = self.backbone.embed(batch)
-        block_caches = [None] * len(self.layers) if cache is None else cache.blocks
-        for block, layer, block_cache in zip(self.backbone.blocks, self.layers, block_caches):
+        caches = ([None] * len(self.layers) if cache is None
+                  else [c.rows(self.cfg, cache.length) for c in cache.blocks])
+        for block, layer, block_cache in zip(self.backbone.blocks, self.layers, caches):
             x = block.attend(x, batch.mask, block_cache)
             if self.cfg.variant:
                 x = layer.variant_forward(x, row_groups, record)

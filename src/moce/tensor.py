@@ -6,7 +6,16 @@ the tape. ``backward`` replays that tape once, newest node first, and
 accumulates gradients additively into every tensor that requires them.
 Inside ``no_grad`` nothing is recorded, for forwards no backward reads.
 There are no views or strides; every op materialises a fresh row-major
-array, which keeps the engine small and bit-deterministic.
+array, which keeps the engine small and bit-deterministic. The one
+exception is the K/V cache of ``attention_block``: it writes into arrays
+the caller owns, and no gradient reaches them.
+
+The model's sublayers are fused ops, so one op is one Python call however
+many numpy steps it takes: ``attention_block``, ``feed_forward``,
+``router_gates``, ``adapter_mixture`` and ``gate_balance``. The first two
+compute with the expressions of the op chains they replace, in the same
+order, and add gradient terms in the order the tape would, so they are
+bit-identical to those chains.
 """
 
 from __future__ import annotations
@@ -230,29 +239,30 @@ def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndar
     raise ContractError(f"unknown activation kind '{kind}', expected one of {ACTIVATIONS}")
 
 
-def activation(a: Tensor, kind: str = "gelu") -> Tensor:
-    """Pointwise nonlinearity. ``kind`` is one of gelu, relu, silu."""
-    value, local = _activate(a.data, kind, _tracked((a,)))
-    return _result(value, (a,), lambda g: (g * local,), f"activation[{kind}]")
+def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-8):
+    """Row-wise RMS normalisation times ``gain``, with the row RMS values
+    and the normalised rows that the backward rule reads."""
+    r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
+    normed = x / r
+    return normed * gain, r, normed
+
+
+def _rmsnorm_grads(g: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.ndarray,
+                   normed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of ``_rmsnorm`` with respect to x and the gain."""
+    gg = g * gain
+    inner = np.sum(gg * x, axis=1, keepdims=True)
+    dx = gg / r - x * inner / (x.shape[1] * r ** 3)
+    return dx, np.sum(g * normed, axis=0)
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
     """Row-wise RMS normalisation with a learned per-column gain."""
     if x.data.ndim != 2 or gain.data.ndim != 1 or gain.data.shape[0] != x.data.shape[1]:
         raise ShapeError(f"rmsnorm needs (T,d) and (d,), got {x.data.shape} and {gain.data.shape}")
-    d = x.data.shape[1]
-    r = np.sqrt(np.mean(x.data * x.data, axis=1, keepdims=True) + eps)
-    normed = x.data / r
-    out = normed * gain.data
-
-    def grad_fn(g: np.ndarray):
-        gg = g * gain.data
-        inner = np.sum(gg * x.data, axis=1, keepdims=True)
-        dx = gg / r - x.data * inner / (d * r ** 3)
-        dgain = np.sum(g * normed, axis=0)
-        return dx, dgain
-
-    return _result(out, (x, gain), grad_fn, "rmsnorm")
+    out, r, normed = _rmsnorm(x.data, gain.data, eps)
+    return _result(out, (x, gain), lambda g: _rmsnorm_grads(g, x.data, gain.data, r, normed),
+                   "rmsnorm")
 
 
 # -- structural ops -----------------------------------------------------
@@ -273,28 +283,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
         return (da,)
 
     return _result(a.data[idx], (a,), grad_fn, "take_rows")
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors along their first axis; all other dimensions must agree."""
-    if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
-    if len(parts) == 1:
-        return parts[0]
-    tail = parts[0].data.shape[1:]
-    for p in parts:
-        if p.data.ndim == 0 or p.data.shape[1:] != tail:
-            raise ShapeError("concat_rows needs tensors whose shapes differ only in the first axis")
-
-    def grad_fn(g: np.ndarray):
-        grads, start = [], 0
-        for p in parts:
-            stop = start + p.data.shape[0]
-            grads.append(g[start:stop])
-            start = stop
-        return grads
-
-    return _result(np.concatenate([p.data for p in parts]), tuple(parts), grad_fn, "concat_rows")
 
 
 def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
@@ -352,44 +340,109 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(rows, heads * d_head)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int) -> Tensor:
-    """Scaled dot-product attention for every head in one op.
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray, n_heads: int):
+    """All-head scaled dot-product attention, and what its backward reads.
 
-    ``q`` is (T, d), ``k`` and ``v`` are (S, d), and head h owns columns
-    ``h*d/n_heads`` to ``(h+1)*d/n_heads`` of each. ``mask`` is a constant
-    additive (T, S) array: 0 where a row may attend and a large negative
-    score where it may not. Head h computes
-    softmax(q_h k_h^T / sqrt(d_head) + mask) v_h; the result holds the
-    heads side by side, (T, d).
+    Head h owns columns ``h*d/n_heads`` to ``(h+1)*d/n_heads`` of the (T, d)
+    queries and the (S, d) keys and values, and computes
+    softmax(q_h k_h^T / sqrt(d_head) + mask) v_h; the (T, d) result holds
+    the heads side by side.
     """
-    m = np.asarray(mask, dtype=np.float64)
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.shape != k.data.shape:
-        raise ShapeError(f"attention needs (T,d) queries and equal (S,d) keys and values, "
-                         f"got {q.data.shape}, {k.data.shape} and {v.data.shape}")
-    rows, d = q.data.shape
-    if k.data.shape[1] != d:
-        raise ShapeError(f"attention keys have width {k.data.shape[1]}, queries {d}")
-    if not (isinstance(n_heads, int) and n_heads >= 1 and d % n_heads == 0):
-        raise ContractError(f"attention needs a head count >= 1 that divides {d}, got {n_heads}")
-    if m.shape != (rows, k.data.shape[0]):
-        raise ShapeError(f"attention mask must have shape {(rows, k.data.shape[0])}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise NumericError("attention mask holds non-finite values")
-    scale = (d // n_heads) ** -0.5
-    qh, kh, vh = (_split_heads(t.data, n_heads) for t in (q, k, v))
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale + m
+    scale = (q.shape[1] // n_heads) ** -0.5
+    qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale + mask
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     probs = e / np.sum(e, axis=-1, keepdims=True)
+    return _merge_heads(np.matmul(probs, vh)), (qh, kh, vh, probs, scale)
+
+
+def _attend_grads(g: np.ndarray, n_heads: int, saved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of ``_attend`` with respect to q, k and v."""
+    qh, kh, vh, probs, scale = saved
+    gh = _split_heads(g, n_heads)
+    d_probs = np.matmul(gh, vh.transpose(0, 2, 1))
+    d_scores = (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
+    return (_merge_heads(np.matmul(d_scores, kh)),
+            _merge_heads(np.matmul(d_scores.transpose(0, 2, 1), qh)),
+            _merge_heads(np.matmul(probs.transpose(0, 2, 1), gh)))
+
+
+def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                    mask, n_heads: int, cache: tuple | None = None) -> Tensor:
+    """A pre-norm attention sublayer with its residual, in one op:
+    x + attend(z @ wq, z @ wk, z @ wv) @ wo with z = rmsnorm(x, norm).
+
+    ``x`` is (T, d), ``norm`` (d,) and the four projections (d, d). All
+    heads run at once (see ``_attend``); ``mask`` is a constant additive
+    (T, S) array, 0 where a row may attend and a large negative score where
+    it may not. Without a cache S = T. With ``cache`` = (keys, values,
+    start), two (capacity, d) arrays whose first ``start`` rows hold the
+    keys and values of rows read before, the op writes its rows' keys and
+    values after them in place and attends over the first start + T rows.
+    The cached rows are plain arrays that no gradient can reach, so a
+    backward through such a forward raises ContractError: run it under
+    ``no_grad``. Recorded or not, its values are the same.
+    """
+    m = np.asarray(mask, dtype=np.float64)
+    if x.data.ndim != 2 or norm.data.shape != x.data.shape[1:]:
+        raise ShapeError(f"attention_block needs (T,d) rows and a (d,) norm, "
+                         f"got {x.data.shape} and {norm.data.shape}")
+    rows, d = x.data.shape
+    if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
+        raise ShapeError(f"attention_block needs ({d}, {d}) projections, "
+                         f"got {[w.data.shape for w in (wq, wk, wv, wo)]}")
+    if not (isinstance(n_heads, int) and n_heads >= 1 and d % n_heads == 0):
+        raise ContractError(f"attention needs a head count >= 1 that divides {d}, got {n_heads}")
+    start = 0
+    if cache is not None:
+        keys, values, start = cache
+        if keys.shape != values.shape or keys.shape[1:] != (d,) or start + rows > keys.shape[0]:
+            raise ShapeError(f"attention_block cannot add {rows} rows after {start} to "
+                             f"{keys.shape} keys and {values.shape} values")
+    if m.shape != (rows, start + rows):
+        raise ShapeError(f"attention mask must have shape {(rows, start + rows)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NumericError("attention mask holds non-finite values")
+    z, r, normed = _rmsnorm(x.data, norm.data)
+    q, k, v = z @ wq.data, z @ wk.data, z @ wv.data
+    if cache is not None:
+        keys[start:start + rows] = k
+        values[start:start + rows] = v
+        k, v = keys[:start + rows], values[:start + rows]
+    a, saved = _attend(q, k, v, m, n_heads)
 
     def grad_fn(g: np.ndarray):
-        gh = _split_heads(g, n_heads)
-        d_probs = np.matmul(gh, vh.transpose(0, 2, 1))
-        d_scores = (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
-        return (_merge_heads(np.matmul(d_scores, kh)),
-                _merge_heads(np.matmul(d_scores.transpose(0, 2, 1), qh)),
-                _merge_heads(np.matmul(probs.transpose(0, 2, 1), gh)))
+        if cache is not None:
+            raise ContractError("attention_block has no gradient with a K/V cache: no gradient "
+                                "reaches the cached rows; run cached forwards under no_grad")
+        dq, dk, dv = _attend_grads(g @ wo.data.T, n_heads, saved)
+        dz = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+        dx, d_norm = _rmsnorm_grads(dz, x.data, norm.data, r, normed)
+        return (g + dx, d_norm, *(z.T @ dw if w.requires_grad else None
+                                  for w, dw in ((wq, dq), (wk, dk), (wv, dv))),
+                a.T @ g if wo.requires_grad else None)
 
-    return _result(_merge_heads(np.matmul(probs, vh)), (q, k, v), grad_fn, "attention")
+    return _result(x.data + a @ wo.data, (x, norm, wq, wk, wv, wo), grad_fn, "attention_block")
+
+
+def feed_forward(x: Tensor, w1: Tensor, w2: Tensor, act: str) -> Tensor:
+    """A two-layer feed-forward, act(x @ w1) @ w2, in one op; ``act`` is one
+    of gelu, relu, silu."""
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.data.shape[1] != w1.data.shape[0] or w1.data.shape[1] != w2.data.shape[0]):
+        raise ShapeError(f"feed_forward shapes do not chain: {x.data.shape} @ {w1.data.shape} "
+                         f"@ {w2.data.shape}")
+    value, local = _activate(x.data @ w1.data, act, _tracked((x, w1)))
+
+    def grad_fn(g: np.ndarray):
+        d_w2 = value.T @ g if w2.requires_grad else None
+        if local is None:
+            return None, None, d_w2
+        d_pre = (g @ w2.data.T) * local
+        return (d_pre @ w1.data.T if x.requires_grad else None,
+                x.data.T @ d_pre if w1.requires_grad else None, d_w2)
+
+    return _result(value @ w2.data, (x, w1, w2), grad_fn, f"feed_forward[{act}]")
 
 
 def router_gates(x: Tensor, routers: Sequence[Tensor], rows: Sequence) -> Tensor:

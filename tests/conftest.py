@@ -1,12 +1,16 @@
 """Shared test helpers: gradient checking against the finite-difference
-oracle, a test-local softmax op, and synthetic cluster geometry."""
+oracle, test-local ops for reference chains (``softmax``, ``activation``,
+``concat_rows`` and ``attention``, none of which a model path runs), the
+op chains the fused ``attention_block`` and ``feed_forward`` replace, and
+synthetic cluster geometry."""
 
 import itertools
 
 import numpy as np
 
 from moce import tensor
-from moce.tensor import Tensor, backward, finite_difference_gradient
+from moce.errors import ShapeError
+from moce.tensor import Tensor, add, backward, finite_difference_gradient, matmul, rmsnorm
 
 
 def softmax(a, axis=-1):
@@ -21,6 +25,52 @@ def softmax(a, axis=-1):
         return ((g - inner) * s,)
 
     return tensor._result(s, (a,), grad_fn, "softmax")
+
+
+def activation(a, kind="gelu"):
+    """Pointwise nonlinearity, one of gelu, relu, silu, as a test-local op."""
+    value, local = tensor._activate(a.data, kind, tensor._tracked((a,)))
+    return tensor._result(value, (a,), lambda g: (g * local,), f"activation[{kind}]")
+
+
+def concat_rows(parts):
+    """Stack tensors along their first axis, a test-local op; all other
+    dimensions must agree."""
+    if len(parts) == 1:
+        return parts[0]
+    if any(p.data.ndim == 0 or p.data.shape[1:] != parts[0].data.shape[1:] for p in parts):
+        raise ShapeError("concat_rows needs tensors whose shapes differ only in the first axis")
+    ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
+    return tensor._result(np.concatenate([p.data for p in parts]), tuple(parts),
+                          lambda g: np.split(g, ends), "concat_rows")
+
+
+def attention(q, k, v, mask, n_heads):
+    """All-head scaled dot-product attention of (T, d) queries over (S, d)
+    keys and values with a constant additive (T, S) mask, as a test-local
+    op on the engine's own forward and backward rules."""
+    out, saved = tensor._attend(q.data, k.data, v.data, np.asarray(mask, dtype=np.float64), n_heads)
+    return tensor._result(out, (q, k, v), lambda g: tensor._attend_grads(g, n_heads, saved),
+                          "attention")
+
+
+def attention_chain(x, norm, wq, wk, wv, wo, mask, n_heads, cache=None):
+    """Reference for ``attention_block`` as separate ops: rmsnorm, the q, k
+    and v projections, all-head attention, the output projection and the
+    residual add. ``cache`` is a dict that keeps the K and V tensors of the
+    rows read so far, joined to each call's own by ``concat_rows``."""
+    z = rmsnorm(x, norm)
+    q, k, v = matmul(z, wq), matmul(z, wk), matmul(z, wv)
+    if cache is not None:
+        if cache:
+            k, v = concat_rows([cache["k"], k]), concat_rows([cache["v"], v])
+        cache["k"], cache["v"] = k, v
+    return add(x, matmul(attention(q, k, v, mask, n_heads), wo))
+
+
+def feed_forward_chain(x, w1, w2, act):
+    """Reference for ``feed_forward`` as separate ops: matmul, activation, matmul."""
+    return matmul(activation(matmul(x, w1), act), w2)
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:

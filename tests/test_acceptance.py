@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exhaustive_two_means, make_planted_blobs, relative_error
+from conftest import (activation, attention, concat_rows, exhaustive_two_means, make_planted_blobs,
+                      relative_error)
 from moce.clustering import elbow_select, kmeans_fit, kmeans_predict, load_kmeans, save_kmeans
 from moce.data import make_two_dialect_corpus, split_dataset
 from moce.embedding import embed_dataset
@@ -36,12 +37,11 @@ from moce.optim import Adam
 from moce.seeding import substream
 from moce.tensor import (
     Tensor,
-    activation,
     adapter_mixture,
     add,
-    attention,
+    attention_block,
     backward,
-    concat_rows,
+    feed_forward,
     gate_balance,
     masked_cross_entropy,
     matmul,
@@ -86,9 +86,10 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
                             downs + downs[1:] + downs[:1], ups + ups[1:] + ups[:1], "silu", 3,
                             selected, 0.5)
     # The attention rows as the base of a second call, with gates of other
-    # rows and a residual; adapters 1 and 4 idle.
+    # rows and a feed-forward of x as the residual; adapters 1 and 4 idle.
+    ffn = feed_forward(x, b, proj, "silu")
     second = adapter_mixture(att, gates, [1, 0, 2], [0, 1, 1], [0, 1, 1, 2, 3, 3], downs, ups,
-                             "gelu", 2, residual=take_rows(x, [2, 0]))
+                             "gelu", 2, residual=take_rows(ffn, [2, 0]))
     stacked = concat_rows([second, mixed])
     # squaring keeps the relu input >= 0.3, clear of its kink at 0
     relu_part = activation(add(mul(stacked, stacked), 0.3), "relu")
@@ -100,8 +101,15 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     balance = gate_balance([[(gates, [0, 2]), (att_gates, None)], [(gates, [1])]],
                            [[[0.6, 1.2, 0.9, 1.5, 0.3]], [[1.1, 0.4, 0.8, 1.3, 0.7]]])
     ce = masked_cross_entropy(logits, [1, 0, 3, 4, 2], [1.0, 0.0, 1.0, 0.5, 1.0])
+    # An attention sublayer over h: five heads, gain as its norm, and rows
+    # 0-1 and row 2 as two packed sequences.
+    wide = mul(matmul(proj, b), 0.4)
+    sublayer = attention_block(h, gain, wide, take_rows(b, [0, 1, 2, 3, 1]),
+                               take_rows(b, [3, 2, 1, 0, 2]), mul(wide, -0.5),
+                               [[0.0, -1.0e30, -1.0e30], [0.0, 0.0, -1.0e30],
+                                [-1.0e30, -1.0e30, 0.0]], 5)
     # ``scale`` reaches the loss through a product of two scalar sums.
-    reg = mul(tensor_sum(mul(h, h)), tensor_sum(activation(scale, "gelu")))
+    reg = mul(tensor_sum(mul(h, sublayer)), tensor_sum(activation(scale, "gelu")))
     return add(add(ce, mul(reg, 1.0 / 600.0)), mul(balance, 0.1))
 
 

@@ -5,10 +5,13 @@ nothing recorded for a backward pass."""
 import numpy as np
 import pytest
 
+from conftest import attention_chain, feed_forward_chain
+from moce import layer as layer_module
+from moce import model as model_module
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.layer import RoutingRecord
 from moce.model import DenseBaseModel, KVCache, ModelConfig, greedy_decode, upcycle_init
-from moce.tensor import Tensor, add, matmul, no_grad
+from moce.tensor import Tensor, add, backward, matmul, no_grad, tensor_sum
 
 CONFIGS = [
     dict(mode="topk", top_k=1),
@@ -174,3 +177,59 @@ def test_no_prefix_is_recomputed(top_k):
     for layer in model.layers:
         rows = sum(e.rows_processed for e in adapters(layer))
         assert rows == top_k * (len(prompt) + generated - 1)
+
+
+def cached_logits(model, ids, prompt_len, group):
+    """Every step's logits, as bytes, of a cached decode that reads the
+    prompt in one forward and then feeds ``ids`` one row at a time."""
+    cache = KVCache(model.cfg.n_layers)
+    with no_grad():
+        steps = [model.forward(ids[:prompt_len], group, cache=cache).data.tobytes()]
+        steps += [model.forward([i], group, cache=cache).data.tobytes() for i in ids[prompt_len:]]
+    return steps
+
+
+@pytest.mark.parametrize("overrides", CONFIGS)
+def test_in_place_cache_matches_the_concat_cache(overrides, monkeypatch):
+    """Whole decodes through the fused ops with K/V written in place give
+    logits byte-equal to the op chains with K/V joined by ``concat_rows``."""
+    cfg = micro_cfg(**overrides)
+    rng = np.random.default_rng(3 + len(str(overrides)))
+    runs = []
+    for trial in range(3):
+        ids = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len).tolist()
+        runs.append((trained_like(cfg, seed=20 + trial), ids, int(rng.integers(1, 6)),
+                     int(rng.integers(cfg.n_groups))))
+    fused = [cached_logits(*run) for run in runs]
+
+    stores = {}
+
+    def chain_attend(block, x, mask, cache=None):
+        store = None if cache is None else stores.setdefault(id(cache[0]), {})
+        return attention_chain(x, block.norm, block.wq, block.wk, block.wv, block.wo, mask,
+                               block.n_heads, store)
+
+    monkeypatch.setattr(model_module._Block, "attend", chain_attend)
+    monkeypatch.setattr(layer_module.FeedForward, "forward",
+                        lambda ffn, x: feed_forward_chain(x, ffn.w1, ffn.w2, ffn.act))
+    for run, want in zip(runs, fused):
+        stores.clear()
+        assert cached_logits(*run) == want
+        assert len(stores) == cfg.n_layers
+
+
+def test_cached_forward_has_no_gradient():
+    """A cached forward outside ``no_grad`` gives the same logits as one
+    inside it, and a backward through it raises: no gradient reaches the
+    cached rows."""
+    cfg = micro_cfg()
+    model = trained_like(cfg, seed=6)
+    quiet, recorded = KVCache(cfg.n_layers), KVCache(cfg.n_layers)
+    with no_grad():
+        model.forward([1, 2, 3], 0, cache=quiet)
+        want = model.forward([4], 0, cache=quiet).data
+    model.forward([1, 2, 3], 0, cache=recorded)
+    logits = model.forward([4], 0, cache=recorded)
+    assert logits.data.tobytes() == want.tobytes() and recorded.length == 4
+    with pytest.raises(ContractError, match="K/V cache"):
+        backward(tensor_sum(logits))

@@ -1,5 +1,8 @@
-"""The fused ops against the op chains they replace: ``attention`` against
-one matmul-softmax-matmul chain per head, ``adapter_mixture`` against one
+"""The fused ops against the op chains they replace: ``attention_block``
+against rmsnorm, projections, attention, projection and residual as
+separate ops, ``feed_forward`` against matmul, activation and matmul,
+``attention`` against one matmul-softmax-matmul chain per head,
+``adapter_mixture`` against one
 gather-matmul-activation-matmul chain per expert with the weighting and
 the scatter back to rows spelled out in plain ops, ``router_gates``
 against one gather-matmul-softmax chain per router, and ``gate_balance``
@@ -8,17 +11,17 @@ against ones-matmul column sums added, weighted and summed."""
 import numpy as np
 import pytest
 
-from conftest import softmax
+from conftest import (activation, attention, attention_chain, concat_rows, feed_forward_chain,
+                      softmax)
 from moce import tensor
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.tensor import (
     Tensor,
-    activation,
     adapter_mixture,
     add,
-    attention,
+    attention_block,
     backward,
-    concat_rows,
+    feed_forward,
     gate_balance,
     matmul,
     mul,
@@ -94,13 +97,69 @@ def cached_mask(rows, cached):
     return np.where(np.tri(rows, cached + rows, cached, dtype=bool), 0.0, NEG)
 
 
-def run(fn, arrays, weight):
+def run(fn, arrays, weight, frozen=()):
     """Forward ``fn`` on fresh leaves, back-propagate sum(out * weight), and
-    return the output with every leaf's gradient."""
-    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    return the output with every leaf's gradient; the leaves whose index is
+    in ``frozen`` take no gradient."""
+    leaves = [Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
     out = fn(leaves)
     backward(tensor_sum(mul(out, Tensor(weight))))
     return out.data, [leaf.grad for leaf in leaves]
+
+
+def assert_same_bytes(fused, fused_grads, ref, ref_grads):
+    assert fused.tobytes() == ref.tobytes()
+    for got, want in zip(fused_grads, ref_grads):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("frozen", [(), (1, 2, 3, 4, 5)], ids=["dense", "frozen"])
+def test_attention_block_matches_its_chain(n_heads, frozen):
+    """``attention_block`` equals its op chain byte for byte over packed
+    blocks of one to three sequences: the output, x's gradient, and with
+    every weight trainable each weight's gradient (z gathers the q, k and
+    v terms in that order)."""
+    rng = np.random.default_rng(n_heads + len(frozen))
+    d = 4 * n_heads
+    for trial in range(6):
+        lengths = rng.integers(1, 6, size=1 + trial % 3)
+        mask = packed_mask(lengths)
+        rows = int(lengths.sum())
+        arrays = ([rng.standard_normal((rows, d)), rng.random(d) + 0.5]
+                  + [rng.standard_normal((d, d)) * d ** -0.5 for _ in range(4)])
+        weight = rng.standard_normal((rows, d))
+        fused = run(lambda p: attention_block(*p, mask, n_heads), arrays, weight, frozen)
+        ref = run(lambda p: attention_chain(*p, mask, n_heads), arrays, weight, frozen)
+        assert_same_bytes(*fused, *ref)
+
+
+@pytest.mark.parametrize("act", ["gelu", "relu", "silu"])
+def test_feed_forward_matches_its_chain(act):
+    """``feed_forward`` equals matmul, activation and matmul byte for byte:
+    the output and every gradient, with trainable and with frozen weights."""
+    rng = np.random.default_rng(len(act))
+    for trial in range(6):
+        rows, d, hidden = int(rng.integers(1, 9)), 5, 7
+        arrays = [rng.standard_normal((rows, d)), rng.standard_normal((d, hidden)),
+                  rng.standard_normal((hidden, d))]
+        weight = rng.standard_normal((rows, d))
+        frozen = [(), (1, 2), (0,)][trial % 3]
+        fused = run(lambda p: feed_forward(*p, act), arrays, weight, frozen)
+        ref = run(lambda p: feed_forward_chain(*p, act), arrays, weight, frozen)
+        assert_same_bytes(*fused, *ref)
+
+
+def test_feed_forward_checks_its_inputs():
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="do not chain"):
+        feed_forward(x, Tensor(np.ones((4, 5))), Tensor(np.ones((5, 3))), "gelu")
+    with pytest.raises(ShapeError, match="do not chain"):
+        feed_forward(x, Tensor(np.ones((3, 5))), Tensor(np.ones((4, 3))), "gelu")
+    with pytest.raises(ContractError, match="unknown activation"):
+        feed_forward(x, Tensor(np.ones((3, 5))), Tensor(np.ones((5, 3))), "tanh")
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 3])
@@ -306,17 +365,34 @@ def test_router_gates_and_gate_balance_check_their_inputs():
 
 
 def test_attention_checks_its_inputs():
+    """``attention_block`` rejects a mask of the wrong shape or with
+    non-finite entries, a head count that does not divide d, a norm or a
+    projection of the wrong shape, and rows past the end of the cache
+    buffers; a rejected call writes no cache row."""
     rng = np.random.default_rng(0)
-    q, kv = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((3, 4)))
-    mask = cached_mask(2, 1)
+    x, norm = Tensor(rng.standard_normal((2, 4))), Tensor(np.ones(4))
+    ws = [Tensor(rng.standard_normal((4, 4))) for _ in range(4)]
+    mask = cached_mask(2, 0)
+
+    def block(mask=mask, n_heads=2, cache=None, norm=norm, ws=ws):
+        return attention_block(x, norm, *ws, mask, n_heads, cache)
+
     with pytest.raises(ShapeError, match="mask must have shape"):
-        attention(q, kv, kv, mask[:, :2], 2)
-    with pytest.raises(ShapeError, match="equal"):
-        attention(q, kv, Tensor(rng.standard_normal((2, 4))), mask, 2)
+        block(mask=mask[:, :1])
     with pytest.raises(ContractError, match="head count"):
-        attention(q, kv, kv, mask, 3)
+        block(n_heads=3)
     with pytest.raises(NumericError, match="non-finite"):
-        attention(q, kv, kv, np.where(mask < 0, -np.inf, 0.0), 2)
+        block(mask=np.where(mask < 0, -np.inf, 0.0))
+    with pytest.raises(ShapeError, match="norm"):
+        block(norm=Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="projections"):
+        block(ws=[ws[0], ws[1], Tensor(np.ones((4, 3))), ws[3]])
+    keys, values = np.zeros((3, 4)), np.zeros((3, 4))
+    with pytest.raises(ShapeError, match="cannot add 2 rows after 2"):
+        block(mask=cached_mask(2, 2), cache=(keys, values, 2))
+    with pytest.raises(ShapeError, match="mask must have shape"):
+        block(cache=(keys, values, 1))
+    assert not keys.any() and not values.any()
 
 
 def test_adapter_bank_checks_its_inputs():

@@ -333,3 +333,39 @@ def test_one_router_call_per_layer(monkeypatch):
         generated += len(greedy_decode(model, prompt, 0, mcfg.max_seq_len, eos_id=-1)) - len(prompt)
     assert generated > 0
     assert len(ops) / generated <= 35, len(ops) / generated
+
+
+def test_one_op_per_sublayer(monkeypatch):
+    """On the criterion-8 shapes a decoded token costs at most 15 engine ops
+    (3 to embed; per block ``attention_block``, ``feed_forward``,
+    ``router_gates``, ``adapter_mixture`` and ``add``; ``rmsnorm`` and the
+    head's ``matmul``; 34.9 with the attention and feed-forward op chains),
+    and one adapter step records at most 14 tape nodes (22 with the
+    chains)."""
+    cfg = RunConfig(seed=0, n_groups=2, d_model=24, n_layers=2, n_heads=2, d_ff=48,
+                    n_experts=4, adapter_rank=4, top_k=2, batch_size=8)
+    mcfg = model_config_from(cfg, 2)
+    model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
+    records = make_two_dialect_corpus(100, seed=0)
+    examples = [training_pair(encode_example(r)) for r in records]
+    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    record = RoutingRecord()
+    logits = model.forward(inputs, [i % 2 for i in range(8)], record)
+    loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
+    assert _tape_nodes(loss) <= 14, _tape_nodes(loss)
+
+    ops = []
+    result = tensor._result
+
+    def counted(data, parents, backward_fn, op):
+        ops.append(op)
+        return result(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(tensor, "_result", counted)
+    generated = 0
+    for r in records[:5]:
+        prompt = prompt_ids(r)
+        generated += len(greedy_decode(model, prompt, 0, mcfg.max_seq_len, eos_id=-1)) - len(prompt)
+    assert generated > 0
+    assert ops.count("attention_block") == ops.count("feed_forward[gelu]") == mcfg.n_layers * generated
+    assert len(ops) / generated <= 15, len(ops) / generated
