@@ -51,7 +51,7 @@ from .model import (
     upcycle_init,
 )
 from .optim import Adam
-from .tensor import Tensor, backward, finite_difference_gradient
+from .tensor import Tensor, backward
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "elbow_select",
     "embed_dataset",
     "embed_sequence",
-    "finite_difference_gradient",
     "greedy_decode",
     "ingest_dataset",
     "kmeans_fit",

@@ -5,9 +5,13 @@ cluster index maps one-to-one onto an expert group. Fitting is k-means++
 seeding with restarts, then Lloyd iteration whose centroid update is one
 vectorised product over all clusters; the objective (sum of squared
 distances to the assigned centroid) is asserted non-increasing at every
-step, so a regression in the update rule fails loudly. The elbow sweep
-warm-starts each k from the k - 1 winner, which keeps its SSE curve
-non-increasing.
+step, so a regression in the update rule fails loudly. Nearest-centroid
+assignment ranks the centroids by one Gram product and computes the exact
+broadcast distances again only for rows whose two best centroids lie
+within a proven rounding bound, so every label is the broadcast's, ties
+to the lower index. The elbow sweep warm-starts each k from the k - 1
+winner, which keeps its SSE curve non-increasing. Input rows holding NaN
+or inf are rejected before any fit.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ KMEANS_VERSION = "v1"
 _MAX_ITERS = 100
 # Restarts per elbow attempt; a lone kmeans_fit keeps its default of 10.
 _ELBOW_RESTARTS = 3
+# Unit roundoff of float64 and its smallest subnormal, for _assign's bound.
+_UNIT = 2.0 ** -53
+_TINY = 2.0 ** -1074
 
 
 @dataclass
@@ -72,14 +79,69 @@ class ElbowReport:
 def sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     """Sum of squared distances from each point to its assigned centroid."""
     diffs = points - centroids[labels]
-    return float(np.sum(diffs * diffs))
+    np.multiply(diffs, diffs, out=diffs)
+    return float(np.add.reduce(diffs, axis=None))
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # argmin returns the first minimiser, which is the tie-break contract:
-    # equal distances go to the lower cluster index.
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+def _distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances by broadcast, the reference that fixes every label:
+    each (point, centroid) entry is its own d-term sum, so any subset of
+    rows gets the bits it gets in the full (n, k) array."""
+    return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+
+
+def _max_sq_norm(points: np.ndarray) -> float:
+    return float(np.add.reduce(points * points, axis=1).max(initial=0.0))
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray, p2max: float) -> np.ndarray:
+    """Label each point with ``argmin(_distances(points, centroids))``, so
+    equal distances go to the lower cluster index, without building the
+    (n, k, d) array for rows whose nearest centroid is clear.
+
+    ``p2max`` is max |p|^2 over ``points``, which must be finite. Each row
+    ranks the centroids by H = p (-2 C^T) + |c|^2, one matrix product for
+    all rows. H_j is D_j - |p|^2, where D_j = |p - c_j|^2, so the shift is
+    the same for every centroid of the row. A row keeps argmin(H) when
+    the gap between its two smallest H entries exceeds ``bound``; every
+    other row gets the reference distances, on that row only.
+
+    Why that label is the reference's. Let g_m = m u / (1 - m u), with u
+    = 2^-53, and m = d + 2. The reference's differences, squares and sum
+    give |fl(D_j) - D_j| <= g_m D_j, in any summation order, since every
+    term is non-negative. The product and |c_j|^2 in any order, plus the
+    final add (multiplying by -2 is exact), give
+    |fl(H_j) - (D_j - |p|^2)| <= g_m (2 |p| |c_j| + |c_j|^2). Gradual
+    underflow adds at most 2^-1075 per rounded product or square, under
+    m 2^-1074 per quantity. Let j* be argmin(H) and j any other index.
+    With 2 |p| |c| <= |p|^2 + |c|^2 and D <= 2 (|p|^2 + |c|^2), the
+    errors of H_j, H_j*, fl(D_j) and fl(D_j*) sum to less than
+    8 g_m (P + C) + 4 m 2^-1074, where P = max |p|^2 and C = max |c|^2.
+    So if fl(H_j) - fl(H_j*) exceeds that, fl(D_j) > fl(D_j*) strictly
+    and the reference picks j* too. ``bound`` is twice that sum, and the
+    factor 2 absorbs the rounding of the bound itself, of P and C and of
+    the gap. A non-finite bound fails every gap test. H is finite while
+    P + C <= 2^1000, since then |H| < 2 (P + C) (1 + g_m)^2; above that,
+    rows with a non-finite entry of H take the reference path.
+    """
+    n, k = points.shape[0], centroids.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.intp)
+    c2 = np.add.reduce(centroids * centroids, axis=1)
+    h = points @ (-2.0 * centroids.T)
+    h += c2
+    labels = h.argmin(axis=1)
+    m = points.shape[1] + 2
+    scale = p2max + float(c2.max())
+    bound = 2.0 * (8.0 * m * _UNIT / (1.0 - m * _UNIT) * scale + 4.0 * m * _TINY)
+    two = np.partition(h, 1, axis=1)
+    exact = ~(two[:, 1] - two[:, 0] > bound)
+    if not scale <= 2.0 ** 1000:
+        exact |= ~np.isfinite(h).all(axis=1)
+    if exact.any():
+        rows = np.flatnonzero(exact)
+        labels[rows] = _distances(points[rows], centroids).argmin(axis=1)
+    return labels
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,25 +183,30 @@ def _update(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> No
     """Move each non-empty cluster's centroid to its members' mean, in place.
 
     One (k, n) one-hot product sums every cluster at once; an empty
-    cluster's centroid stays where it is.
+    cluster's centroid stays where it is. Lloyd repairs empty clusters
+    before each update, so it always takes the unmasked division.
     """
     k = centroids.shape[0]
     counts = np.bincount(labels, minlength=k)
     onehot = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
+    if counts.all():
+        np.divide(onehot @ points, counts[:, None], out=centroids)
+        return
     filled = counts > 0
     centroids[filled] = (onehot @ points)[filled] / counts[filled, None]
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.ndarray, list[float], int]:
     centroids = centroids.copy()
-    labels = _assign(points, centroids)
+    p2max = _max_sq_norm(points)
+    labels = _assign(points, centroids, p2max)
     labels = _repair_empty(points, centroids, labels)
     history = [sse(points, centroids, labels)]
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
         _update(points, centroids, labels)
-        new_labels = _assign(points, centroids)
+        new_labels = _assign(points, centroids, p2max)
         new_labels = _repair_empty(points, centroids, new_labels)
         current = sse(points, centroids, new_labels)
         if current > history[-1] + 1e-9 * max(1.0, history[-1]):
@@ -148,7 +215,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float
                 f"{history[-1]:.12g} -> {current:.12g}"
             )
         history.append(current)
-        if np.array_equal(new_labels, labels):
+        if (new_labels == labels).all():
             labels = new_labels
             break
         if tol > 0.0 and history[-2] - history[-1] <= tol:
@@ -168,9 +235,7 @@ def kmeans_fit(embeddings, k: int, seed: int, max_iters: int = _MAX_ITERS, tol: 
     finds local optima, so ``n_init`` seeded restarts run and the lowest
     final objective wins; every restart seed derives from ``seed``.
     """
-    points = embeddings.matrix() if hasattr(embeddings, "matrix") else np.asarray(embeddings, dtype=np.float64)
-    if points.ndim != 2:
-        raise ContractError(f"expected an (n, d) embedding matrix, got shape {points.shape}")
+    points = _points(embeddings)
     n = points.shape[0]
     if k < 1:
         raise ContractError(f"cluster count must be positive, got {k}")
@@ -200,15 +265,27 @@ def kmeans_fit(embeddings, k: int, seed: int, max_iters: int = _MAX_ITERS, tol: 
 
 def kmeans_predict(model: KMeansModel, vectors) -> ClusterAssignment:
     """Assign each vector to its nearest centroid, lowest index on ties."""
-    points = vectors.matrix() if hasattr(vectors, "matrix") else np.asarray(vectors, dtype=np.float64)
-    single = points.ndim == 1
-    if single:
-        points = points[None, :]
+    points = _points(vectors, allow_vector=True)
     if points.shape[1] != model.dimension:
         raise ContractError(
             f"vectors have dimension {points.shape[1]}, model expects {model.dimension}"
         )
-    return ClusterAssignment(labels=_assign(points, model.centroids))
+    return ClusterAssignment(labels=_assign(points, model.centroids, _max_sq_norm(points)))
+
+
+def _points(vectors, allow_vector: bool = False) -> np.ndarray:
+    """The (n, d) float64 matrix of ``vectors``, an array or anything with
+    a ``matrix()`` method; with ``allow_vector`` one (d,) vector is one row.
+    A row holding NaN or inf raises, which ``_assign``'s bound relies on."""
+    points = vectors.matrix() if hasattr(vectors, "matrix") else np.asarray(vectors, dtype=np.float64)
+    if allow_vector and points.ndim == 1:
+        points = points[None, :]
+    if points.ndim != 2:
+        raise ContractError(f"expected an (n, d) embedding matrix, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"embedding row {int(np.argmin(finite))} is not finite")
+    return points
 
 
 def elbow_curvature(sse_curve: list[float]) -> dict[int, float]:
@@ -231,7 +308,7 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
     the report keeps the selected k's winning fit. ``violations`` lists any
     k whose SSE still rose, which only a broken invariant can cause.
     """
-    points = embeddings.matrix() if hasattr(embeddings, "matrix") else np.asarray(embeddings, dtype=np.float64)
+    points = _points(embeddings)
     if k_max < 3:
         raise ContractError(f"elbow selection needs k_max >= 3, got {k_max}")
     if points.shape[0] < k_max:
@@ -271,7 +348,7 @@ def _warm_fit(points: np.ndarray, previous: KMeansModel, seed: int) -> KMeansMod
     """Lloyd from ``previous``'s centroids plus the point farthest from its
     assigned centroid (the first such point on ties)."""
     centroids = previous.centroids
-    d2 = np.sum((points - centroids[_assign(points, centroids)]) ** 2, axis=1)
+    d2 = np.sum((points - centroids[_assign(points, centroids, _max_sq_norm(points))]) ** 2, axis=1)
     start = np.vstack([centroids, points[int(np.argmax(d2))]])
     centroids, _, history, iterations = _lloyd(points, start, _MAX_ITERS, 0.0)
     return KMeansModel(k=start.shape[0], dimension=points.shape[1], seed=seed, centroids=centroids,

@@ -134,18 +134,6 @@ def _top_k_order(gates: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-gates, axis=1, kind="stable")[:, :k]
 
 
-def top_k_mask(gates: np.ndarray, k: int) -> np.ndarray:
-    """0/1 selection mask keeping the k largest entries per row."""
-    if gates.ndim != 2:
-        raise ShapeError(f"expected (tokens, experts) gate values, got shape {gates.shape}")
-    n = gates.shape[1]
-    if not (1 <= k <= n):
-        raise ContractError(f"top-k needs 1 <= k <= {n}, got k={k}")
-    mask = np.zeros_like(gates)
-    np.put_along_axis(mask, _top_k_order(gates, k), 1.0, axis=1)
-    return mask
-
-
 @dataclass
 class _RouterStats:
     """Per-router accumulators backing the balance loss and the reports:
@@ -401,10 +389,6 @@ class MoCELayer:
         x, for any k, the property upcycled initialisation relies on.
         """
         return self._group_path(x, self.base_ffn.forward(x), group_id, record)
-
-    def general_path(self, x: Tensor, record: RoutingRecord | None = None) -> Tensor:
-        """The always-on second path: gated sum of full general-expert outputs."""
-        return self._general_path(x, self.base_ffn.forward(x), record)
 
     def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
         """Two-path output: the group path plus the general path, over one base FFN pass."""

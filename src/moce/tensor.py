@@ -635,28 +635,3 @@ def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: 
 
     return _result(data * scale if scale != 1.0 else data, parents, grad_fn,
                    f"adapter_mixture[{act}]")
-
-
-# -- the numerical oracle ----------------------------------------------
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    This is the independent oracle the analytic backward pass is checked
-    against; it never touches the graph machinery.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"finite_difference_gradient: non-finite objective at coordinate {i}")
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad

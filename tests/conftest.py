@@ -1,7 +1,9 @@
-"""Shared test helpers: gradient checking against the finite-difference
-oracle, test-local ops for reference chains (``softmax``, ``activation``,
-``concat_rows`` and ``attention``, none of which a model path runs), the
-op chains the fused ``attention_block`` and ``feed_forward`` replace, and
+"""Shared test helpers: the finite-difference oracle and gradient checking
+against it, test-local ops for reference chains (``softmax``,
+``activation``, ``concat_rows`` and ``attention``, none of which a model
+path runs), the op chains the fused ``attention_block`` and
+``feed_forward`` replace, ``top_k_mask`` and ``general_path``, which no
+model path calls either, the broadcast nearest-centroid reference, and
 synthetic cluster geometry."""
 
 import itertools
@@ -9,8 +11,52 @@ import itertools
 import numpy as np
 
 from moce import tensor
-from moce.errors import ShapeError
-from moce.tensor import Tensor, add, backward, finite_difference_gradient, matmul, rmsnorm
+from moce.errors import ContractError, NumericError, ShapeError
+from moce.layer import _top_k_order
+from moce.tensor import Tensor, add, backward, matmul, rmsnorm
+
+
+def finite_difference_gradient(f, x, h=1e-5):
+    """Central-difference gradient of a scalar function, one coordinate at a time.
+
+    This is the independent oracle the analytic backward pass is checked
+    against; it never touches the graph machinery.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"finite_difference_gradient: non-finite objective at coordinate {i}")
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def top_k_mask(gates, k):
+    """0/1 selection mask keeping the k largest entries per row, in the
+    order the router's dispatch selects them."""
+    if gates.ndim != 2:
+        raise ShapeError(f"expected (tokens, experts) gate values, got shape {gates.shape}")
+    n = gates.shape[1]
+    if not (1 <= k <= n):
+        raise ContractError(f"top-k needs 1 <= k <= {n}, got k={k}")
+    mask = np.zeros_like(gates)
+    np.put_along_axis(mask, _top_k_order(gates, k), 1.0, axis=1)
+    return mask
+
+
+def general_path(layer, x, record=None):
+    """``layer``'s always-on second path alone: the gated sum of full
+    general-expert outputs, the half of ``variant_forward`` past the group
+    path."""
+    return layer._general_path(x, layer.base_ffn.forward(x), record)
 
 
 def softmax(a, axis=-1):
@@ -123,6 +169,12 @@ def gradcheck(build_loss, arrays, h=1e-5, coords=None, rng=None):
                 numeric_j = (fp - fm) / (2.0 * h)
                 worst = max(worst, relative_error(analytic[i].reshape(-1)[j], numeric_j))
     return worst
+
+
+def nearest_reference(points, centroids):
+    """Nearest centroid per row by the (n, k, d) broadcast, lowest index on
+    ties: the labels the Gram assignment must reproduce."""
+    return np.argmin(np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2), axis=1)
 
 
 def make_planted_blobs(n_centers, n_points, dim, radius, rng, sep_factor=10.0):

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (activation, attention, concat_rows, exhaustive_two_means, make_planted_blobs,
-                      relative_error)
+from conftest import (activation, attention, concat_rows, exhaustive_two_means, general_path,
+                      make_planted_blobs, relative_error, top_k_mask)
 from moce.clustering import elbow_select, kmeans_fit, kmeans_predict, load_kmeans, save_kmeans
 from moce.data import make_two_dialect_corpus, split_dataset
 from moce.embedding import embed_dataset
@@ -22,7 +22,6 @@ from moce.layer import (
     MoCELayer,
     RoutingRecord,
     load_balance_loss,
-    top_k_mask,
 )
 from moce.model import (
     DenseBaseModel,
@@ -233,7 +232,7 @@ class TestCriterion2RoutingInvariants:
             general = ExpertGroup.init(d, n, 3, rng)
             with_gen = MoCELayer(groups, base, k=k, mode="topk", general_group=general)
             v = with_gen.variant_forward(x, 1)
-            parts = add(with_gen.forward(x, 1), with_gen.general_path(x))
+            parts = add(with_gen.forward(x, 1), general_path(with_gen, x))
             worst_variant = max(worst_variant, float(np.max(np.abs(v.data - parts.data))))
 
             out = layer.forward(x, 2)

@@ -1,5 +1,6 @@
 """K-means fit quality against exhaustive enumeration, elbow selection on
-planted structure, and the persistence format."""
+planted structure, nearest-centroid labels against the broadcast
+reference, and the persistence format."""
 
 import hashlib
 import re
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_two_means, make_planted_blobs
+from conftest import exhaustive_two_means, make_planted_blobs, nearest_reference
+from moce import clustering
 from moce.clustering import (
     ElbowReport,
     KMeansModel,
+    _distances,
     _kmeanspp_init,
     _lloyd,
     _update,
@@ -26,7 +29,14 @@ from moce.clustering import (
 )
 from moce.data import make_two_dialect_corpus, split_dataset
 from moce.embedding import embed_dataset
-from moce.errors import ContractError, FormatError
+from moce.errors import ContractError, FormatError, NumericError
+
+
+def bench_embeddings(seed):
+    """The embeddings of one cluster-elbow corpus: 2x40 two-dialect
+    instructions, d_e 64, both seeded by ``seed``."""
+    records = make_two_dialect_corpus(40, seed)
+    return embed_dataset([(r.record_id, r.instruction) for r in records], d_e=64, seed=seed).matrix()
 
 
 def sse_oracle(points, centroids, labels):
@@ -133,6 +143,41 @@ class TestKMeansFit:
             model = kmeans_fit(emb, 2, seed=seed)
             assert hashlib.sha256(model.centroids.tobytes()).hexdigest() == digest, seed
 
+    def test_lean_update_and_sse_keep_their_bits(self):
+        """With every cluster filled, the unmasked division gives the bits of
+        the masked update, and ``sse`` those of ``np.sum(diffs * diffs)``,
+        over 300 random shapes and scales."""
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            n, d = int(rng.integers(1, 50)), int(rng.integers(1, 20))
+            k = int(rng.integers(1, n + 1))
+            labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
+            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-100, 100)
+            centroids = rng.normal(size=(k, d))
+            onehot = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
+            expected = (onehot @ points) / np.bincount(labels, minlength=k)[:, None]
+            _update(points, centroids, labels)
+            assert centroids.tobytes() == expected.tobytes(), case
+            diffs = points - centroids[labels]
+            assert sse(points, centroids, labels) == float(np.sum(diffs * diffs)), case
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_rejected_before_any_fit(self, bad, monkeypatch):
+        """kmeans_fit, elbow_select and kmeans_predict name the first row
+        holding NaN or inf; elbow_select starts no fit."""
+        points = np.arange(24.0).reshape(12, 2)
+        model = kmeans_fit(points, 2, seed=0)
+        points[3, 1] = points[6, 0] = bad
+        with pytest.raises(NumericError, match="row 3 is not finite"):
+            kmeans_fit(points, 2, seed=0)
+        with pytest.raises(NumericError, match="row 3 is not finite"):
+            kmeans_predict(model, points)
+        with pytest.raises(NumericError, match="row 0 is not finite"):
+            kmeans_predict(model, np.array([bad, 0.0]))
+        monkeypatch.setattr(clustering, "kmeans_fit", None)
+        with pytest.raises(NumericError, match="row 3 is not finite"):
+            elbow_select(points, k_max=3, seed=0)
+
     def test_prediction_tie_breaks_to_lower_index(self):
         model = KMeansModel(
             k=2, dimension=1, seed=0,
@@ -218,6 +263,114 @@ class TestElbow:
             elbow_select(np.zeros((20, 2)), k_max=2, seed=0)
         with pytest.raises(ContractError):
             elbow_select(np.zeros((4, 2)), k_max=8, seed=0)
+
+    def test_k_max_sweep_keeps_its_bytes(self):
+        """elbow_select(k_max=8) on three cluster-elbow corpora (selected k
+        2, 3 and 4): the SSE curve and the selected fit's centroids keep the
+        bytes of the broadcast assignment the Gram path replaced."""
+        digests = {
+            0: ("44424747289ea8a12b1cf3e3719d1994fe10ab1bdc2780c2e244ecb694c36b06",
+                "567717328894fe73a82503f995d02e2bb85d8dfa1bfb24cc7a98d6836f06b68c"),
+            1: ("5287ae9e68432cb7742ef021a7e9fb97eb03e6a46d6e336a4167e2e0dff486a8",
+                "e69a0c3310a2fac41216bb00de0f7c6c1b78153f36a114a4ec1e094a6059be97"),
+            7: ("0967775fc49720eee545cb2295e646cb459638cd0f403054e34585e838c25536",
+                "03957a37ff8cc15414dada13cd80008304808219c38469df95754660f4fe40bc"),
+        }
+        for seed, (curve_digest, centroid_digest) in digests.items():
+            report = elbow_select(bench_embeddings(seed), k_max=8, seed=seed)
+            curve = np.array(report.sse_curve, dtype=np.float64)
+            assert hashlib.sha256(curve.tobytes()).hexdigest() == curve_digest, seed
+            assert hashlib.sha256(report.fit.centroids.tobytes()).hexdigest() == centroid_digest, seed
+
+
+def _gram_case(data):
+    """Points and centroids for the Gram property at scales from 1e-150 to
+    1e150: random; duplicated points with centroids on them; exact ties;
+    mirrored centroids, whose ties rounding breaks; or centroids 0.01 off
+    data points."""
+    n, d, k = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+    layout = data.draw(st.sampled_from(["random", "duplicated", "tied", "mirrored", "near points"]))
+    exponent = data.draw(st.floats(-150.0, 150.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points, centroids = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+    if layout == "duplicated":
+        points = points[rng.integers(0, max(1, n // 3), size=n)]
+        centroids = points[rng.integers(0, n, size=k)]
+    elif layout == "tied":
+        # Small integers times a power of two: every difference, product and
+        # sum is exact, so each point x is exactly as far from x + v as
+        # from x - v, and the lower index must win.
+        scale = 2.0 ** round(exponent * np.log2(10.0))
+        points = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+        x, v = points[rng.integers(n)], rng.integers(-2, 3, size=d)
+        centroids[0::2], centroids[1::2] = x + v, x - v
+        return points * scale, centroids * scale
+    elif layout == "mirrored":
+        # Real-valued x +- v: the two distances from x agree in exact
+        # arithmetic, and rounding decides the label, differently in the
+        # broadcast and in the Gram product.
+        x, v = points[rng.integers(n)], rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1)
+        centroids[0::2], centroids[1::2] = x + v, x - v
+        points[rng.random(n) < 0.5] = x
+    elif layout == "near points":
+        centroids = points[rng.integers(0, n, size=k)] + 0.01
+    return points * 10.0 ** exponent, centroids * 10.0 ** exponent
+
+
+class TestGramAssignment:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_labels_match_the_broadcast_reference(self, data):
+        """Gram labels are the broadcast argmin's, ties to the lower index."""
+        points, centroids = _gram_case(data)
+        model = KMeansModel(k=centroids.shape[0], dimension=points.shape[1], seed=0,
+                            centroids=centroids, final_sse=0.0, iterations=0)
+        labels = kmeans_predict(model, points).labels
+        assert labels.tobytes() == nearest_reference(points, centroids).tobytes()
+
+    def test_labels_match_on_the_near_tie_probe(self):
+        """Corpus seed 3 with k=4 centroids 0.01 off its first four points has
+        rows whose two nearest centroids tie exactly; there the Gram argmin
+        alone got a label wrong, and the re-check gives the reference's."""
+        points = bench_embeddings(3)
+        for k in (2, 4, 8):
+            centroids = points[:k] + 0.01
+            model = KMeansModel(k=k, dimension=64, seed=0, centroids=centroids, final_sse=0.0, iterations=0)
+            assert np.array_equal(kmeans_predict(model, points).labels, nearest_reference(points, centroids)), k
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_distances_of_a_row_subset_keep_their_bits(self, data):
+        """Any subset of rows gets the bits those rows have in the full
+        broadcast, which is what lets the re-check run on its rows alone."""
+        points, centroids = _gram_case(data)
+        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=points.shape[0],
+                                                 max_size=points.shape[0])))
+        full = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        assert _distances(points[rows], centroids).tobytes() == full[rows].tobytes()
+
+    def test_few_rows_reach_the_exact_recheck(self, monkeypatch):
+        """elbow_select(k_max=8) on the eight corpora of a cluster-elbow task
+        re-checks at most 5% of the rows it ranks: a bound loose enough to
+        undo the Gram path's gain fails here."""
+        ranked, rechecked = [], []
+        assign, distances = clustering._assign, clustering._distances
+
+        def spy_assign(points, centroids, p2max):
+            if centroids.shape[0] > 1:
+                ranked.append(points.shape[0])
+            return assign(points, centroids, p2max)
+
+        def spy_distances(points, centroids):
+            rechecked.append(points.shape[0])
+            return distances(points, centroids)
+
+        monkeypatch.setattr(clustering, "_assign", spy_assign)
+        monkeypatch.setattr(clustering, "_distances", spy_distances)
+        for seed in range(8):
+            elbow_select(bench_embeddings(seed), k_max=8, seed=seed)
+        assert sum(ranked) > 100_000
+        assert sum(rechecked) <= 0.05 * sum(ranked), (sum(rechecked), sum(ranked))
 
 
 class TestPersistence:

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import activation, attention, concat_rows, gradcheck, relative_error
+from conftest import activation, attention, concat_rows, finite_difference_gradient, gradcheck, relative_error
 from moce.errors import ContractError, NumericError, ShapeError, StateError
 from moce.tensor import (
     Tensor,
@@ -14,7 +14,6 @@ from moce.tensor import (
     attention_block,
     backward,
     feed_forward,
-    finite_difference_gradient,
     gate_balance,
     masked_cross_entropy,
     matmul,
