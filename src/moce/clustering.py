@@ -163,11 +163,15 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _repair_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Give each empty cluster the point currently farthest from its centroid."""
+def _repair_empty(points: np.ndarray, centroids: np.ndarray,
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Give each empty cluster the point currently farthest from its
+    centroid; returns the labels and their per-cluster counts, counted
+    again only when a repair moved a label."""
     k = centroids.shape[0]
-    if np.bincount(labels, minlength=k).all():
-        return labels
+    counts = np.bincount(labels, minlength=k)
+    if counts.all():
+        return labels, counts
     labels = labels.copy()
     for cluster in range(k):
         if np.any(labels == cluster):
@@ -176,18 +180,19 @@ def _repair_empty(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray)
         donor = int(np.argmax(dist))
         centroids[cluster] = points[donor]
         labels[donor] = cluster
-    return labels
+    return labels, np.bincount(labels, minlength=k)
 
 
-def _update(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> None:
+def _update(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+            counts: np.ndarray) -> None:
     """Move each non-empty cluster's centroid to its members' mean, in place.
 
-    One (k, n) one-hot product sums every cluster at once; an empty
-    cluster's centroid stays where it is. Lloyd repairs empty clusters
-    before each update, so it always takes the unmasked division.
+    ``counts`` holds each cluster's member count under ``labels``. One
+    (k, n) one-hot product sums every cluster at once; an empty cluster's
+    centroid stays where it is. Lloyd repairs empty clusters before each
+    update, so it always takes the unmasked division.
     """
     k = centroids.shape[0]
-    counts = np.bincount(labels, minlength=k)
     onehot = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
     if counts.all():
         np.divide(onehot @ points, counts[:, None], out=centroids)
@@ -200,14 +205,14 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float
     centroids = centroids.copy()
     p2max = _max_sq_norm(points)
     labels = _assign(points, centroids, p2max)
-    labels = _repair_empty(points, centroids, labels)
+    labels, counts = _repair_empty(points, centroids, labels)
     history = [sse(points, centroids, labels)]
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        _update(points, centroids, labels)
+        _update(points, centroids, labels, counts)
         new_labels = _assign(points, centroids, p2max)
-        new_labels = _repair_empty(points, centroids, new_labels)
+        new_labels, counts = _repair_empty(points, centroids, new_labels)
         current = sse(points, centroids, new_labels)
         if current > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise NumericError(

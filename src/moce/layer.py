@@ -9,10 +9,12 @@ of unselected experts are simply zero. Each expert is a bottleneck
 adapter over one shared frozen feed-forward block and contributes a
 residual update. Per layer and path one ``router_gates`` op scores a
 packed block for every group present, each group over its own rows, and
-one ``adapter_mixture`` op runs all their selected experts; experts that
-win no tokens do no work at all. ``RoutingRecord`` keeps plain arrays and
-references to the gate tensors, and the balance loss is one
-``gate_balance`` op over them.
+one ``adapter_mixture`` op takes each row's chosen experts, runs every
+selected expert once and adds the residual x; experts that win no tokens
+do no work at all. A routed layer is two engine ops beside its frozen
+feed-forward, and the two-path variant adds one more call and one ``add``.
+``RoutingRecord`` keeps plain arrays and references to the gate tensors,
+and the balance loss is one ``gate_balance`` op over them.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _top_k_order(gates: np.ndarray, k: int) -> np.ndarray:
     Ties resolve to the lowest expert index: the stable descending sort
     keeps equal values in original order.
     """
-    return np.argsort(-gates, axis=1, kind="stable")[:, :k]
+    return (-gates).argsort(axis=1, kind="stable")[:, :k]
 
 
 @dataclass
@@ -308,29 +310,28 @@ class MoCELayer:
         return f"L{self.layer_key}.{group_id}"
 
     def _dispatch(self, x: Tensor, base_out: Tensor, routes: list, k: int,
-                  include_residual: bool, record: RoutingRecord | None) -> Tensor:
+                  record: RoutingRecord | None, residual: Tensor | None = None,
+                  skip: Tensor | None = None) -> Tensor:
         """Route tokens and combine the selected experts' outputs, in one call.
 
         ``routes`` lists (record key, group, rows) for each group present,
         in ascending group id; ``rows`` are the block rows the group owns,
         or None for all rows of a lone group. One ``router_gates`` op
-        scores each row with its group's router. A selected pair's global
+        scores each row with its group's router. A selection's global
         expert id is its group's slot in ``routes`` times N plus the gate
-        column; sorting the pairs by it lets one ``adapter_mixture`` run
-        each selected expert once, on exactly the rows that selected it,
-        and add the weighted outputs back into those rows. With
-        ``include_residual`` each expert contributes its full output
-        (update plus residual input) instead of the bare update. The 0/1
-        mask is built only for a record or the renormalisation.
+        column, and one ``adapter_mixture`` runs each selected expert once,
+        on exactly the rows that selected it, adds ``residual`` to each
+        expert's output when given, and returns ``skip`` plus the weighted
+        sum. The 0/1 mask is built only for a record or the renormalisation.
         """
         renormalize = self.renormalize and self.mode == "topk"
         groups = [group for _, group, _ in routes]
         gates = router_gates(x, [g.router for g in groups], [rows for _, _, rows in routes])
-        order = _top_k_order(gates.data, k)
+        chosen = _top_k_order(gates.data, k)
         mask = None
         if record is not None or renormalize:
             mask = np.zeros_like(gates.data)
-            np.put_along_axis(mask, order, 1.0, axis=1)
+            np.put_along_axis(mask, chosen, 1.0, axis=1)
         if record is not None:
             for key, _, rows in routes:
                 record.observe(key, gates, mask, record.tokens_seen, rows)
@@ -338,22 +339,20 @@ class MoCELayer:
             first = np.empty(x.shape[0], dtype=np.int64)  # each row's first global expert id
             for slot, (_, group, rows) in enumerate(routes):
                 first[rows] = slot * group.n_experts
-            order = order + first[:, None]
-        flat = order.ravel()
+            chosen = chosen + first[:, None]
         experts = [e for g in groups for e in g.experts]
-        pair_token = np.argsort(flat, kind="stable") // k  # entry i is token i // k
-        bounds = [0, *np.cumsum(np.bincount(flat, minlength=len(experts))).tolist()]
-        for expert, lo, hi in zip(experts, bounds, bounds[1:]):
-            if hi > lo:
+        counts = np.bincount(chosen.ravel(), minlength=len(experts)).tolist()
+        for expert, count in zip(experts, counts):
+            if count:
                 expert.forward_calls += 1
-                expert.rows_processed += hi - lo
-        return adapter_mixture(base_out, gates, pair_token, pair_token, bounds,
-                               [e.w_down for e in experts], [e.w_up for e in experts],
-                               groups[0].act, x.shape[0], mask if renormalize else None,
-                               self.moe_scale, x if include_residual else None)
+                expert.rows_processed += count
+        return adapter_mixture(base_out, gates, chosen, [e.w_down for e in experts],
+                               [e.w_up for e in experts], groups[0].act,
+                               mask if renormalize else None, self.moe_scale, residual, skip)
 
     def _group_path(self, x: Tensor, base_out: Tensor, group_id,
                     record: RoutingRecord | None) -> Tensor:
+        """x plus the group path's mixture, in one ``adapter_mixture`` op."""
         if x.shape[0] == 0:
             raise ContractError("cannot route an empty token block")
         row_groups = np.asarray(group_id, dtype=np.int64)
@@ -368,9 +367,10 @@ class MoCELayer:
             raise ContractError(f"group id out of range for {len(self.groups)} groups")
         routes = [(self._record_key(int(g)), self.groups[g], r) for g, r in zip(present, rows)]
         k = self.groups[0].n_experts if self.mode == "soft" else self.k
-        return add(x, self._dispatch(x, base_out, routes, k, False, record))
+        return self._dispatch(x, base_out, routes, k, record, skip=x)
 
     def _general_path(self, x: Tensor, base_out: Tensor, record: RoutingRecord | None) -> Tensor:
+        """The general group's mixture of full expert outputs (update plus x)."""
         if self.general_group is None:
             raise ContractError("this layer was built without a general group")
         if x.shape[0] == 0:
@@ -378,7 +378,7 @@ class MoCELayer:
         group = self.general_group
         k = group.n_experts if self.mode == "soft" else self.k
         return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), group, None)], k,
-                              True, record)
+                              record, residual=x)
 
     def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
         """Group-path output: x plus the gated sum of selected adapter updates.
@@ -391,7 +391,13 @@ class MoCELayer:
         return self._group_path(x, self.base_ffn.forward(x), group_id, record)
 
     def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
-        """Two-path output: the group path plus the general path, over one base FFN pass."""
+        """Two-path output: the group path plus the general path, over one base FFN pass.
+
+        The two paths meet in an ``add`` rather than in the general path's
+        ``skip``: with the skip, a backward over three or more layers sums
+        x's gradient terms in another order, and the gradients change in
+        their last bits.
+        """
         base_out = self.base_ffn.forward(x)
         return add(self._group_path(x, base_out, group_id, record),
                    self._general_path(x, base_out, record))

@@ -7,11 +7,13 @@ freezes the whole backbone and drops a fresh mixture layer (zero-init
 adapters) into every block, so the upcycled model computes bit-for-bit
 the dense base's function until training moves the adapters.
 
-Each block's attention sublayer is one ``attention_block`` engine op and
-its frozen feed-forward one ``feed_forward`` op. Greedy decoding reads
-the prompt once into a ``KVCache`` whose per-block arrays the attention
-op fills in place, then runs one forward per new token: 15 engine ops on
-the criterion-8 shapes.
+The embedding is one ``embed_tokens`` engine op, each block's attention
+sublayer one ``attention_block`` op, its frozen feed-forward one
+``feed_forward`` op, and the head one ``output_head`` op; the mixture
+layer adds one ``router_gates`` and one ``adapter_mixture`` op per block.
+Greedy decoding reads the prompt once into a ``KVCache`` whose per-block
+arrays the attention op fills in place, then runs one forward per new
+token: 10 engine ops on the criterion-8 shapes.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .seeding import substream
 from .tensor import (
     ACTIVATIONS,
     Tensor,
-    add,
     attention_block,
+    embed_tokens,
     masked_cross_entropy,
-    matmul,
     no_grad,
-    rmsnorm,
-    take_rows,
+    output_head,
 )
 
 CKPT_MAGIC = "MOCE-CKPT"
@@ -159,6 +159,14 @@ class KVCache:
         self.blocks = [_BlockCache() for _ in range(n_blocks)]
 
 
+def _check_integers(values: np.ndarray, what: str) -> None:
+    """Reject an array whose dtype is not an integer kind: floats would be
+    truncated and booleans read as 0 and 1. One dtype test, no per-element
+    work."""
+    if values.dtype.kind not in "iu":
+        raise ContractError(f"{what} must be integers, got dtype {values.dtype}")
+
+
 class _Packed:
     """One sequence of token ids, or a list of sequences, laid end to end as
     one block of rows, with each row's position in its own sequence and an
@@ -174,18 +182,20 @@ class _Packed:
             token_ids = [token_ids]
         if len(token_ids) == 0:
             raise ContractError("token_ids must hold at least one sequence")
-        seqs = [np.asarray(s, dtype=np.int64) for s in token_ids]
+        seqs = [np.asarray(s) for s in token_ids]
         if any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
             raise ContractError("every sequence of token ids must be non-empty and 1-D")
-        self.lengths = np.array([ids.size for ids in seqs])
-        longest = int(self.lengths.max())
+        for ids in seqs:
+            _check_integers(ids, "token ids")
+        lengths = [ids.size for ids in seqs]
+        self.lengths = np.array(lengths)
+        longest = max(lengths)
         if start + longest > cfg.max_seq_len:
             raise ContractError(
                 f"sequence length {start + longest} exceeds max_seq_len {cfg.max_seq_len}"
             )
+        # ``embed_tokens`` checks the ids against the vocabulary.
         self.ids = seqs[0] if len(seqs) == 1 else np.concatenate(seqs)
-        if self.ids.min() < 0 or self.ids.max() >= cfg.vocab_size:
-            raise ContractError(f"token id out of range for vocab size {cfg.vocab_size}")
         n = self.ids.size
         self.positions = (np.arange(start, start + n) if len(seqs) == 1
                           else np.concatenate([np.arange(start, start + k) for k in self.lengths]))
@@ -222,10 +232,10 @@ class _Backbone:
         return cls(cfg, tok, pos, blocks, final, head)
 
     def embed(self, batch: "_Packed") -> Tensor:
-        return add(take_rows(self.tok_emb, batch.ids), take_rows(self.pos_emb, batch.positions))
+        return embed_tokens(self.tok_emb, self.pos_emb, batch.ids, batch.positions)
 
     def project(self, x: Tensor) -> Tensor:
-        return matmul(rmsnorm(x, self.final_norm), self.head)
+        return output_head(x, self.final_norm, self.head)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
@@ -307,7 +317,8 @@ class MoCEModel:
         batch = _Packed(token_ids, self.cfg, 0 if cache is None else cache.length)
         if cache is not None and batch.lengths.size != 1:
             raise ContractError(f"a K/V cache holds one sequence, got {batch.lengths.size}")
-        groups = np.asarray(group_id, dtype=np.int64)
+        groups = np.asarray(group_id)
+        _check_integers(groups, "group ids")
         if groups.ndim != 0 and groups.shape != batch.lengths.shape:
             raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
                                 f"for {batch.lengths.size} sequences")
@@ -426,10 +437,22 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
 
     One forward reads the prompt into a K/V cache; each new token is then
     one forward over its own row. Nothing is recorded for a backward pass.
+    Non-integer or boolean token or group ids, a prompt longer than
+    ``max_seq_len`` and a negative ``max_new_tokens`` raise ContractError
+    before any forward.
     """
-    ids = list(int(i) for i in prompt_ids)
-    if not ids:
+    prompt = np.asarray(prompt_ids)
+    if prompt.size == 0:
         raise ContractError("cannot decode from an empty prompt")
+    if prompt.ndim != 1:
+        raise ContractError(f"a prompt is one 1-D sequence of token ids, got shape {prompt.shape}")
+    _check_integers(prompt, "token ids")
+    _check_integers(np.asarray(group_id), "group ids")
+    if prompt.size > model.cfg.max_seq_len:
+        raise ContractError(f"prompt length {prompt.size} exceeds max_seq_len {model.cfg.max_seq_len}")
+    if max_new_tokens < 0:
+        raise ContractError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+    ids = prompt.tolist()
     cache = KVCache(model.cfg.n_layers)
     rows = list(ids)
     with no_grad():

@@ -10,12 +10,17 @@ array, which keeps the engine small and bit-deterministic. The one
 exception is the K/V cache of ``attention_block``: it writes into arrays
 the caller owns, and no gradient reaches them.
 
-The model's sublayers are fused ops, so one op is one Python call however
-many numpy steps it takes: ``attention_block``, ``feed_forward``,
-``router_gates``, ``adapter_mixture`` and ``gate_balance``. The first two
-compute with the expressions of the op chains they replace, in the same
-order, and add gradient terms in the order the tape would, so they are
-bit-identical to those chains.
+The model's pieces are fused ops, so one op is one Python call however
+many numpy steps it takes: ``embed_tokens``, ``attention_block``,
+``feed_forward``, ``router_gates``, ``adapter_mixture``, ``gate_balance``
+and ``output_head``. ``embed_tokens``, ``attention_block``,
+``feed_forward`` and ``output_head`` compute with the expressions of the op
+chains they replace, in the same order, and add gradient terms in the
+order the tape would, so they are bit-identical to those chains. Ops
+reduce through the numpy ufuncs themselves (``np.add.reduce``,
+``np.maximum.reduce``, ``np.logical_and.reduce``), not through the
+``np.sum``/``np.max``/``np.mean`` wrappers, whose per-call cost is most of
+a reduction over one row; the bits are the same.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
-        if not np.isfinite(arr).all():
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise NumericError("tensor constructed from non-finite data")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -98,7 +103,9 @@ def _tracked(parents: tuple[Tensor, ...]) -> bool:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    if not np.isfinite(data).all():
+    """The one constructor of op results: checks finiteness, and records
+    ``parents`` and ``backward_fn`` when the op is tracked."""
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NumericError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(data, dtype=np.float64)
@@ -200,29 +207,14 @@ def mul(a: Tensor, b) -> Tensor:
     )
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-
-    def grad_fn(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
-
-    return _result(a.data @ b.data, (a, b), grad_fn, "matmul")
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, returned as a scalar tensor. No model path calls
     it; tests and the bench self-tests build scalar losses with it."""
-    data = np.array(np.sum(a.data), dtype=np.float64)
+    data = np.array(np.add.reduce(a.data, axis=None), dtype=np.float64)
     return _result(data, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),), "sum")
 
 
-# -- nonlinearities -----------------------------------------------------
+# -- nonlinearities and norms -------------------------------------------
 
 def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """A nonlinearity's value at ``x`` and, when ``need`` is set, its
@@ -242,7 +234,7 @@ def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndar
 def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-8):
     """Row-wise RMS normalisation times ``gain``, with the row RMS values
     and the normalised rows that the backward rule reads."""
-    r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + eps)
+    r = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True) / x.shape[1] + eps)
     normed = x / r
     return normed * gain, r, normed
 
@@ -251,38 +243,61 @@ def _rmsnorm_grads(g: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.ndarray
                    normed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of ``_rmsnorm`` with respect to x and the gain."""
     gg = g * gain
-    inner = np.sum(gg * x, axis=1, keepdims=True)
+    inner = np.add.reduce(gg * x, axis=1, keepdims=True)
     dx = gg / r - x * inner / (x.shape[1] * r ** 3)
-    return dx, np.sum(g * normed, axis=0)
+    return dx, np.add.reduce(g * normed, axis=0)
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-8) -> Tensor:
-    """Row-wise RMS normalisation with a learned per-column gain."""
-    if x.data.ndim != 2 or gain.data.ndim != 1 or gain.data.shape[0] != x.data.shape[1]:
-        raise ShapeError(f"rmsnorm needs (T,d) and (d,), got {x.data.shape} and {gain.data.shape}")
-    out, r, normed = _rmsnorm(x.data, gain.data, eps)
-    return _result(out, (x, gain), lambda g: _rmsnorm_grads(g, x.data, gain.data, r, normed),
-                   "rmsnorm")
+# -- embedding, head and loss ------------------------------------------
 
+def embed_tokens(tok_emb: Tensor, pos_emb: Tensor, ids, positions) -> Tensor:
+    """A block's input rows in one op: tok_emb[ids] + pos_emb[positions].
 
-# -- structural ops -----------------------------------------------------
-
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows by index; gradient scatter-adds back (repeats allowed)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2-D tensor, got {a.data.shape}")
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows needs a 1-D index list, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ContractError(f"take_rows index out of range for {a.data.shape[0]} rows")
+    ``ids`` and ``positions`` are equal-length 1-D integer arrays; the
+    gradient scatter-adds back into the rows they read, repeats included.
+    """
+    idx, pos = np.asarray(ids), np.asarray(positions)
+    table = tok_emb.data.shape
+    if (len(table) != 2 or pos_emb.data.ndim != 2 or pos_emb.data.shape[1:] != table[1:]
+            or idx.ndim != 1 or pos.shape != idx.shape):
+        raise ShapeError(f"embed_tokens needs (V, d) and (P, d) tables and equal 1-D ids and "
+                         f"positions, got {table}, {pos_emb.data.shape}, {idx.shape}, {pos.shape}")
+    if idx.dtype.kind not in "iu" or pos.dtype.kind not in "iu":
+        raise ContractError(f"embed_tokens needs integer ids and positions, got {idx.dtype} "
+                            f"and {pos.dtype}")
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table[0]):
+        raise ContractError(f"token id out of range for vocab size {table[0]}")
+    if pos.size and (np.minimum.reduce(pos) < 0 or np.maximum.reduce(pos) >= pos_emb.data.shape[0]):
+        raise ContractError(f"position out of range for {pos_emb.data.shape[0]} positions")
 
     def grad_fn(g: np.ndarray):
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        return (da,)
+        grads = []
+        for emb, rows in ((tok_emb, idx), (pos_emb, pos)):
+            d = None
+            if emb.requires_grad:
+                d = np.zeros_like(emb.data)
+                np.add.at(d, rows, g)
+            grads.append(d)
+        return grads
 
-    return _result(a.data[idx], (a,), grad_fn, "take_rows")
+    return _result(tok_emb.data[idx] + pos_emb.data[pos], (tok_emb, pos_emb), grad_fn,
+                   "embed_tokens")
+
+
+def output_head(x: Tensor, norm: Tensor, head: Tensor) -> Tensor:
+    """The model's head in one op: rmsnorm(x, norm) @ head, the (T, d) rows
+    normalised with the (d,) gain and projected by the (d, V) head."""
+    if (x.data.ndim != 2 or norm.data.shape != x.data.shape[1:] or head.data.ndim != 2
+            or head.data.shape[0] != x.data.shape[1]):
+        raise ShapeError(f"output_head needs (T, d) rows, a (d,) norm and a (d, V) head, "
+                         f"got {x.data.shape}, {norm.data.shape} and {head.data.shape}")
+    z, r, normed = _rmsnorm(x.data, norm.data)
+
+    def grad_fn(g: np.ndarray):
+        dx, d_norm = _rmsnorm_grads(g @ head.data.T, x.data, norm.data, r, normed)
+        return dx, d_norm, z.T @ g if head.requires_grad else None
+
+    return _result(z @ head.data, (x, norm, head), grad_fn, "output_head")
 
 
 def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
@@ -303,19 +318,19 @@ def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
         raise ShapeError(
             f"targets/weights must have shape ({rows},), got {t.shape} and {m.shape}"
         )
-    if t.size and (t.min() < 0 or t.max() >= vocab):
+    if rows and (np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= vocab):
         raise ContractError(f"target index out of range for vocab size {vocab}")
-    if np.any(m < 0.0) or not np.all(np.isfinite(m)):
+    if np.logical_or.reduce(m < 0.0) or not np.logical_and.reduce(np.isfinite(m)):
         raise ContractError("masked_cross_entropy: weights must be finite and non-negative")
-    count = float(np.sum(m))
+    count = float(np.add.reduce(m))
     if count <= 0.0:
         raise ContractError("masked_cross_entropy: the supervised span is empty")
 
-    shifted = logits.data - np.max(logits.data, axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     logp = shifted - logz
     picked = logp[np.arange(rows), t]
-    loss = np.array(-np.sum(picked * m) / count, dtype=np.float64)
+    loss = np.array(-np.add.reduce(picked * m) / count, dtype=np.float64)
 
     def grad_fn(g: np.ndarray):
         gs = float(np.asarray(g).reshape(()))
@@ -351,8 +366,8 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray, n_hea
     scale = (q.shape[1] // n_heads) ** -0.5
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale + mask
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    probs = e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
     return _merge_heads(np.matmul(probs, vh)), (qh, kh, vh, probs, scale)
 
 
@@ -361,7 +376,7 @@ def _attend_grads(g: np.ndarray, n_heads: int, saved) -> tuple[np.ndarray, np.nd
     qh, kh, vh, probs, scale = saved
     gh = _split_heads(g, n_heads)
     d_probs = np.matmul(gh, vh.transpose(0, 2, 1))
-    d_scores = (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
+    d_scores = (d_probs - np.add.reduce(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
     return (_merge_heads(np.matmul(d_scores, kh)),
             _merge_heads(np.matmul(d_scores.transpose(0, 2, 1), qh)),
             _merge_heads(np.matmul(probs.transpose(0, 2, 1), gh)))
@@ -401,7 +416,7 @@ def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                              f"{keys.shape} keys and {values.shape} values")
     if m.shape != (rows, start + rows):
         raise ShapeError(f"attention mask must have shape {(rows, start + rows)}, got {m.shape}")
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise NumericError("attention mask holds non-finite values")
     z, r, normed = _rmsnorm(x.data, norm.data)
     q, k, v = z @ wq.data, z @ wk.data, z @ wv.data
@@ -462,7 +477,8 @@ def router_gates(x: Tensor, routers: Sequence[Tensor], rows: Sequence) -> Tensor
         raise ContractError(f"router_gates needs one row list per router, got {len(rows)}")
     n_rows = x.data.shape[0]
     if len(routers) == 1 and rows[0] is None:
-        idx = [slice(None)]
+        idx, xs = [slice(None)], [x.data]
+        logits = x.data @ routers[0].data
     else:
         if any(r is None for r in rows):
             raise ContractError("router_gates takes None rows only for a lone router")
@@ -470,19 +486,19 @@ def router_gates(x: Tensor, routers: Sequence[Tensor], rows: Sequence) -> Tensor
         if any(i.ndim != 1 for i in idx):
             raise ShapeError("router_gates needs 1-D row lists")
         flat = np.concatenate(idx)
-        if flat.size and (flat.min() < 0 or flat.max() >= n_rows):
+        if flat.size and (np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= n_rows):
             raise ContractError(f"router_gates row out of range for {n_rows} rows")
         if not np.array_equal(np.bincount(flat, minlength=n_rows), np.ones(n_rows, dtype=np.int64)):
             raise ContractError(f"router_gates row lists must cover each of {n_rows} rows once")
-    xs = [x.data[i] for i in idx]
-    logits = np.empty((n_rows, shape[1]))
-    for i, xi, router in zip(idx, xs, routers):
-        logits[i] = xi @ router.data
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    s = e / np.sum(e, axis=-1, keepdims=True)
+        xs = [x.data[i] for i in idx]
+        logits = np.empty((n_rows, shape[1]))
+        for i, xi, router in zip(idx, xs, routers):
+            logits[i] = xi @ router.data
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    s = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def grad_fn(g: np.ndarray):
-        d_logits = (g - np.sum(g * s, axis=-1, keepdims=True)) * s
+        d_logits = (g - np.add.reduce(g * s, axis=-1, keepdims=True)) * s
         d_x = np.zeros_like(x.data) if x.requires_grad else None
         d_routers = []
         for i, xi, router in zip(idx, xs, routers):
@@ -517,7 +533,7 @@ def gate_balance(calls: Sequence[Sequence[tuple]], weights: Sequence) -> Tensor:
             sums.append(np.ones((1, picked.shape[0])) @ picked)
             parents.append(gates)
             spans.append((slice(None) if rows is None else rows, w))
-        terms.append(np.sum(sum(sums[1:], sums[0]) * w))
+        terms.append(np.add.reduce(sum(sums[1:], sums[0]) * w, axis=None))
 
     def grad_fn(g: np.ndarray):
         grads = [np.zeros_like(gates.data) for gates in parents]
@@ -528,70 +544,69 @@ def gate_balance(calls: Sequence[Sequence[tuple]], weights: Sequence) -> Tensor:
     return _result(np.array(sum(terms[1:], terms[0])), tuple(parents), grad_fn, "gate_balance")
 
 
-def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: Sequence[Tensor],
-                    w_ups: Sequence[Tensor], act: str, n_rows: int, renorm_mask=None,
-                    scale: float = 1.0, residual: Tensor | None = None) -> Tensor:
-    """The adapters of one or more routers, weighted by their gates and added into their rows.
+def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tensor],
+                    w_ups: Sequence[Tensor], act: str, renorm_mask=None, scale: float = 1.0,
+                    residual: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
+    """The chosen adapters of one or more routers, weighted by their gates, in one op.
 
-    The experts come in blocks of N = ``gates.shape[1]``, one block per
-    router, and expert e reads gate column c = e % N. Pairs come sorted by
-    expert: pair i, in expert e's span ``bounds[e]:bounds[e + 1]``, sends
-    row ``rows[i]`` to e with gate ``gates[tokens[i], c]``, divided by the
-    token's total gate over the 0/1 ``renorm_mask`` when given. Expert e
-    runs act(base[rows] @ w_downs[e]) @ w_ups[e] once over its span, plus
-    ``residual[rows]`` when given. The weighted outputs are added, in pair
-    order, into zero (n_rows, d), and the sum is multiplied by ``scale``.
-    An expert with no pairs does no work, and its weights get no gradient:
-    None, not zeros.
+    Row t of the (T, d) ``base`` goes to the k experts ``chosen[t]``, a
+    (T, k) integer array. The experts come in blocks of N =
+    ``gates.shape[1]``, one block per router, and expert e reads gate column
+    e % N: the pair (t, e) weighs ``gates[t, e % N]``, divided by row t's
+    total gate over the 0/1 ``renorm_mask`` when given. The op sorts the
+    pairs by expert, stably, so that expert e runs act(base[rows] @
+    w_downs[e]) @ w_ups[e] once over the rows that chose it, plus
+    ``residual[rows]`` when given. The weighted outputs are added in pair
+    order into zero (T, d), the sum is multiplied by ``scale``, and with
+    ``skip`` the op returns skip + that. An expert no row chose does no
+    work, and its weights get no gradient: None, not zeros.
     """
-    idx = np.asarray(rows, dtype=np.int64)
-    tok = np.asarray(tokens, dtype=np.int64)
-    ends = np.asarray(bounds, dtype=np.int64).tolist()
-    n = len(w_downs)
-    if base.data.ndim != 2:
-        raise ShapeError(f"adapter_mixture needs a 2-D base, got {base.data.shape}")
-    if idx.ndim != 1 or tok.shape != idx.shape:
-        raise ShapeError(f"adapter_mixture needs equal 1-D tokens and rows, got {tok.shape}, {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= min(base.data.shape[0], n_rows)):
-        raise ContractError(f"adapter_mixture row out of range for {base.data.shape[0]} or {n_rows} rows")
-    if gates.data.ndim != 2 or gates.data.shape[1] == 0 or n % gates.data.shape[1]:
-        raise ShapeError(f"adapter_mixture needs (tokens, N) gates with N dividing the {n} "
-                         f"experts, got {gates.data.shape}")
-    if tok.size and (tok.min() < 0 or tok.max() >= gates.data.shape[0]):
-        raise ContractError(f"adapter_mixture token out of range for {gates.data.shape[0]} gate rows")
+    ids = np.asarray(chosen)
+    n, shape = len(w_downs), base.data.shape
+    width = gates.data.shape[1] if gates.data.ndim == 2 else 0
+    if (len(shape) != 2 or gates.data.shape != (shape[0], width) or width == 0 or n % width):
+        raise ShapeError(f"adapter_mixture needs a (T, d) base and (T, N) gates with N dividing "
+                         f"the {n} experts, got {shape} and {gates.data.shape}")
+    if ids.ndim != 2 or ids.shape[0] != shape[0] or ids.shape[1] == 0 or ids.dtype.kind not in "iu":
+        raise ShapeError(f"adapter_mixture needs ({shape[0]}, k) integer expert ids, got "
+                         f"{ids.shape} of {ids.dtype}")
     if n == 0 or len(w_ups) != n:
         raise ContractError(f"adapter_mixture needs one up per down projection, got {n} and {len(w_ups)}")
-    if (len(ends) != n + 1 or ends[0] != 0 or ends[-1] != idx.size
-            or any(lo > hi for lo, hi in zip(ends, ends[1:]))):
-        raise ContractError(f"adapter_mixture needs {n + 1} bounds rising from 0 to {idx.size}")
-    d = base.data.shape[1]
+    if ids.size and (np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= n):
+        raise ContractError(f"adapter_mixture expert id out of range for {n} experts")
+    d = shape[1]
     for w_down, w_up in zip(w_downs, w_ups):
-        rank = w_down.data.shape[1] if w_down.data.ndim == 2 else -1
-        if w_down.data.shape != (d, rank) or w_up.data.shape != (rank, d):
+        down, up = w_down.data.shape, w_up.data.shape
+        if len(down) != 2 or down[0] != d or up != (down[1], d):
             raise ShapeError(f"adapter_mixture needs ({d}, r) and (r, {d}) projections, "
-                             f"got {w_down.data.shape} and {w_up.data.shape}")
+                             f"got {down} and {up}")
     if act not in ACTIVATIONS:
         raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
-    if residual is not None and residual.data.shape != base.data.shape:
-        raise ShapeError(f"adapter_mixture residual must match the base {base.data.shape}, "
-                         f"got {residual.data.shape}")
-    width = gates.data.shape[1]
-    experts = np.repeat(np.arange(n), [hi - lo for lo, hi in zip(ends, ends[1:])])
+    for name, extra in (("residual", residual), ("skip", skip)):
+        if extra is not None and extra.data.shape != shape:
+            raise ShapeError(f"adapter_mixture {name} must match the base {shape}, "
+                             f"got {extra.data.shape}")
+    flat = ids.ravel()
+    order = flat.argsort(kind="stable")
+    idx = order // ids.shape[1]  # each pair's row, pairs sorted by expert
+    experts = flat[order]
     cols = experts if width == n else experts % width
-    weight = pair_gate = gates.data[tok, cols]
+    weight = pair_gate = gates.data[idx, cols]
     if renorm_mask is not None:
         mask = np.asarray(renorm_mask, dtype=np.float64)
         if mask.shape != gates.data.shape:
             raise ShapeError(f"adapter_mixture renorm mask must be {gates.data.shape}, got {mask.shape}")
         totals = (gates.data * mask) @ np.ones((width, 1))
-        if np.any(np.abs(totals) < 1e-300):
+        if np.logical_or.reduce(np.abs(totals) < 1e-300, axis=None):
             raise NumericError("adapter_mixture cannot renormalise a (near-)zero gate total")
         inverse = 1.0 / totals
-        weight = pair_gate * inverse[tok, 0]
-    parents = (base, gates, *w_downs, *w_ups) + ((residual,) if residual is not None else ())
+        weight = pair_gate * inverse[idx, 0]
+    parents = (base, gates, *w_downs, *w_ups, *(t for t in (residual, skip) if t is not None))
     need = _tracked(parents)
-    spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(ends, ends[1:])) if lo < hi]
-    out = np.empty((idx.size, d))
+    counts = np.bincount(flat, minlength=n)
+    ends = counts.cumsum().tolist()
+    spans = [(e, hi - c, hi) for e, (c, hi) in enumerate(zip(counts.tolist(), ends)) if c]
+    out = np.empty((flat.size, d))
     saved = {}
     for e, lo, hi in spans:
         x = base.data[idx[lo:hi]]
@@ -600,21 +615,23 @@ def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: 
         saved[e] = (x, value, local)
     if residual is not None:
         out = out + residual.data[idx]
-    data = np.zeros((n_rows, d))
+    data = np.zeros(shape)
     np.add.at(data, idx, out * weight[:, None])
+    if scale != 1.0:
+        data = data * scale
 
     def grad_fn(g: np.ndarray):
         g_pairs = (g * scale if scale != 1.0 else g)[idx]
         d_out = g_pairs * weight[:, None]
         d_gates = d_base = d_residual = None
         if gates.requires_grad:
-            d_weight = np.sum(g_pairs * out, axis=1)
+            d_weight = np.add.reduce(g_pairs * out, axis=1)
             d_gates = np.zeros_like(gates.data)
-            np.add.at(d_gates, (tok, cols), d_weight if renorm_mask is None
-                      else d_weight * inverse[tok, 0])
+            np.add.at(d_gates, (idx, cols), d_weight if renorm_mask is None
+                      else d_weight * inverse[idx, 0])
             if renorm_mask is not None:
                 d_inverse = np.zeros_like(totals)
-                np.add.at(d_inverse, (tok, 0), d_weight * pair_gate)
+                np.add.at(d_inverse, (idx, 0), d_weight * pair_gate)
                 d_gates = d_gates + (-d_inverse * inverse * inverse) * mask
         d_downs, d_ups = [None] * n, [None] * n
         d_rows = np.empty_like(d_out)
@@ -631,7 +648,8 @@ def adapter_mixture(base: Tensor, gates: Tensor, tokens, rows, bounds, w_downs: 
         if residual is not None and residual.requires_grad:
             d_residual = np.zeros_like(residual.data)
             np.add.at(d_residual, idx, d_out)
-        return (d_base, d_gates, *d_downs, *d_ups) + ((d_residual,) if residual is not None else ())
+        extras = (d for t, d in ((residual, d_residual), (skip, g)) if t is not None)
+        return (d_base, d_gates, *d_downs, *d_ups, *extras)
 
-    return _result(data * scale if scale != 1.0 else data, parents, grad_fn,
+    return _result(data if skip is None else skip.data + data, parents, grad_fn,
                    f"adapter_mixture[{act}]")

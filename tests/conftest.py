@@ -1,10 +1,12 @@
 """Shared test helpers: the finite-difference oracle and gradient checking
-against it, test-local ops for reference chains (``softmax``,
-``activation``, ``concat_rows`` and ``attention``, none of which a model
-path runs), the op chains the fused ``attention_block`` and
-``feed_forward`` replace, ``top_k_mask`` and ``general_path``, which no
-model path calls either, the broadcast nearest-centroid reference, and
-synthetic cluster geometry."""
+against it, test-local ops for reference chains (``matmul``, ``rmsnorm``,
+``take_rows``, ``softmax``, ``activation``, ``concat_rows`` and
+``attention``, none of which a model path runs), the op chains the fused
+``attention_block`` and ``feed_forward`` replace, ``pair_mixture``, the
+adapter mixture on the pair contract it had before it took each row's
+chosen experts, ``top_k_mask`` and ``general_path``, which no model path
+calls either, the broadcast nearest-centroid reference, and synthetic
+cluster geometry."""
 
 import itertools
 
@@ -13,7 +15,7 @@ import numpy as np
 from moce import tensor
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.layer import _top_k_order
-from moce.tensor import Tensor, add, backward, matmul, rmsnorm
+from moce.tensor import Tensor, add, backward
 
 
 def finite_difference_gradient(f, x, h=1e-5):
@@ -57,6 +59,124 @@ def general_path(layer, x, record=None):
     general-expert outputs, the half of ``variant_forward`` past the group
     path."""
     return layer._general_path(x, layer.base_ffn.forward(x), record)
+
+
+def matmul(a, b):
+    """2-D matrix product, a test-local op."""
+    a, b = tensor._as_tensor(a), tensor._as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+    return tensor._result(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g),
+                          "matmul")
+
+
+def rmsnorm(x, gain, eps=1e-8):
+    """Row-wise RMS normalisation with a learned per-column gain, a
+    test-local op on the engine's own forward and backward rules."""
+    if x.data.ndim != 2 or gain.data.ndim != 1 or gain.data.shape[0] != x.data.shape[1]:
+        raise ShapeError(f"rmsnorm needs (T,d) and (d,), got {x.data.shape} and {gain.data.shape}")
+    out, r, normed = tensor._rmsnorm(x.data, gain.data, eps)
+    return tensor._result(out, (x, gain),
+                          lambda g: tensor._rmsnorm_grads(g, x.data, gain.data, r, normed),
+                          "rmsnorm")
+
+
+def take_rows(a, indices):
+    """Gather rows by index, a test-local op; the gradient scatter-adds back
+    (repeats allowed)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if a.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError(f"take_rows needs a 2-D tensor and 1-D indices, got {a.data.shape} "
+                         f"and {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
+        raise ContractError(f"take_rows index out of range for {a.data.shape[0]} rows")
+
+    def grad_fn(g):
+        da = np.zeros_like(a.data)
+        np.add.at(da, idx, g)
+        return (da,)
+
+    return tensor._result(a.data[idx], (a,), grad_fn, "take_rows")
+
+
+def chosen_pairs(chosen, n_experts):
+    """The pair contract of ``chosen``, a (T, k) array of expert ids: the
+    row of each pair with the pairs sorted by expert, stably, and the
+    ``n_experts + 1`` bounds of each expert's span."""
+    flat = np.asarray(chosen).ravel()
+    rows = np.argsort(flat, kind="stable") // np.shape(chosen)[1]
+    return rows, np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n_experts))])
+
+
+def pair_mixture(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
+                 renorm_mask=None, scale=1.0, residual=None):
+    """The adapter mixture on its pair contract, as a test-local op: pairs
+    come sorted by expert, pair i in expert e's span ``bounds[e]:bounds[e +
+    1]`` sends row ``rows[i]`` to e with gate ``gates[tokens[i], e % N]``
+    (over the 0/1 ``renorm_mask`` total when given); expert e runs over its
+    span, plus ``residual[rows]``, and the weighted outputs are added in
+    pair order into zero (n_rows, d), then multiplied by ``scale``."""
+    idx = np.asarray(rows, dtype=np.int64)
+    tok = np.asarray(tokens, dtype=np.int64)
+    ends = np.asarray(bounds, dtype=np.int64).tolist()
+    n, d, width = len(w_downs), base.data.shape[1], gates.data.shape[1]
+    experts = np.repeat(np.arange(n), np.diff(ends))
+    cols = experts % width
+    weight = pair_gate = gates.data[tok, cols]
+    if renorm_mask is not None:
+        mask = np.asarray(renorm_mask, dtype=np.float64)
+        totals = (gates.data * mask) @ np.ones((width, 1))
+        inverse = 1.0 / totals
+        weight = pair_gate * inverse[tok, 0]
+    parents = (base, gates, *w_downs, *w_ups) + ((residual,) if residual is not None else ())
+    need = tensor._tracked(parents)
+    spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(ends, ends[1:])) if lo < hi]
+    out = np.empty((idx.size, d))
+    saved = {}
+    for e, lo, hi in spans:
+        x = base.data[idx[lo:hi]]
+        value, local = tensor._activate(x @ w_downs[e].data, act, need)
+        out[lo:hi] = value @ w_ups[e].data
+        saved[e] = (x, value, local)
+    if residual is not None:
+        out = out + residual.data[idx]
+    data = np.zeros((n_rows, d))
+    np.add.at(data, idx, out * weight[:, None])
+
+    def grad_fn(g):
+        g_pairs = (g * scale if scale != 1.0 else g)[idx]
+        d_out = g_pairs * weight[:, None]
+        d_gates = d_base = d_residual = None
+        if gates.requires_grad:
+            d_weight = np.sum(g_pairs * out, axis=1)
+            d_gates = np.zeros_like(gates.data)
+            np.add.at(d_gates, (tok, cols), d_weight if renorm_mask is None
+                      else d_weight * inverse[tok, 0])
+            if renorm_mask is not None:
+                d_inverse = np.zeros_like(totals)
+                np.add.at(d_inverse, (tok, 0), d_weight * pair_gate)
+                d_gates = d_gates + (-d_inverse * inverse * inverse) * mask
+        d_downs, d_ups = [None] * n, [None] * n
+        d_rows = np.empty_like(d_out)
+        for e, lo, hi in spans:
+            x, value, local = saved[e]
+            d_ups[e] = value.T @ d_out[lo:hi]
+            d_pre = (d_out[lo:hi] @ w_ups[e].data.T) * local
+            d_downs[e] = x.T @ d_pre
+            if base.requires_grad:
+                d_rows[lo:hi] = d_pre @ w_downs[e].data.T
+        if base.requires_grad:
+            d_base = np.zeros_like(base.data)
+            np.add.at(d_base, idx, d_rows)
+        if residual is not None and residual.requires_grad:
+            d_residual = np.zeros_like(residual.data)
+            np.add.at(d_residual, idx, d_out)
+        return (d_base, d_gates, *d_downs, *d_ups) + ((d_residual,) if residual is not None else ())
+
+    return tensor._result(data * scale if scale != 1.0 else data, parents, grad_fn,
+                          f"pair_mixture[{act}]")
 
 
 def softmax(a, axis=-1):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (activation, attention, concat_rows, exhaustive_two_means, general_path,
-                      make_planted_blobs, relative_error, top_k_mask)
+                      make_planted_blobs, matmul, relative_error, rmsnorm, take_rows, top_k_mask)
 from moce.clustering import elbow_select, kmeans_fit, kmeans_predict, load_kmeans, save_kmeans
 from moce.data import make_two_dialect_corpus, split_dataset
 from moce.embedding import embed_dataset
@@ -40,14 +40,13 @@ from moce.tensor import (
     add,
     attention_block,
     backward,
+    embed_tokens,
     feed_forward,
     gate_balance,
     masked_cross_entropy,
-    matmul,
     mul,
-    rmsnorm,
+    output_head,
     router_gates,
-    take_rows,
     tensor_sum,
 )
 
@@ -63,7 +62,10 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     a, b, gain, scale, proj = params
     h = activation(rmsnorm(matmul(a, b), gain), "gelu")
     h = add(h, mul(add(h, -1.5), -0.25))
-    x = matmul(h, proj)
+    # The head op: h normalised with gain, projected by proj.
+    x = output_head(h, gain, proj)
+    # Token rows of proj (one read twice) plus position rows of a.
+    emb = embed_tokens(proj, a, [4, 0, 4], [2, 0, 2])
     # Two heads; two query rows over three keys, each query blocked from one.
     att = attention(take_rows(x, [0, 2]), x, activation(x, "silu"),
                     [[0.0, 0.0, -1.0e30], [-1.0e30, 0.0, 0.0]], 2)
@@ -75,20 +77,20 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
                                         [4, 1, 1, 0])]
     gates = router_gates(x, [b, activation(b, "silu")], [[0, 2], [1]])
     # Two gate blocks of five adapters each, the second block the five
-    # rotated by one. Pairs sorted by adapter: rows 0 and 2 in block 0 with
-    # adapter 1 idle and row 2 sent to adapters 0 and 2, row 1 in block 1;
-    # gates renormalised over the pairs, and the result halved.
-    tokens = [0, 2, 2, 0, 1, 1]
+    # rotated by one. Rows 0 and 2 choose in block 0, with adapter 1 idle
+    # and adapter 0 chosen by both, row 1 in block 1; gates renormalised
+    # over the chosen pairs, the result halved, and the embedding added.
+    chosen = [[0, 3], [7, 9], [2, 0]]
     selected = np.zeros((3, 5))
-    selected[tokens, [0, 0, 2, 3, 2, 4]] = 1.0
-    mixed = adapter_mixture(x, gates, tokens, tokens, [0, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6],
-                            downs + downs[1:] + downs[:1], ups + ups[1:] + ups[:1], "silu", 3,
-                            selected, 0.5)
-    # The attention rows as the base of a second call, with gates of other
-    # rows and a feed-forward of x as the residual; adapters 1 and 4 idle.
+    np.put_along_axis(selected, np.array(chosen) % 5, 1.0, axis=1)
+    mixed = adapter_mixture(x, gates, chosen, downs + downs[1:] + downs[:1],
+                            ups + ups[1:] + ups[:1], "silu", selected, 0.5, skip=emb)
+    # The attention rows as the base of a second call, gated by rows 2 and
+    # 0 of the gates, with a feed-forward of x as the residual; adapters 1
+    # and 4 idle, adapter 3 chosen by both rows.
     ffn = feed_forward(x, b, proj, "silu")
-    second = adapter_mixture(att, gates, [1, 0, 2], [0, 1, 1], [0, 1, 1, 2, 3, 3], downs, ups,
-                             "gelu", 2, residual=take_rows(ffn, [2, 0]))
+    second = adapter_mixture(att, take_rows(gates, [2, 0]), [[3, 0], [2, 3]], downs, ups, "gelu",
+                             residual=take_rows(ffn, [2, 0]))
     stacked = concat_rows([second, mixed])
     # squaring keeps the relu input >= 0.3, clear of its kink at 0
     relu_part = activation(add(mul(stacked, stacked), 0.3), "relu")

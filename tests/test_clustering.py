@@ -124,7 +124,7 @@ class TestKMeansFit:
             members = points[labels == cluster]
             if members.shape[0]:
                 expected[cluster] = members.mean(axis=0)
-        _update(points, centroids, labels)
+        _update(points, centroids, labels, np.bincount(labels, minlength=k))
         assert np.max(np.abs(centroids - expected)) <= 1e-12
         if k > 1:
             assert centroids[k - 1].tobytes() == expected[k - 1].tobytes()
@@ -156,7 +156,7 @@ class TestKMeansFit:
             centroids = rng.normal(size=(k, d))
             onehot = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
             expected = (onehot @ points) / np.bincount(labels, minlength=k)[:, None]
-            _update(points, centroids, labels)
+            _update(points, centroids, labels, np.bincount(labels, minlength=k))
             assert centroids.tobytes() == expected.tobytes(), case
             diffs = points - centroids[labels]
             assert sse(points, centroids, labels) == float(np.sum(diffs * diffs)), case

@@ -5,13 +5,13 @@ nothing recorded for a backward pass."""
 import numpy as np
 import pytest
 
-from conftest import attention_chain, feed_forward_chain
+from conftest import attention_chain, feed_forward_chain, matmul
 from moce import layer as layer_module
 from moce import model as model_module
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.layer import RoutingRecord
 from moce.model import DenseBaseModel, KVCache, ModelConfig, greedy_decode, upcycle_init
-from moce.tensor import Tensor, add, backward, matmul, no_grad, tensor_sum
+from moce.tensor import Tensor, add, backward, no_grad, tensor_sum
 
 CONFIGS = [
     dict(mode="topk", top_k=1),
@@ -161,6 +161,73 @@ def test_cache_misuse_raises():
         model.forward([1], 0, cache=cache)
         with pytest.raises(ContractError, match="exceeds max_seq_len"):
             model.forward([1], 0, cache=cache)
+
+
+def unforwarded(cfg):
+    """A model whose forwards are counted, and the list that counts them."""
+    model = trained_like(cfg, seed=6)
+    calls = []
+    forward = model.forward
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    model.forward = spy
+    return model, calls
+
+
+@pytest.mark.parametrize("prompt", [[1.5, 2], [1.0, 2.0], [True, False]],
+                         ids=["fraction", "float", "bool"])
+def test_decode_rejects_non_integer_token_ids(prompt):
+    """Float or boolean prompt ids raise before any forward, instead of
+    being truncated to integers; so does a forward given such ids."""
+    model, calls = unforwarded(micro_cfg())
+    with pytest.raises(ContractError, match="token ids must be integers"):
+        greedy_decode(model, prompt, 1, 3, 99)
+    assert calls == []
+    with pytest.raises(ContractError, match="token ids must be integers"):
+        model.forward([[1, 2], prompt], [0, 1])
+    with pytest.raises(ContractError, match="token ids must be integers"):
+        DenseBaseModel.build(micro_cfg(), seed=0).forward(prompt)
+
+
+@pytest.mark.parametrize("group", [1.7, 1.0, True, np.bool_(False)],
+                         ids=["fraction", "float", "bool", "numpy-bool"])
+def test_decode_rejects_non_integer_group_ids(group):
+    """A float or boolean group raises before any forward, in a decode and
+    in a forward, alone or as per-sequence groups."""
+    model, calls = unforwarded(micro_cfg())
+    with pytest.raises(ContractError, match="group ids must be integers"):
+        greedy_decode(model, [1, 2], group, 3, 99)
+    assert calls == []
+    with pytest.raises(ContractError, match="group ids must be integers"):
+        model.forward([1, 2], group)
+    with pytest.raises(ContractError, match="group ids must be integers"):
+        model.forward([[1, 2], [3]], [group, group])
+
+
+def test_decode_rejects_a_prompt_longer_than_max_seq_len():
+    """A prompt past the context raises before any forward; one that fills
+    it exactly is returned as it is."""
+    cfg = micro_cfg()
+    model, calls = unforwarded(cfg)
+    with pytest.raises(ContractError, match="prompt length 13 exceeds max_seq_len 12"):
+        greedy_decode(model, [1] * (cfg.max_seq_len + 1), 0, 3, 99)
+    assert calls == []
+    assert greedy_decode(model, [1] * cfg.max_seq_len, 0, 3, 99) == [1] * cfg.max_seq_len
+    assert calls == []
+
+
+def test_decode_rejects_negative_max_new_tokens():
+    """A negative token budget raises before any forward; zero decodes
+    nothing."""
+    model, calls = unforwarded(micro_cfg())
+    with pytest.raises(ContractError, match="max_new_tokens must be >= 0, got -1"):
+        greedy_decode(model, [1, 2], 0, -1, 99)
+    assert calls == []
+    assert greedy_decode(model, [1, 2], 0, 0, 99) == [1, 2]
+    assert calls == []
 
 
 @pytest.mark.parametrize("top_k", [1, 2])

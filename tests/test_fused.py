@@ -1,18 +1,20 @@
 """The fused ops against the op chains they replace: ``attention_block``
 against rmsnorm, projections, attention, projection and residual as
 separate ops, ``feed_forward`` against matmul, activation and matmul,
-``attention`` against one matmul-softmax-matmul chain per head,
-``adapter_mixture`` against one
+``embed_tokens`` against two row gathers and an add, ``output_head``
+against rmsnorm and matmul, ``attention`` against one
+matmul-softmax-matmul chain per head, ``adapter_mixture`` against one
 gather-matmul-activation-matmul chain per expert with the weighting and
-the scatter back to rows spelled out in plain ops, ``router_gates``
-against one gather-matmul-softmax chain per router, and ``gate_balance``
-against ones-matmul column sums added, weighted and summed."""
+the scatter back to rows spelled out in plain ops, and against the pair
+contract it replaced, ``router_gates`` against one gather-matmul-softmax
+chain per router, and ``gate_balance`` against ones-matmul column sums
+added, weighted and summed."""
 
 import numpy as np
 import pytest
 
-from conftest import (activation, attention, attention_chain, concat_rows, feed_forward_chain,
-                      softmax)
+from conftest import (activation, attention, attention_chain, chosen_pairs, concat_rows,
+                      feed_forward_chain, matmul, pair_mixture, rmsnorm, softmax, take_rows)
 from moce import tensor
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.tensor import (
@@ -21,12 +23,12 @@ from moce.tensor import (
     add,
     attention_block,
     backward,
+    embed_tokens,
     feed_forward,
     gate_balance,
-    matmul,
     mul,
+    output_head,
     router_gates,
-    take_rows,
     tensor_sum,
 )
 
@@ -152,6 +154,83 @@ def test_feed_forward_matches_its_chain(act):
         assert_same_bytes(*fused, *ref)
 
 
+@pytest.mark.parametrize("frozen", [(), (0,), (1,)], ids=["both", "positions", "tokens"])
+def test_embed_tokens_matches_its_chain(frozen):
+    """``embed_tokens`` equals two ``take_rows`` and an ``add`` byte for
+    byte: the rows, and each table's gradient with repeated ids, also with
+    one table frozen."""
+    rng = np.random.default_rng(len(frozen) + sum(frozen))
+    for _ in range(6):
+        vocab, n_pos, d, rows = 7, 6, 4, int(rng.integers(1, 9))
+        ids, positions = rng.integers(0, vocab, size=rows), rng.integers(0, n_pos, size=rows)
+        arrays = [rng.standard_normal((vocab, d)), rng.standard_normal((n_pos, d))]
+        weight = rng.standard_normal((rows, d))
+        fused = run(lambda p: embed_tokens(p[0], p[1], ids, positions), arrays, weight, frozen)
+        ref = run(lambda p: add(take_rows(p[0], ids), take_rows(p[1], positions)), arrays, weight,
+                  frozen)
+        assert_same_bytes(*fused, *ref)
+
+
+@pytest.mark.parametrize("frozen", [(), (1, 2)], ids=["dense", "frozen"])
+def test_output_head_matches_its_chain(frozen):
+    """``output_head`` equals ``rmsnorm`` then ``matmul`` byte for byte: the
+    logits and every gradient, with the norm and head trainable or frozen."""
+    rng = np.random.default_rng(3 + len(frozen))
+    for _ in range(6):
+        rows, d, vocab = int(rng.integers(1, 9)), 5, 7
+        arrays = [rng.standard_normal((rows, d)), rng.random(d) + 0.5,
+                  rng.standard_normal((d, vocab))]
+        weight = rng.standard_normal((rows, vocab))
+        fused = run(lambda p: output_head(*p), arrays, weight, frozen)
+        ref = run(lambda p: matmul(rmsnorm(p[0], p[1]), p[2]), arrays, weight, frozen)
+        assert_same_bytes(*fused, *ref)
+
+
+@pytest.mark.parametrize("case", ["soft", "renormalize", "residual", "skip", "groups"])
+def test_adapter_mixture_matches_the_pair_contract(case):
+    """The mixture on each row's chosen experts equals ``pair_mixture``, the
+    op on the pairs sorted by expert, with the skip added by ``add``, byte
+    for byte: the output and every gradient. Soft routing (every expert,
+    in gate order), renormalised and scaled top-2, a residual, a skip
+    with a residual, and three routers' expert blocks."""
+    rng = np.random.default_rng(len(case))
+    n, d, rank = 4, 5, 3
+    blocks = 3 if case == "groups" else 1
+    experts = n * blocks
+    for trial in range(6):
+        rows = int(rng.integers(1, 9))
+        gates = rng.random((rows, n)) + 0.5
+        k = n if case == "soft" else 2
+        order = np.argsort(-gates, axis=1, kind="stable")[:, :k]
+        chosen = order + n * rng.integers(0, blocks, size=(rows, 1))
+        mask = np.zeros((rows, n))
+        np.put_along_axis(mask, order, 1.0, axis=1)
+        options = {"renormalize": {"renorm_mask": mask, "scale": 0.5}}.get(case, {})
+        extra = {"residual": 1, "skip": 2}.get(case, 0)
+        arrays = ([rng.standard_normal((rows, d)), gates]
+                  + [rng.standard_normal((d, rank)) for _ in range(experts)]
+                  + [rng.standard_normal((rank, d)) for _ in range(experts)]
+                  + [rng.standard_normal((rows, d)) for _ in range(extra)])
+        weight = rng.standard_normal((rows, d))
+        pair_rows, bounds = chosen_pairs(chosen, experts)
+
+        def fused(p):
+            residual = p[2 + 2 * experts] if extra else None
+            skip = p[3 + 2 * experts] if extra == 2 else None
+            return adapter_mixture(p[0], p[1], chosen, p[2:2 + experts],
+                                   p[2 + experts:2 + 2 * experts], "gelu", residual=residual,
+                                   skip=skip, **options)
+
+        def reference(p):
+            residual = p[2 + 2 * experts] if extra else None
+            out = pair_mixture(p[0], p[1], pair_rows, pair_rows, bounds, p[2:2 + experts],
+                               p[2 + experts:2 + 2 * experts], "gelu", rows, residual=residual,
+                               **options)
+            return add(p[3 + 2 * experts], out) if extra == 2 else out
+
+        assert_same_bytes(*run(fused, arrays, weight), *run(reference, arrays, weight))
+
+
 def test_feed_forward_checks_its_inputs():
     x = Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError, match="do not chain"):
@@ -186,41 +265,43 @@ def test_attention_matches_per_head_reference(n_heads, shape):
                 assert np.max(np.abs(got[:, cols] - want)) < 1e-12
 
 
+def chosen_ids(rng, n_rows, experts, k):
+    """(n_rows, k) expert ids, k distinct ones from ``experts`` per row."""
+    return np.array([rng.permutation(experts)[:k] for _ in range(n_rows)])
+
+
 @pytest.mark.parametrize("act", ["gelu", "relu", "silu"])
 def test_adapter_bank_matches_per_expert_chain(act):
     """``adapter_mixture`` equals the reference bit for bit, with gradients
-    within 1e-12: an idle expert, repeated rows, tokens that differ from
-    rows, plain, renormalised and scaled, and with a residual."""
+    within 1e-12: an idle expert, rows that choose one to three experts,
+    plain, renormalised and scaled, and with a residual."""
     rng = np.random.default_rng(len(act))
     n_experts, d, rank, n_rows = 4, 6, 3, 5
     for trial in range(6):
-        counts = rng.integers(0, 4, size=n_experts)
         idle = int(rng.integers(n_experts))
-        counts[idle] = 0
-        counts[(idle + 1) % n_experts] += 1
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        rows = rng.integers(0, n_rows, size=int(bounds[-1]))
-        tokens = rng.integers(0, 4, size=rows.size)
-        experts = np.repeat(np.arange(n_experts), counts)
-        mask = np.zeros((4, n_experts))
-        mask[tokens, experts] = 1.0
-        mask[mask.sum(axis=1) == 0, idle] = 1.0
+        chosen = chosen_ids(rng, n_rows, [e for e in range(n_experts) if e != idle],
+                            1 + (trial // 2) % 3)
+        rows, bounds = chosen_pairs(chosen, n_experts)
+        mask = np.zeros((n_rows, n_experts))
+        np.put_along_axis(mask, chosen, 1.0, axis=1)
         options = [{}, {"renorm_mask": mask, "scale": 0.5}, {"residual": True}][trial % 3]
-        arrays = ([rng.standard_normal((n_rows, d)), rng.random((4, n_experts)) + 0.5]
+        arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n_experts)) + 0.5]
                   + [rng.standard_normal((d, rank)) for _ in range(n_experts)]
                   + [rng.standard_normal((rank, d)) for _ in range(n_experts)]
                   + ([rng.standard_normal((n_rows, d))] if options.get("residual") else []))
         weight = rng.standard_normal((n_rows, d))
 
-        def call(fn):
+        def call(fn, pairs):
             def build(p):
                 kwargs = dict(options, residual=p[-1]) if "residual" in options else options
-                return fn(p[0], p[1], tokens, rows, bounds, p[2:2 + n_experts],
-                          p[2 + n_experts:2 + 2 * n_experts], act, n_rows, **kwargs)
+                experts = (p[2:2 + n_experts], p[2 + n_experts:2 + 2 * n_experts], act)
+                if pairs:
+                    return fn(p[0], p[1], rows, rows, bounds, *experts, n_rows, **kwargs)
+                return fn(p[0], p[1], chosen, *experts, **kwargs)
             return build
 
-        fused, fused_grads = run(call(adapter_mixture), arrays, weight)
-        ref, ref_grads = run(call(per_expert_chain), arrays, weight)
+        fused, fused_grads = run(call(adapter_mixture, False), arrays, weight)
+        ref, ref_grads = run(call(per_expert_chain, True), arrays, weight)
         assert np.array_equal(fused, ref)
         for got, want in zip(fused_grads, ref_grads):
             assert (got is None) == (want is None)
@@ -306,10 +387,8 @@ def test_adapter_mixture_reads_one_gate_block_per_router(blocks):
     n, d, rank, n_rows = 3, 5, 2, 6
     experts = n * blocks
     for trial in range(6):
-        counts = rng.integers(0, 3, size=experts)
-        counts[int(rng.integers(experts))] += 1
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        rows = rng.integers(0, n_rows, size=int(bounds[-1]))
+        chosen = chosen_ids(rng, n_rows, np.arange(experts), 2)
+        rows, bounds = chosen_pairs(chosen, experts)
         options = [{}, {"scale": 0.5}, {"residual": True}][trial % 3]
         arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n)) + 0.5]
                   + [rng.standard_normal((d, rank)) for _ in range(experts)]
@@ -321,9 +400,11 @@ def test_adapter_mixture_reads_one_gate_block_per_router(blocks):
         def call(fn, tiled):
             def build(p):
                 kwargs = dict(options, residual=p[-1]) if "residual" in options else options
-                gates = matmul(p[1], tile) if tiled else p[1]
-                return fn(p[0], gates, rows, rows, bounds, p[2:2 + experts],
-                          p[2 + experts:2 + 2 * experts], "gelu", n_rows, **kwargs)
+                weights = (p[2:2 + experts], p[2 + experts:2 + 2 * experts], "gelu")
+                if tiled:
+                    return fn(p[0], matmul(p[1], tile), rows, rows, bounds, *weights, n_rows,
+                              **kwargs)
+                return fn(p[0], p[1], chosen, *weights, **kwargs)
             return build
 
         fused, fused_grads = run(call(adapter_mixture, False), arrays, weight)
@@ -402,25 +483,28 @@ def test_adapter_bank_checks_its_inputs():
     downs = [Tensor(rng.standard_normal((4, 2))) for _ in range(2)]
     ups = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
 
-    def mixture(tokens=(0, 1), rows=(0, 1), bounds=(0, 1, 2), w_ups=ups, act="gelu", n_rows=3,
-                **kwargs):
-        return adapter_mixture(base, kwargs.pop("gates", gates), tokens, rows, bounds, downs,
-                               w_ups, act, n_rows, **kwargs)
+    def mixture(chosen=((0, 1), (1, 0), (1, 1)), w_ups=ups, act="gelu", **kwargs):
+        return adapter_mixture(base, kwargs.pop("gates", gates), chosen, downs, w_ups, act,
+                               **kwargs)
 
-    with pytest.raises(ContractError, match="row out of range"):
-        mixture(rows=[0, 3])
-    with pytest.raises(ContractError, match="row out of range"):
-        mixture(rows=[0, 2], n_rows=2)
-    with pytest.raises(ContractError, match="token out of range"):
-        mixture(tokens=[0, 3])
-    with pytest.raises(ShapeError, match="tokens and rows"):
-        mixture(tokens=[0])
+    with pytest.raises(ContractError, match="expert id out of range"):
+        mixture(chosen=[[0, 2], [1, 0], [0, 1]])
+    with pytest.raises(ContractError, match="expert id out of range"):
+        mixture(chosen=[[0, -1], [1, 0], [0, 1]])
+    with pytest.raises(ShapeError, match="integer expert ids"):
+        mixture(chosen=[[0, 1], [1, 0]])
+    with pytest.raises(ShapeError, match="integer expert ids"):
+        mixture(chosen=[0, 1, 0])
+    with pytest.raises(ShapeError, match="integer expert ids"):
+        mixture(chosen=[[0.0], [1.0], [1.0]])
+    with pytest.raises(ShapeError, match="integer expert ids"):
+        mixture(chosen=np.zeros((3, 0), dtype=np.int64))
     with pytest.raises(ShapeError, match="gates"):
         mixture(gates=Tensor(np.ones((3, 3))))
+    with pytest.raises(ShapeError, match="gates"):
+        mixture(gates=Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError, match="dividing the 2 experts"):
         mixture(gates=Tensor(np.ones((3, 4))))
-    with pytest.raises(ContractError, match="bounds"):
-        mixture(bounds=[0, 2, 1])
     with pytest.raises(ContractError, match="one up per down"):
         mixture(w_ups=ups[:1])
     with pytest.raises(ShapeError, match="projections"):
@@ -433,6 +517,31 @@ def test_adapter_bank_checks_its_inputs():
         mixture(renorm_mask=[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ShapeError, match="residual"):
         mixture(residual=Tensor(np.ones((2, 4))))
+    with pytest.raises(ShapeError, match="skip"):
+        mixture(skip=Tensor(np.ones((3, 5))))
+
+
+def test_embedding_and_head_check_their_inputs():
+    tok, pos = Tensor(np.ones((5, 4))), Tensor(np.ones((3, 4)))
+    with pytest.raises(ContractError, match="token id out of range for vocab size 5"):
+        embed_tokens(tok, pos, [0, 5], [0, 1])
+    with pytest.raises(ContractError, match="token id out of range"):
+        embed_tokens(tok, pos, [-1, 0], [0, 1])
+    with pytest.raises(ContractError, match="position out of range for 3 positions"):
+        embed_tokens(tok, pos, [0, 1], [1, 3])
+    with pytest.raises(ContractError, match="integer ids"):
+        embed_tokens(tok, pos, [0.0, 1.0], [0, 1])
+    with pytest.raises(ContractError, match="integer ids"):
+        embed_tokens(tok, pos, [True, False], [0, 1])
+    with pytest.raises(ShapeError, match="equal 1-D"):
+        embed_tokens(tok, pos, [0, 1], [0])
+    with pytest.raises(ShapeError, match="tables"):
+        embed_tokens(tok, Tensor(np.ones((3, 2))), [0], [0])
+    x = Tensor(np.ones((2, 4)))
+    with pytest.raises(ShapeError, match="output_head"):
+        output_head(x, Tensor(np.ones(3)), Tensor(np.ones((4, 5))))
+    with pytest.raises(ShapeError, match="output_head"):
+        output_head(x, Tensor(np.ones(4)), Tensor(np.ones((3, 5))))
 
 
 def test_no_grad_skips_the_activation_derivative(monkeypatch):

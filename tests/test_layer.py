@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
-from conftest import general_path, gradcheck, softmax, top_k_mask
+from conftest import general_path, gradcheck, matmul, pair_mixture, softmax, take_rows, top_k_mask
 from moce.errors import ConfigError, ContractError
 from moce.layer import (
     AdapterExpert,
@@ -25,10 +25,8 @@ from moce.tensor import (
     adapter_mixture,
     add,
     backward,
-    matmul,
     mul,
     router_gates,
-    take_rows,
     tensor_sum,
 )
 
@@ -162,9 +160,9 @@ class TestTopKMaskProperties:
 def expert_output(e, base, x):
     """One gelu expert's full output on every row: a one-adapter mixture
     with every gate 1, and the residual input."""
-    rows = np.arange(base.shape[0])
-    return adapter_mixture(base, Tensor(np.ones((rows.size, 1))), rows, rows, [0, rows.size],
-                           [e.w_down], [e.w_up], "gelu", rows.size, residual=x)
+    rows = base.shape[0]
+    return adapter_mixture(base, Tensor(np.ones((rows, 1))), np.zeros((rows, 1), dtype=np.int64),
+                           [e.w_down], [e.w_up], "gelu", residual=x)
 
 
 class TestAdapter:
@@ -408,7 +406,7 @@ class TestGradients:
 
 def routed_per_group(layer, x, row_groups):
     """Reference: each group present routes its own rows in its own call
-    (``take_rows``, ``matmul``, softmax, one ``adapter_mixture``), the
+    (``take_rows``, ``matmul``, softmax, one ``pair_mixture``), the
     calls' results are added, and in a variant layer the general group
     routes every row. The balance loss is each call's ``ones @ gates``
     weighted by N f / T, summed, and the routers' terms added in call order."""
@@ -425,11 +423,11 @@ def routed_per_group(layer, x, row_groups):
         f = np.bincount(np.argmax(gates.data, axis=1), minlength=n) / t
         terms.append(tensor_sum(mul(matmul(Tensor(np.ones((1, t))), gates),
                                     Tensor(f[None, :] * n / t))))
-        return adapter_mixture(base_out, gates, tokens, tokens if rows is None else rows[tokens],
-                               np.concatenate([[0], np.cumsum(np.bincount(experts, minlength=n))]),
-                               [e.w_down for e in group.experts], [e.w_up for e in group.experts],
-                               group.act, x.shape[0], mask if renorm else None, layer.moe_scale,
-                               x if include_residual else None)
+        return pair_mixture(base_out, gates, tokens, tokens if rows is None else rows[tokens],
+                            np.concatenate([[0], np.cumsum(np.bincount(experts, minlength=n))]),
+                            [e.w_down for e in group.experts], [e.w_up for e in group.experts],
+                            group.act, x.shape[0], mask if renorm else None, layer.moe_scale,
+                            x if include_residual else None)
 
     present = np.unique(row_groups)
     combined = None

@@ -369,3 +369,40 @@ def test_one_op_per_sublayer(monkeypatch):
     assert generated > 0
     assert ops.count("attention_block") == ops.count("feed_forward[gelu]") == mcfg.n_layers * generated
     assert len(ops) / generated <= 15, len(ops) / generated
+
+
+def test_ten_ops_per_decoded_token(monkeypatch):
+    """On the criterion-8 shapes a decoded token costs at most 10 engine ops
+    (``embed_tokens``; per block ``attention_block``, ``feed_forward``,
+    ``router_gates`` and ``adapter_mixture``, which adds the residual;
+    ``output_head``; 15 with the gathers, the residual ``add``, ``rmsnorm``
+    and the head's ``matmul`` as ops), and one adapter step records at most
+    11 tape nodes (14 with them)."""
+    cfg = RunConfig(seed=0, n_groups=2, d_model=24, n_layers=2, n_heads=2, d_ff=48,
+                    n_experts=4, adapter_rank=4, top_k=2, batch_size=8)
+    mcfg = model_config_from(cfg, 2)
+    model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
+    records = make_two_dialect_corpus(100, seed=0)
+    examples = [training_pair(encode_example(r)) for r in records]
+    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    record = RoutingRecord()
+    logits = model.forward(inputs, [i % 2 for i in range(8)], record)
+    loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
+    assert _tape_nodes(loss) <= 11, _tape_nodes(loss)
+
+    ops = []
+    result = tensor._result
+
+    def counted(data, parents, backward_fn, op):
+        ops.append(op)
+        return result(data, parents, backward_fn, op)
+
+    monkeypatch.setattr(tensor, "_result", counted)
+    generated = 0
+    for r in records[:5]:
+        prompt = prompt_ids(r)
+        generated += len(greedy_decode(model, prompt, 0, mcfg.max_seq_len, eos_id=-1)) - len(prompt)
+    assert generated > 0
+    assert "add" not in ops
+    assert ops.count("embed_tokens") == ops.count("output_head") == generated
+    assert len(ops) / generated <= 10, len(ops) / generated

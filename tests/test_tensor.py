@@ -1,11 +1,20 @@
 """Tensor engine: forward values against independent oracles, gradients
 against central differences, and the tape lifecycle contracts."""
 
+import ast
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from conftest import activation, attention, concat_rows, finite_difference_gradient, gradcheck, relative_error
+from moce import tensor
+
+from conftest import (activation, attention, concat_rows, finite_difference_gradient, gradcheck,
+                      matmul, relative_error, rmsnorm, take_rows)
 from moce.errors import ContractError, NumericError, ShapeError, StateError
 from moce.tensor import (
     Tensor,
@@ -13,14 +22,13 @@ from moce.tensor import (
     add,
     attention_block,
     backward,
+    embed_tokens,
     feed_forward,
     gate_balance,
     masked_cross_entropy,
-    matmul,
     mul,
-    rmsnorm,
+    output_head,
     router_gates,
-    take_rows,
     tensor_sum,
 )
 
@@ -126,20 +134,25 @@ class TestForwardValues:
         assert tensor_sum(a).item() == 10.0
         assert np.array_equal(take_rows(a, [1, 0, 1]).data, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0]])
         # Two relu adapters with identity down projections and up
-        # projections I and 2I: expert 0 takes token 0 on row 1, expert 1
-        # takes token 1 on row 1 and token 0 on row 0; one extra zero row.
+        # projections I and 2I: row 0 chooses experts 0 then 1, row 1
+        # experts 1 then 0.
         eye = Tensor(np.eye(2))
         gates = Tensor([[1.5, 0.5], [1.0, 0.25]])
 
         def mixture(**kwargs):
-            return adapter_mixture(a, gates, [0, 1, 0], [1, 1, 0], [0, 1, 3], [eye, eye],
-                                   [eye, Tensor(2.0 * np.eye(2))], "relu", 3, **kwargs).data
+            return adapter_mixture(a, gates, [[0, 1], [1, 0]], [eye, eye],
+                                   [eye, Tensor(2.0 * np.eye(2))], "relu", **kwargs).data
 
-        assert np.array_equal(mixture(), [[1.0, 2.0], [6.0, 8.0], [0.0, 0.0]])
-        assert np.array_equal(mixture(scale=0.5), [[0.5, 1.0], [3.0, 4.0], [0.0, 0.0]])
+        assert np.array_equal(mixture(), [[2.5, 5.0], [4.5, 6.0]])
+        assert np.array_equal(mixture(scale=0.5), [[1.25, 2.5], [2.25, 3.0]])
         assert np.array_equal(mixture(renorm_mask=[[1.0, 1.0], [0.0, 1.0]]),
-                              [[0.5, 1.0], [8.25, 11.0], [0.0, 0.0]])
-        assert np.array_equal(mixture(residual=b), [[6.0, 12.0], [58.5, 78.0], [0.0, 0.0]])
+                              [[1.25, 2.5], [18.0, 24.0]])
+        assert np.array_equal(mixture(residual=b), [[22.5, 45.0], [42.0, 56.0]])
+        assert np.array_equal(mixture(scale=0.5, skip=b), [[11.25, 22.5], [32.25, 43.0]])
+        assert np.array_equal(embed_tokens(b, a, [1, 1, 0], [0, 1, 0]).data,
+                              [[31.0, 42.0], [33.0, 44.0], [11.0, 22.0]])
+        assert np.array_equal(output_head(Tensor([[3.0, 4.0]]), Tensor([2.0, 1.0]), eye).data,
+                              rmsnorm(Tensor([[3.0, 4.0]]), Tensor([2.0, 1.0])).data)
         assert np.array_equal(concat_rows([a, b]).data, [[1, 2], [3, 4], [10, 20], [30, 40]])
         assert np.array_equal(concat_rows([Tensor([1.0]), Tensor([2.0, 3.0])]).data, [1, 2, 3])
 
@@ -207,19 +220,23 @@ class TestBackward:
             blocked = rng.random((t_rows, s_rows)) < 0.4
             blocked[:, 0] = False
             att_mask = np.where(blocked, -1.0e30, 0.0)
-            # Adapter mixtures with repeated rows, expert 1 given none, and
-            # one extra zero result row: the first renormalises over a mask
-            # (pairs plus column 1 for unselected tokens) and scales by 0.5;
-            # the second reads gates of other rows and adds a residual.
-            bank_rows = [m - 1, 0, 0, 1, m - 1]
-            bounds = [0, 2, 2, 5]
+            # Adapter mixtures of three experts, two per row with expert 1
+            # given none: the first renormalises over the chosen pairs plus
+            # column 1 of the last row and scales by 0.5; the second sends
+            # each row to experts 2 and 0 or 0 and 1, adds a residual to
+            # each expert's output and a skip to the sum.
+            chosen = np.where(np.arange(m)[:, None] % 2 == 0, [[0, 2]], [[2, 0]])
+            other_chosen = np.where(np.arange(m)[:, None] % 3 == 0, [[2, 0]], [[0, 1]])
             downs = [rng.standard_normal((k, 3)) for _ in range(3)]
             ups = [rng.standard_normal((3, k)) for _ in range(3)]
             gates = rng.random((m, 3)) + 0.5
             renorm = np.zeros((m, 3))
-            renorm[bank_rows, [0, 0, 2, 2, 2]] = 1.0
-            renorm[renorm.sum(axis=1) == 0, 1] = 1.0
-            other_tokens, other_gates = [2, 0, 1, 1, 2], rng.random((3, 3)) + 0.5
+            np.put_along_axis(renorm, chosen, 1.0, axis=1)
+            renorm[m - 1, 1] = 1.0
+            # The embedding reads token rows of b.T with a repeat, and
+            # positions of c; the head normalises a with gain and projects
+            # by b.
+            ids, positions = [n - 1, 0, n - 1], [0, m - 1, 0]
 
             cases = [
                 (lambda p: tensor_sum(matmul(p[0], p[1])), [a, b]),
@@ -232,14 +249,19 @@ class TestBackward:
                 (lambda p: tensor_sum(mul(concat_rows([p[0], p[1]]), concat_rows([p[1], p[0]]))), [a, c]),
                 (lambda p: tensor_sum(mul(attention(p[0], p[1], p[2], att_mask, heads), p[3])),
                  [q, kv[0], kv[1], rng.standard_normal(q.shape)]),
-                (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], bank_rows, bank_rows, bounds,
-                                                          p[2:5], p[5:8], kind, m + 1, renorm, 0.5),
+                (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], chosen, p[2:5], p[5:8], kind,
+                                                          renorm, 0.5),
                                           p[8])),
-                 [a, gates, *downs, *ups, rng.standard_normal((m + 1, k))]),
-                (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], other_tokens, bank_rows, bounds,
-                                                          p[2:5], p[5:8], kind, m, residual=p[8]),
-                                          p[9])),
-                 [a, other_gates, *downs, *ups, c, rng.standard_normal((m, k))]),
+                 [a, gates, *downs, *ups, rng.standard_normal((m, k))]),
+                (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], other_chosen, p[2:5], p[5:8],
+                                                          kind, residual=p[8], skip=p[9]),
+                                          p[10])),
+                 [a, rng.random((m, 3)) + 0.5, *downs, *ups, c, rng.standard_normal((m, k)),
+                  rng.standard_normal((m, k))]),
+                (lambda p: tensor_sum(mul(embed_tokens(p[0], p[1], ids, positions), p[2])),
+                 [b.T.copy(), c, rng.standard_normal((3, k))]),
+                (lambda p: tensor_sum(mul(output_head(p[0], p[1], p[2]), p[3])),
+                 [a, gain, b, rng.standard_normal((m, n))]),
             ]
             for build, arrays in cases:
                 worst = max(worst, gradcheck(build, arrays))
@@ -309,14 +331,12 @@ class TestBackward:
         gates = Tensor(rng.random((4, 3)) + 0.5, requires_grad=True)
         downs = [Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(3)]
         ups = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
-        backward(tensor_sum(adapter_mixture(base, gates, [3, 0, 0], [3, 0, 0], [0, 2, 2, 3],
-                                            downs, ups, "gelu", 4)))
+        backward(tensor_sum(adapter_mixture(base, gates, [[0], [2], [2], [0]], downs, ups, "gelu")))
         assert downs[1].grad is None and ups[1].grad is None
         for w in (downs[0], ups[0], downs[2], ups[2], base):
             assert w.grad is not None and np.any(w.grad != 0)
-        assert np.array_equal(base.grad[[1, 2]], np.zeros((2, 3)))
         read = np.zeros((4, 3), dtype=bool)
-        read[[3, 0, 0], [0, 0, 2]] = True
+        read[[0, 1, 2, 3], [0, 2, 2, 0]] = True
         assert np.all(gates.grad[read] != 0) and np.all(gates.grad[~read] == 0)
 
     def test_relu_gradient_away_from_kink(self):
@@ -373,3 +393,46 @@ class TestBackward:
         x = np.array([1.0, -2.0])
         grad = finite_difference_gradient(lambda v: float(v @ q @ v), x)
         assert relative_error(grad, 2 * q @ x) < 1e-8
+
+
+# Finite doubles with the edge cases the reductions must keep: both signed
+# zeros and the smallest subnormals, next to ordinary and huge values.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1030)]),
+                        st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+class TestUfuncReductions:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
+                    elements=EDGE_FLOATS),
+           axis=st.integers(-3, 2), keepdims=st.booleans())
+    def test_ufunc_reductions_equal_the_wrappers_bit_for_bit(self, x, axis, keepdims):
+        """``np.add.reduce``, ``np.maximum.reduce`` and ``np.minimum.reduce``
+        give the bits of ``np.sum``, ``np.max`` and ``np.min``; the add
+        reduction over n values divided by n those of ``np.mean``;
+        ``np.logical_and.reduce`` over every axis those of ``ndarray.all``;
+        and ``_rmsnorm``'s row scale that of the ``np.mean`` formula."""
+        axis = axis % x.ndim
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ufunc, wrapper in ((np.add, np.sum), (np.maximum, np.max), (np.minimum, np.min)):
+                assert (ufunc.reduce(x, axis=axis, keepdims=keepdims).tobytes()
+                        == wrapper(x, axis=axis, keepdims=keepdims).tobytes())
+            assert (np.add.reduce(x, axis=None).tobytes() == np.sum(x).tobytes())
+            assert ((np.add.reduce(x, axis=axis, keepdims=keepdims) / x.shape[axis]).tobytes()
+                    == np.mean(x, axis=axis, keepdims=keepdims).tobytes())
+            finite = np.isfinite(x * x)
+            assert np.logical_and.reduce(finite, axis=None) == finite.all()
+            rows = x.reshape(x.shape[0], -1)
+            _, r, _ = tensor._rmsnorm(rows, np.ones(rows.shape[1]))
+            assert r.tobytes() == np.sqrt(np.mean(rows * rows, axis=1, keepdims=True) + 1e-8).tobytes()
+
+    def test_engine_ops_call_no_reduction_wrapper(self):
+        """No function in ``moce.tensor`` calls ``np.sum``, ``np.max``,
+        ``np.min`` or ``np.mean``: the wrappers cost more than the reduction
+        on the one-row blocks of a decoded token."""
+        tree = ast.parse(Path(tensor.__file__).read_text(encoding="utf-8"))
+        calls = [f"line {node.lineno}: np.{node.func.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                 and node.func.attr in ("sum", "max", "min", "mean")]
+        assert not calls, calls
