@@ -544,6 +544,16 @@ def gate_balance(calls: Sequence[Sequence[tuple]], weights: Sequence) -> Tensor:
     return _result(np.array(sum(terms[1:], terms[0])), tuple(parents), grad_fn, "gate_balance")
 
 
+def _row_sums(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Row t's sum of ``values[pairs[t, 0]], values[pairs[t, 1]], ...``,
+    added one column of ``pairs`` at a time onto zeros: with each row's pair
+    positions ascending, the bits of ``np.add.at`` over the pairs in order."""
+    acc = np.zeros((pairs.shape[0],) + values.shape[1:])
+    for j in range(pairs.shape[1]):
+        acc += values[pairs[:, j]]
+    return acc
+
+
 def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tensor],
                     w_ups: Sequence[Tensor], act: str, renorm_mask=None, scale: float = 1.0,
                     residual: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
@@ -556,10 +566,11 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     total gate over the 0/1 ``renorm_mask`` when given. The op sorts the
     pairs by expert, stably, so that expert e runs act(base[rows] @
     w_downs[e]) @ w_ups[e] once over the rows that chose it, plus
-    ``residual[rows]`` when given. The weighted outputs are added in pair
-    order into zero (T, d), the sum is multiplied by ``scale``, and with
-    ``skip`` the op returns skip + that. An expert no row chose does no
-    work, and its weights get no gradient: None, not zeros.
+    ``residual[rows]`` when given; one activation call covers every pair.
+    Each row adds its weighted pairs in pair order onto zeros, the sum is
+    multiplied by ``scale``, and with ``skip`` the op returns skip + that.
+    An expert no row chose does no work, and its weights get no gradient:
+    None, not zeros. The experts share one rank r.
     """
     ids = np.asarray(chosen)
     n, shape = len(w_downs), base.data.shape
@@ -575,11 +586,11 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     if ids.size and (np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= n):
         raise ContractError(f"adapter_mixture expert id out of range for {n} experts")
     d = shape[1]
+    rank = w_downs[0].data.shape[-1]
     for w_down, w_up in zip(w_downs, w_ups):
-        down, up = w_down.data.shape, w_up.data.shape
-        if len(down) != 2 or down[0] != d or up != (down[1], d):
-            raise ShapeError(f"adapter_mixture needs ({d}, r) and (r, {d}) projections, "
-                             f"got {down} and {up}")
+        if w_down.data.shape != (d, rank) or w_up.data.shape != (rank, d):
+            raise ShapeError(f"adapter_mixture needs ({d}, r) and (r, {d}) projections of one "
+                             f"rank, got {w_down.data.shape} and {w_up.data.shape}")
     if act not in ACTIVATIONS:
         raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
     for name, extra in (("residual", residual), ("skip", skip)):
@@ -590,6 +601,12 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     order = flat.argsort(kind="stable")
     idx = order // ids.shape[1]  # each pair's row, pairs sorted by expert
     experts = flat[order]
+    # Each row's pair positions, ascending: the order np.add.at would add them in.
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    pairs = position.reshape(ids.shape)
+    if ids.shape[1] > 1:
+        pairs = np.sort(pairs, axis=1)
     cols = experts if width == n else experts % width
     weight = pair_gate = gates.data[idx, cols]
     if renorm_mask is not None:
@@ -602,21 +619,20 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
         inverse = 1.0 / totals
         weight = pair_gate * inverse[idx, 0]
     parents = (base, gates, *w_downs, *w_ups, *(t for t in (residual, skip) if t is not None))
-    need = _tracked(parents)
     counts = np.bincount(flat, minlength=n)
     ends = counts.cumsum().tolist()
     spans = [(e, hi - c, hi) for e, (c, hi) in enumerate(zip(counts.tolist(), ends)) if c]
-    out = np.empty((flat.size, d))
-    saved = {}
+    xs = base.data[idx]
+    pre = np.empty((flat.size, rank))
     for e, lo, hi in spans:
-        x = base.data[idx[lo:hi]]
-        value, local = _activate(x @ w_downs[e].data, act, need)
-        out[lo:hi] = value @ w_ups[e].data
-        saved[e] = (x, value, local)
+        pre[lo:hi] = xs[lo:hi] @ w_downs[e].data
+    value, local = _activate(pre, act, _tracked(parents))
+    out = np.empty((flat.size, d))
+    for e, lo, hi in spans:
+        out[lo:hi] = value[lo:hi] @ w_ups[e].data
     if residual is not None:
         out = out + residual.data[idx]
-    data = np.zeros(shape)
-    np.add.at(data, idx, out * weight[:, None])
+    data = _row_sums(out * weight[:, None], pairs)
     if scale != 1.0:
         data = data * scale
 
@@ -625,29 +641,30 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
         d_out = g_pairs * weight[:, None]
         d_gates = d_base = d_residual = None
         if gates.requires_grad:
+            # bincount adds each cell's pairs in pair order onto zeros, as
+            # np.add.at does; a row may hit one column from two gate blocks.
             d_weight = np.add.reduce(g_pairs * out, axis=1)
-            d_gates = np.zeros_like(gates.data)
-            np.add.at(d_gates, (idx, cols), d_weight if renorm_mask is None
-                      else d_weight * inverse[idx, 0])
+            d_gates = np.bincount(idx * width + cols, d_weight if renorm_mask is None
+                                  else d_weight * inverse[idx, 0], gates.data.size)
+            d_gates = d_gates.reshape(gates.data.shape)
             if renorm_mask is not None:
-                d_inverse = np.zeros_like(totals)
-                np.add.at(d_inverse, (idx, 0), d_weight * pair_gate)
+                d_inverse = _row_sums(d_weight * pair_gate, pairs)[:, None]
                 d_gates = d_gates + (-d_inverse * inverse * inverse) * mask
         d_downs, d_ups = [None] * n, [None] * n
-        d_rows = np.empty_like(d_out)
+        d_value = np.empty_like(pre)
         for e, lo, hi in spans:
-            x, value, local = saved[e]
-            d_ups[e] = value.T @ d_out[lo:hi]
-            d_pre = (d_out[lo:hi] @ w_ups[e].data.T) * local
-            d_downs[e] = x.T @ d_pre
-            if base.requires_grad:
-                d_rows[lo:hi] = d_pre @ w_downs[e].data.T
-        if base.requires_grad:
-            d_base = np.zeros_like(base.data)
-            np.add.at(d_base, idx, d_rows)
+            d_ups[e] = value[lo:hi].T @ d_out[lo:hi]
+            d_value[lo:hi] = d_out[lo:hi] @ w_ups[e].data.T
+        d_pre = d_value * local
+        d_rows = np.empty_like(d_out) if base.requires_grad else None
+        for e, lo, hi in spans:
+            d_downs[e] = xs[lo:hi].T @ d_pre[lo:hi]
+            if d_rows is not None:
+                d_rows[lo:hi] = d_pre[lo:hi] @ w_downs[e].data.T
+        if d_rows is not None:
+            d_base = _row_sums(d_rows, pairs)
         if residual is not None and residual.requires_grad:
-            d_residual = np.zeros_like(residual.data)
-            np.add.at(d_residual, idx, d_out)
+            d_residual = _row_sums(d_out, pairs)
         extras = (d for t, d in ((residual, d_residual), (skip, g)) if t is not None)
         return (d_base, d_gates, *d_downs, *d_ups, *extras)
 

@@ -231,6 +231,74 @@ def test_adapter_mixture_matches_the_pair_contract(case):
         assert_same_bytes(*run(fused, arrays, weight), *run(reference, arrays, weight))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", ["plain", "renormalize", "residual", "shared-column"])
+def test_adapter_mixture_sums_rows_as_np_add_at(k, case):
+    """Each row's pairs added in pair order onto zeros give the bits of
+    ``pair_mixture``'s ``np.add.at``: the output and every gradient. Rows
+    take k pairs; one row picks one expert twice, and in "shared-column"
+    rows pick experts c and c + N of two router blocks, which share gate
+    column c, so gate gradients sum repeated (row, column) cells."""
+    rng = np.random.default_rng(10 * k + len(case))
+    n, blocks, d, rank, n_rows = 3, 2, 5, 2, 7
+    experts = n * blocks
+    for trial in range(4):
+        chosen = chosen_ids(rng, n_rows, np.arange(experts), k)
+        if k > 1:
+            chosen[1, 1] = chosen[1, 0]
+        if case == "shared-column" and k > 1:
+            for row in range(2, n_rows):
+                c = int(rng.integers(n))
+                chosen[row, :2] = (c, c + n) if row % 2 else (c + n, c)
+        mask = np.zeros((n_rows, n))
+        np.put_along_axis(mask, chosen % n, 1.0, axis=1)
+        options = {"renormalize": {"renorm_mask": mask, "scale": 0.5}}.get(case, {})
+        extra = int(case == "residual")
+        arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n)) + 0.5]
+                  + [rng.standard_normal((d, rank)) for _ in range(experts)]
+                  + [rng.standard_normal((rank, d)) for _ in range(experts)]
+                  + [rng.standard_normal((n_rows, d)) for _ in range(extra)])
+        weight = rng.standard_normal((n_rows, d))
+        pair_rows, bounds = chosen_pairs(chosen, experts)
+
+        def split(p):
+            return (p[2:2 + experts], p[2 + experts:2 + 2 * experts], "gelu",
+                    dict(options, residual=p[-1]) if extra else options)
+
+        def fused(p):
+            downs, ups, act, kwargs = split(p)
+            return adapter_mixture(p[0], p[1], chosen, downs, ups, act, **kwargs)
+
+        def reference(p):
+            downs, ups, act, kwargs = split(p)
+            return pair_mixture(p[0], p[1], pair_rows, pair_rows, bounds, downs, ups, act, n_rows,
+                                **kwargs)
+
+        assert_same_bytes(*run(fused, arrays, weight), *run(reference, arrays, weight))
+
+
+def test_adapter_mixture_calls_the_activation_once(monkeypatch):
+    """One ``_activate`` call covers every pair of every chosen expert."""
+    rng = np.random.default_rng(2)
+    calls = []
+    activate = tensor._activate
+
+    def spy(x, kind, need):
+        calls.append(x.shape)
+        return activate(x, kind, need)
+
+    monkeypatch.setattr(tensor, "_activate", spy)
+    n_rows, d, rank, experts = 6, 4, 3, 5
+    chosen = chosen_ids(rng, n_rows, np.arange(experts), 2)
+    downs = [Tensor(rng.standard_normal((d, rank)), requires_grad=True) for _ in range(experts)]
+    ups = [Tensor(rng.standard_normal((rank, d)), requires_grad=True) for _ in range(experts)]
+    out = adapter_mixture(Tensor(rng.standard_normal((n_rows, d))),
+                          Tensor(rng.random((n_rows, experts))), chosen, downs, ups, "silu")
+    assert calls == [(chosen.size, rank)]
+    backward(tensor_sum(out))
+    assert len(calls) == 1
+
+
 def test_feed_forward_checks_its_inputs():
     x = Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError, match="do not chain"):
