@@ -59,10 +59,10 @@ METRICS_FILE = "metrics.jsonl"
 SUMMARY_FILE = "summary.json"
 
 # Evaluation and route-stats pack consecutive records into blocks of at
-# most this many tokens. Attention over a packed block does work and holds
-# memory quadratic in its size, most of it masked out, so blocks stay
-# small: on the two-dialect corpus 64 evaluates fastest, and 256 raised
-# the peak memory of a train-plus-eval run by a tenth.
+# most this many tokens. 64 evaluated fastest on the two-dialect corpus
+# when attention scored the whole block under a mask; attention now runs
+# per sequence, padded to the block's longest. The packing decides which
+# sequences share a block, and so the last bits of the evaluation NLL.
 PACK_TOKENS = 64
 
 

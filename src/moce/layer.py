@@ -10,8 +10,8 @@ adapter over one shared frozen feed-forward block and contributes a
 residual update. Per layer and path one ``router_gates`` op scores a
 packed block for every group present, each group over its own rows, and
 one ``adapter_mixture`` op takes each row's chosen experts, runs every
-selected expert once and adds the residual x; experts that win no tokens
-do no work at all. A routed layer is two engine ops beside its frozen
+selected expert once, with one activation call over all of their rows,
+and adds the residual x; experts that win no tokens do no work at all. A routed layer is two engine ops beside its frozen
 feed-forward, and the two-path variant adds one more call and one ``add``.
 ``RoutingRecord`` keeps plain arrays and references to the gate tensors,
 and the balance loss is one ``gate_balance`` op over them.
@@ -200,9 +200,10 @@ class RoutingRecord:
         g = gates.data if rows is None else gates.data[rows]
         stats = self._stats(key, g.shape[1])
         stats.token_count += g.shape[0]
-        stats.top1_counts += np.bincount(np.argmax(g, axis=1), minlength=g.shape[1])
-        stats.gate_value_sum += g.sum(axis=0)
-        stats.selected_counts += (mask if rows is None else mask[rows]).sum(axis=0).astype(np.int64)
+        stats.top1_counts += np.bincount(g.argmax(axis=1), minlength=g.shape[1])
+        stats.gate_value_sum += np.add.reduce(g, axis=0)
+        stats.selected_counts += np.add.reduce(mask if rows is None else mask[rows],
+                                               axis=0).astype(np.int64)
         stats.gate_calls.append((gates, rows))
         self._calls.append((key, gates, mask, rows, token_offset))
 

@@ -7,7 +7,9 @@ freezes the whole backbone and drops a fresh mixture layer (zero-init
 adapters) into every block, so the upcycled model computes bit-for-bit
 the dense base's function until training moves the adapters.
 
-The embedding is one ``embed_tokens`` engine op, each block's attention
+A packed block carries its sequences' lengths, and the attention op
+keeps each sequence to its own rows; no block builds a mask. The
+embedding is one ``embed_tokens`` engine op, each block's attention
 sublayer one ``attention_block`` op, its frozen feed-forward one
 ``feed_forward`` op, and the head one ``output_head`` op; the mixture
 layer adds one ``router_gates`` and one ``adapter_mixture`` op per block.
@@ -44,8 +46,6 @@ CKPT_MAGIC = "MOCE-CKPT"
 CKPT_VERSION = "v1"
 MANIFEST_NAME = "manifest.txt"
 PARAMS_NAME = "params.bin"
-
-_NEG_MASK = -1.0e30
 
 
 @dataclass
@@ -111,13 +111,12 @@ class _Block:
         base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=requires_grad)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
-    def attend(self, x: Tensor, mask: np.ndarray, cache: tuple | None = None) -> Tensor:
-        """Causal self-attention over a packed block plus the residual, in one
-        ``attention_block`` op; ``mask`` holds 0 where a row may attend and a
-        large negative score where it may not. With ``cache`` (see
-        ``_BlockCache.rows``) the rows' keys and values are written after the
-        cached ones and the rows attend over all of them."""
-        return attention_block(x, self.norm, self.wq, self.wk, self.wv, self.wo, mask,
+    def attend(self, x: Tensor, lengths, cache: tuple | None = None) -> Tensor:
+        """Causal self-attention of each packed sequence of ``lengths`` over
+        its own rows, plus the residual, in one ``attention_block`` op. With
+        ``cache`` (see ``_BlockCache.rows``) the rows' keys and values are
+        written after the cached ones and the rows attend over all of them."""
+        return attention_block(x, self.norm, self.wq, self.wk, self.wv, self.wo, lengths,
                                self.n_heads, cache)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
@@ -159,22 +158,30 @@ class KVCache:
         self.blocks = [_BlockCache() for _ in range(n_blocks)]
 
 
-def _check_integers(values: np.ndarray, what: str) -> None:
-    """Reject an array whose dtype is not an integer kind: floats would be
-    truncated and booleans read as 0 and 1. One dtype test, no per-element
-    work."""
-    if values.dtype.kind not in "iu":
-        raise ContractError(f"{what} must be integers, got dtype {values.dtype}")
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an integer array. Floats would be truncated and
+    booleans read as 0 and 1, so a dtype that is not an integer kind is
+    rejected, and so is a list that holds a boolean among integers, which
+    numpy reads as an integer array. An array costs one dtype test and no
+    per-element work."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ContractError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.ndim and not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ContractError(f"{what} must be integers, got a boolean among them")
+    return arr
 
 
 class _Packed:
     """One sequence of token ids, or a list of sequences, laid end to end as
-    one block of rows, with each row's position in its own sequence and an
-    attention mask that keeps every row to the earlier rows of its sequence.
+    one block of rows, with each sequence's length and each row's position
+    in its own sequence.
 
     ``start`` is the number of rows a cache already holds before these: the
-    rows take positions ``start..start+n`` and the mask, of shape
-    ``(n, start+n)``, also lets them attend to every cached row.
+    rows take positions ``start..start+n``.
     """
 
     def __init__(self, token_ids, cfg: ModelConfig, start: int = 0):
@@ -182,11 +189,9 @@ class _Packed:
             token_ids = [token_ids]
         if len(token_ids) == 0:
             raise ContractError("token_ids must hold at least one sequence")
-        seqs = [np.asarray(s) for s in token_ids]
+        seqs = [_integers(s, "token ids") for s in token_ids]
         if any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
             raise ContractError("every sequence of token ids must be non-empty and 1-D")
-        for ids in seqs:
-            _check_integers(ids, "token ids")
         lengths = [ids.size for ids in seqs]
         self.lengths = np.array(lengths)
         longest = max(lengths)
@@ -198,15 +203,7 @@ class _Packed:
         self.ids = seqs[0] if len(seqs) == 1 else np.concatenate(seqs)
         n = self.ids.size
         self.positions = (np.arange(start, start + n) if len(seqs) == 1
-                          else np.concatenate([np.arange(start, start + k) for k in self.lengths]))
-        if n == 1:  # a decoded token: it may attend to every row
-            self.mask = np.zeros((1, start + 1))
-            return
-        allowed = np.tri(n, start + n, start, dtype=bool)
-        if len(seqs) > 1:
-            segment = np.repeat(np.arange(len(seqs)), self.lengths)
-            allowed[:, start:] &= segment[:, None] == segment[None, :]
-        self.mask = np.where(allowed, 0.0, _NEG_MASK)
+                          else np.concatenate([np.arange(start, start + k) for k in lengths]))
 
 
 class _Backbone:
@@ -268,7 +265,7 @@ class DenseBaseModel:
         batch = _Packed(token_ids, self.cfg)
         x = self.backbone.embed(batch)
         for block in self.backbone.blocks:
-            x = block.attend(x, batch.mask)
+            x = block.attend(x, batch.lengths)
         return self.backbone.project(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -315,10 +312,7 @@ class MoCEModel:
         if cache is not None and record is not None:
             raise ContractError("a K/V cache cannot be combined with a routing record")
         batch = _Packed(token_ids, self.cfg, 0 if cache is None else cache.length)
-        if cache is not None and batch.lengths.size != 1:
-            raise ContractError(f"a K/V cache holds one sequence, got {batch.lengths.size}")
-        groups = np.asarray(group_id)
-        _check_integers(groups, "group ids")
+        groups = _integers(group_id, "group ids")
         if groups.ndim != 0 and groups.shape != batch.lengths.shape:
             raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
                                 f"for {batch.lengths.size} sequences")
@@ -328,7 +322,7 @@ class MoCEModel:
         caches = ([None] * len(self.layers) if cache is None
                   else [c.rows(self.cfg, cache.length) for c in cache.blocks])
         for block, layer, block_cache in zip(self.backbone.blocks, self.layers, caches):
-            x = block.attend(x, batch.mask, block_cache)
+            x = block.attend(x, batch.lengths, block_cache)
             if self.cfg.variant:
                 x = layer.variant_forward(x, row_groups, record)
             else:
@@ -446,8 +440,8 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
         raise ContractError("cannot decode from an empty prompt")
     if prompt.ndim != 1:
         raise ContractError(f"a prompt is one 1-D sequence of token ids, got shape {prompt.shape}")
-    _check_integers(prompt, "token ids")
-    _check_integers(np.asarray(group_id), "group ids")
+    _integers(prompt_ids, "token ids")
+    _integers(group_id, "group ids")
     if prompt.size > model.cfg.max_seq_len:
         raise ContractError(f"prompt length {prompt.size} exceeds max_seq_len {model.cfg.max_seq_len}")
     if max_new_tokens < 0:

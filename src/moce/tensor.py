@@ -13,10 +13,17 @@ the caller owns, and no gradient reaches them.
 The model's pieces are fused ops, so one op is one Python call however
 many numpy steps it takes: ``embed_tokens``, ``attention_block``,
 ``feed_forward``, ``router_gates``, ``adapter_mixture``, ``gate_balance``
-and ``output_head``. ``embed_tokens``, ``attention_block``,
-``feed_forward`` and ``output_head`` compute with the expressions of the op
-chains they replace, in the same order, and add gradient terms in the
-order the tape would, so they are bit-identical to those chains. Ops
+and ``output_head``. ``embed_tokens``, ``feed_forward`` and
+``output_head`` compute with the expressions of the op chains they
+replace, in the same order, and add gradient terms in the order the tape
+would, so they are bit-identical to those chains. ``attention_block``
+takes a block's sequence lengths, not a mask: all sequences and heads
+attend at once in a (sequences, heads, longest, d_head) layout, padded
+where a sequence is shorter, under a causal mask the op builds. One
+sequence gives the bits of the op chain under the block-diagonal mask;
+several agree with it within 1e-12, as the sums run over fewer masked
+zeros. ``adapter_mixture`` runs one activation call over every pair and
+adds each row's pairs in pair order, the bits of ``np.add.at``. Ops
 reduce through the numpy ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, ``np.logical_and.reduce``), not through the
 ``np.sum``/``np.max``/``np.mean`` wrappers, whose per-call cost is most of
@@ -26,6 +33,7 @@ a reduction over one row; the bits are the same.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -37,6 +45,9 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 ACTIVATIONS = ("gelu", "relu", "silu")
+
+# The additive score of a key a query may not attend to: exp of it is 0.
+_NEG_MASK = -1.0e30
 
 
 class Tensor:
@@ -343,62 +354,114 @@ def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
 
 # -- fused blocks -------------------------------------------------------
 
-def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
-    """(rows, d) -> (heads, rows, d / heads): head h owns its h-th run of columns."""
-    rows, d = a.shape
-    return a.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2)
+@lru_cache(maxsize=32)
+def _layout(lengths: tuple[int, ...], start: int):
+    """How a block of sequences of ``lengths`` sits in the (B, L) batched
+    layout, L the longest, and its additive causal mask.
+
+    Returns the row count, B, L, the padded slot of each row (None when
+    every sequence is L long, so the rows fill the layout as they are) and
+    the mask: 0 where a query may attend and a large negative score where
+    it may not, None when a lone row may attend to every key. Query i of a
+    sequence sees its first i + 1 rows; with ``start`` cached rows (one
+    sequence) it also sees all of those. Padded keys are masked out.
+    """
+    if any(n < 1 for n in lengths):
+        raise ContractError(f"attention_block needs positive sequence lengths, got {list(lengths)}")
+    batch, longest, rows = len(lengths), max(lengths), sum(lengths)
+    slots = mask = None
+    if batch * longest != rows:
+        column = np.arange(longest)
+        real = column < np.array(lengths)[:, None]
+        slots = np.flatnonzero(real)
+    if longest > 1:
+        allowed = np.tri(longest, start + longest, start, dtype=bool)
+        if slots is not None:
+            allowed = (allowed & real[:, None, :])[:, None]
+        mask = np.where(allowed, 0.0, _NEG_MASK)
+        mask.flags.writeable = False
+    return rows, batch, longest, slots, mask
+
+
+def _split_heads(a: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
+    """(batch * rows, d) -> (batch, heads, rows, d / heads): head h owns its
+    h-th run of columns."""
+    return a.reshape(batch, -1, n_heads, a.shape[1] // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(heads, rows, d_head) -> (rows, heads * d_head), the heads side by side."""
-    heads, rows, d_head = a.shape
-    return a.transpose(1, 0, 2).reshape(rows, heads * d_head)
+    """(batch, heads, rows, d_head) -> (batch * rows, heads * d_head), the
+    heads side by side."""
+    batch, heads, rows, d_head = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(batch * rows, heads * d_head)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray, n_heads: int):
-    """All-head scaled dot-product attention, and what its backward reads.
+def _padded(a: np.ndarray, slots: np.ndarray | None, size: int) -> np.ndarray:
+    """The rows of ``a`` at their ``slots`` of ``size`` zero rows (``a``
+    itself when there is no padding)."""
+    if slots is None:
+        return a
+    out = np.zeros((size, a.shape[1]))
+    out[slots] = a
+    return out
 
-    Head h owns columns ``h*d/n_heads`` to ``(h+1)*d/n_heads`` of the (T, d)
-    queries and the (S, d) keys and values, and computes
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, layout, n_heads: int):
+    """All-head causal attention of each sequence over its own rows, and
+    what the backward reads.
+
+    ``layout`` comes from ``_layout``. The (T, d) queries and keys and
+    values of the block go to (B, heads, L, d_head) arrays, padded where a
+    sequence is shorter than L; with a cache the one sequence's (S, d)
+    keys and values hold the cached rows first. Head h owns columns
+    ``h*d/n_heads`` to ``(h+1)*d/n_heads`` and computes
     softmax(q_h k_h^T / sqrt(d_head) + mask) v_h; the (T, d) result holds
     the heads side by side.
     """
+    rows, batch, longest, slots, mask = layout
+    size = batch * longest
     scale = (q.shape[1] // n_heads) ** -0.5
-    qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale + mask
+    qh, kh, vh = (_split_heads(_padded(t, slots, size), batch, n_heads) for t in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if mask is not None:
+        scores = scores + mask
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     probs = e / np.add.reduce(e, axis=-1, keepdims=True)
-    return _merge_heads(np.matmul(probs, vh)), (qh, kh, vh, probs, scale)
+    out = _merge_heads(np.matmul(probs, vh))
+    return out if slots is None else out[slots], (qh, kh, vh, probs, scale, slots)
 
 
 def _attend_grads(g: np.ndarray, n_heads: int, saved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gradients of ``_attend`` with respect to q, k and v."""
-    qh, kh, vh, probs, scale = saved
-    gh = _split_heads(g, n_heads)
-    d_probs = np.matmul(gh, vh.transpose(0, 2, 1))
+    """The gradients of ``_attend`` with respect to q, k and v. A padded
+    query row has a zero gradient, so it adds nothing to any key's."""
+    qh, kh, vh, probs, scale, slots = saved
+    batch, _, longest, _ = qh.shape
+    gh = _split_heads(_padded(g, slots, batch * longest), batch, n_heads)
+    d_probs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
     d_scores = (d_probs - np.add.reduce(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
-    return (_merge_heads(np.matmul(d_scores, kh)),
-            _merge_heads(np.matmul(d_scores.transpose(0, 2, 1), qh)),
-            _merge_heads(np.matmul(probs.transpose(0, 2, 1), gh)))
+    grads = (_merge_heads(np.matmul(d_scores, kh)),
+             _merge_heads(np.matmul(d_scores.transpose(0, 1, 3, 2), qh)),
+             _merge_heads(np.matmul(probs.transpose(0, 1, 3, 2), gh)))
+    return grads if slots is None else tuple(a[slots] for a in grads)
 
 
 def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                    mask, n_heads: int, cache: tuple | None = None) -> Tensor:
-    """A pre-norm attention sublayer with its residual, in one op:
+                    lengths, n_heads: int, cache: tuple | None = None) -> Tensor:
+    """A pre-norm causal attention sublayer with its residual, in one op:
     x + attend(z @ wq, z @ wk, z @ wv) @ wo with z = rmsnorm(x, norm).
 
-    ``x`` is (T, d), ``norm`` (d,) and the four projections (d, d). All
-    heads run at once (see ``_attend``); ``mask`` is a constant additive
-    (T, S) array, 0 where a row may attend and a large negative score where
-    it may not. Without a cache S = T. With ``cache`` = (keys, values,
+    ``x`` is (T, d): sequences of the 1-D integer ``lengths`` laid end to
+    end. ``norm`` is (d,) and the four projections (d, d). Each row
+    attends to the rows of its own sequence up to itself, all heads and
+    sequences at once (see ``_attend``). With ``cache`` = (keys, values,
     start), two (capacity, d) arrays whose first ``start`` rows hold the
-    keys and values of rows read before, the op writes its rows' keys and
-    values after them in place and attends over the first start + T rows.
-    The cached rows are plain arrays that no gradient can reach, so a
-    backward through such a forward raises ContractError: run it under
-    ``no_grad``. Recorded or not, its values are the same.
+    keys and values of the one sequence's rows read before, the op writes
+    its rows' keys and values after them in place, and the rows also
+    attend to every cached row. The cached rows are plain arrays that no
+    gradient can reach, so a backward through such a forward raises
+    ContractError: run it under ``no_grad``. Recorded or not, its values
+    are the same.
     """
-    m = np.asarray(mask, dtype=np.float64)
     if x.data.ndim != 2 or norm.data.shape != x.data.shape[1:]:
         raise ShapeError(f"attention_block needs (T,d) rows and a (d,) norm, "
                          f"got {x.data.shape} and {norm.data.shape}")
@@ -408,23 +471,28 @@ def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                          f"got {[w.data.shape for w in (wq, wk, wv, wo)]}")
     if not (isinstance(n_heads, int) and n_heads >= 1 and d % n_heads == 0):
         raise ContractError(f"attention needs a head count >= 1 that divides {d}, got {n_heads}")
+    lens = np.asarray(lengths)
+    if lens.ndim != 1 or lens.size == 0 or lens.dtype.kind not in "iu":
+        raise ContractError(f"attention_block needs a 1-D integer array of sequence lengths, "
+                            f"got {lens.shape} of {lens.dtype}")
     start = 0
     if cache is not None:
         keys, values, start = cache
+        if lens.size != 1:
+            raise ContractError(f"a K/V cache holds one sequence, got {lens.size}")
         if keys.shape != values.shape or keys.shape[1:] != (d,) or start + rows > keys.shape[0]:
             raise ShapeError(f"attention_block cannot add {rows} rows after {start} to "
                              f"{keys.shape} keys and {values.shape} values")
-    if m.shape != (rows, start + rows):
-        raise ShapeError(f"attention mask must have shape {(rows, start + rows)}, got {m.shape}")
-    if not np.logical_and.reduce(np.isfinite(m), axis=None):
-        raise NumericError("attention mask holds non-finite values")
+    layout = _layout(tuple(lens.tolist()), start)
+    if layout[0] != rows:
+        raise ShapeError(f"attention_block sequence lengths sum to {layout[0]}, not the {rows} rows")
     z, r, normed = _rmsnorm(x.data, norm.data)
     q, k, v = z @ wq.data, z @ wk.data, z @ wv.data
     if cache is not None:
         keys[start:start + rows] = k
         values[start:start + rows] = v
         k, v = keys[:start + rows], values[:start + rows]
-    a, saved = _attend(q, k, v, m, n_heads)
+    a, saved = _attend(q, k, v, layout, n_heads)
 
     def grad_fn(g: np.ndarray):
         if cache is not None:

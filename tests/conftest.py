@@ -2,7 +2,8 @@
 against it, test-local ops for reference chains (``matmul``, ``rmsnorm``,
 ``take_rows``, ``softmax``, ``activation``, ``concat_rows`` and
 ``attention``, none of which a model path runs), the op chains the fused
-``attention_block`` and ``feed_forward`` replace, ``pair_mixture``, the
+``attention_block`` and ``feed_forward`` replace, the attention masks of
+packed and cached blocks, ``pair_mixture``, the
 adapter mixture on the pair contract it had before it took each row's
 chosen experts, ``top_k_mask`` and ``general_path``, which no model path
 calls either, the broadcast nearest-centroid reference, and synthetic
@@ -211,13 +212,59 @@ def concat_rows(parts):
                           lambda g: np.split(g, ends), "concat_rows")
 
 
+NEG_MASK = -1.0e30
+
+
+def packed_mask(lengths):
+    """Block-diagonal causal mask of sequences laid end to end: 0 where a
+    row may attend, a large negative score where it may not."""
+    n = sum(lengths)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    allowed = np.tri(n, n, 0, dtype=bool) & (segment[:, None] == segment[None, :])
+    return np.where(allowed, 0.0, NEG_MASK)
+
+
+def cached_mask(rows, cached):
+    """Causal mask of ``rows`` new rows of one sequence after ``cached`` rows
+    already read."""
+    return np.where(np.tri(rows, cached + rows, cached, dtype=bool), 0.0, NEG_MASK)
+
+
+def _masked_attend(q, k, v, mask, n_heads):
+    """The block-diagonal reference of the engine's attention: all heads of
+    the (T, d) queries over the (S, d) keys and values under one constant
+    additive (T, S) mask, softmax(q_h k_h^T / sqrt(d_head) + mask) v_h with
+    the heads side by side, and what its backward reads."""
+    def split(a):
+        return a.reshape(a.shape[0], n_heads, a.shape[1] // n_heads).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    scale = (q.shape[1] // n_heads) ** -0.5
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale + mask
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+
+    def grads(g):
+        gh = split(g)
+        d_probs = np.matmul(gh, vh.transpose(0, 2, 1))
+        d_scores = (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
+        return (merge(np.matmul(d_scores, kh)), merge(np.matmul(d_scores.transpose(0, 2, 1), qh)),
+                merge(np.matmul(probs.transpose(0, 2, 1), gh)))
+
+    return merge(np.matmul(probs, vh)), grads
+
+
 def attention(q, k, v, mask, n_heads):
     """All-head scaled dot-product attention of (T, d) queries over (S, d)
     keys and values with a constant additive (T, S) mask, as a test-local
-    op on the engine's own forward and backward rules."""
-    out, saved = tensor._attend(q.data, k.data, v.data, np.asarray(mask, dtype=np.float64), n_heads)
-    return tensor._result(out, (q, k, v), lambda g: tensor._attend_grads(g, n_heads, saved),
-                          "attention")
+    op: the block-diagonal reference ``attention_block`` replaced by
+    attention per sequence."""
+    out, grads = _masked_attend(q.data, k.data, v.data, np.asarray(mask, dtype=np.float64),
+                                n_heads)
+    return tensor._result(out, (q, k, v), grads, "attention")
 
 
 def attention_chain(x, norm, wq, wk, wv, wo, mask, n_heads, cache=None):

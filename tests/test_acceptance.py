@@ -106,9 +106,7 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     # 0-1 and row 2 as two packed sequences.
     wide = mul(matmul(proj, b), 0.4)
     sublayer = attention_block(h, gain, wide, take_rows(b, [0, 1, 2, 3, 1]),
-                               take_rows(b, [3, 2, 1, 0, 2]), mul(wide, -0.5),
-                               [[0.0, -1.0e30, -1.0e30], [0.0, 0.0, -1.0e30],
-                                [-1.0e30, -1.0e30, 0.0]], 5)
+                               take_rows(b, [3, 2, 1, 0, 2]), mul(wide, -0.5), [2, 1], 5)
     # ``scale`` reaches the loss through a product of two scalar sums.
     reg = mul(tensor_sum(mul(h, sublayer)), tensor_sum(activation(scale, "gelu")))
     return add(add(ce, mul(reg, 1.0 / 600.0)), mul(balance, 0.1))

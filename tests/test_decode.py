@@ -5,7 +5,7 @@ nothing recorded for a backward pass."""
 import numpy as np
 import pytest
 
-from conftest import attention_chain, feed_forward_chain, matmul
+from conftest import attention_chain, cached_mask, feed_forward_chain, matmul, packed_mask
 from moce import layer as layer_module
 from moce import model as model_module
 from moce.errors import ContractError, NumericError, ShapeError
@@ -207,6 +207,29 @@ def test_decode_rejects_non_integer_group_ids(group):
         model.forward([[1, 2], [3]], [group, group])
 
 
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+def test_a_boolean_among_integer_ids_raises(flag):
+    """numpy reads [1, True] as an integer array; a boolean in a list of
+    token ids or of per-sequence group ids still raises before any
+    forward, where it would have decoded as token or group 1."""
+    model, calls = unforwarded(micro_cfg())
+    with pytest.raises(ContractError, match="token ids must be integers, got a boolean"):
+        greedy_decode(model, [1, flag], 0, 3, 99)
+    with pytest.raises(ContractError, match="token ids must be integers, got a boolean"):
+        greedy_decode(model, (flag, 2), 0, 3, 99)
+    assert calls == []
+    with pytest.raises(ContractError, match="token ids must be integers, got a boolean"):
+        model.forward([[1, 2], [3, flag]], [0, 1])
+    with pytest.raises(ContractError, match="group ids must be integers, got a boolean"):
+        model.forward([[1, 2], [3]], [0, flag])
+    with pytest.raises(ContractError, match="token ids must be integers, got a boolean"):
+        DenseBaseModel.build(micro_cfg(), seed=0).forward([flag, 2])
+    # Integer lists and arrays pass, their values read as they are.
+    with no_grad():
+        want = model.forward([[1, 1], [3]], [0, 1]).data
+        assert model.forward([np.array([1, 1]), [3]], np.array([0, 1])).data.tobytes() == want.tobytes()
+
+
 def test_decode_rejects_a_prompt_longer_than_max_seq_len():
     """A prompt past the context raises before any forward; one that fills
     it exactly is returned as it is."""
@@ -271,8 +294,9 @@ def test_in_place_cache_matches_the_concat_cache(overrides, monkeypatch):
 
     stores = {}
 
-    def chain_attend(block, x, mask, cache=None):
+    def chain_attend(block, x, lengths, cache=None):
         store = None if cache is None else stores.setdefault(id(cache[0]), {})
+        mask = packed_mask(lengths) if cache is None else cached_mask(x.shape[0], cache[2])
         return attention_chain(x, block.norm, block.wq, block.wk, block.wv, block.wo, mask,
                                block.n_heads, store)
 

@@ -13,8 +13,9 @@ added, weighted and summed."""
 import numpy as np
 import pytest
 
-from conftest import (activation, attention, attention_chain, chosen_pairs, concat_rows,
-                      feed_forward_chain, matmul, pair_mixture, rmsnorm, softmax, take_rows)
+from conftest import (activation, attention, attention_chain, cached_mask, chosen_pairs,
+                      concat_rows, feed_forward_chain, matmul, packed_mask, pair_mixture, rmsnorm,
+                      softmax, take_rows)
 from moce import tensor
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.tensor import (
@@ -27,13 +28,11 @@ from moce.tensor import (
     feed_forward,
     gate_balance,
     mul,
+    no_grad,
     output_head,
     router_gates,
     tensor_sum,
 )
-
-NEG = -1.0e30
-
 
 def per_head_attention(arrays, mask, weight, n_heads):
     """Reference: each head on its own leaves q_h, k_h^T and v_h, sliced in
@@ -86,19 +85,6 @@ def per_expert_chain(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_r
     return mul(result, scale) if scale != 1.0 else result
 
 
-def packed_mask(lengths):
-    """Block-diagonal causal mask of sequences laid end to end."""
-    n = sum(lengths)
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    allowed = np.tri(n, n, 0, dtype=bool) & (segment[:, None] == segment[None, :])
-    return np.where(allowed, 0.0, NEG)
-
-
-def cached_mask(rows, cached):
-    """Causal mask of ``rows`` new rows after ``cached`` rows already read."""
-    return np.where(np.tri(rows, cached + rows, cached, dtype=bool), 0.0, NEG)
-
-
 def run(fn, arrays, weight, frozen=()):
     """Forward ``fn`` on fresh leaves, back-propagate sum(out * weight), and
     return the output with every leaf's gradient; the leaves whose index is
@@ -117,25 +103,92 @@ def assert_same_bytes(fused, fused_grads, ref, ref_grads):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_heads", [1, 2])
+def assert_close(fused, fused_grads, ref, ref_grads, tol=1e-12):
+    assert np.max(np.abs(fused - ref)) < tol
+    for got, want in zip(fused_grads, ref_grads):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.max(np.abs(got - want)) < tol
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 3])
 @pytest.mark.parametrize("frozen", [(), (1, 2, 3, 4, 5)], ids=["dense", "frozen"])
 def test_attention_block_matches_its_chain(n_heads, frozen):
-    """``attention_block`` equals its op chain byte for byte over packed
-    blocks of one to three sequences: the output, x's gradient, and with
-    every weight trainable each weight's gradient (z gathers the q, k and
-    v terms in that order)."""
+    """``attention_block`` on sequence lengths against its op chain under
+    the block-diagonal mask: one sequence byte for byte, the output, x's
+    gradient and with every weight trainable each weight's gradient; two
+    or three packed sequences, of equal and of mixed lengths, within
+    1e-12."""
     rng = np.random.default_rng(n_heads + len(frozen))
     d = 4 * n_heads
-    for trial in range(6):
+    for trial in range(9):
         lengths = rng.integers(1, 6, size=1 + trial % 3)
+        if trial % 2:
+            lengths[:] = lengths[0]
         mask = packed_mask(lengths)
         rows = int(lengths.sum())
         arrays = ([rng.standard_normal((rows, d)), rng.random(d) + 0.5]
                   + [rng.standard_normal((d, d)) * d ** -0.5 for _ in range(4)])
         weight = rng.standard_normal((rows, d))
-        fused = run(lambda p: attention_block(*p, mask, n_heads), arrays, weight, frozen)
+        fused = run(lambda p: attention_block(*p, lengths, n_heads), arrays, weight, frozen)
         ref = run(lambda p: attention_chain(*p, mask, n_heads), arrays, weight, frozen)
-        assert_same_bytes(*fused, *ref)
+        if lengths.size == 1:
+            assert_same_bytes(*fused, *ref)
+        else:
+            assert_close(*fused, *ref)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 3])
+def test_attention_block_with_a_cache_matches_its_chain(n_heads):
+    """A prompt read into the K/V cache, then steps of one to three rows,
+    give the bytes of the op chain whose K and V grow by ``concat_rows``
+    under the causal mask of the cached rows; the buffers hold the keys
+    and values of every row read."""
+    rng = np.random.default_rng(20 + n_heads)
+    d, capacity = 4 * n_heads, 14
+    for _ in range(3):
+        weights = ([Tensor(rng.random(d) + 0.5)]
+                   + [Tensor(rng.standard_normal((d, d)) * d ** -0.5) for _ in range(4)])
+        keys, values = np.zeros((capacity, d)), np.zeros((capacity, d))
+        store = {}
+        start = 0
+        while start < capacity:
+            rows = min(capacity - start, int(rng.integers(1, 4)) if start else int(rng.integers(1, 6)))
+            x = Tensor(rng.standard_normal((rows, d)))
+            with no_grad():
+                got = attention_block(x, *weights, [rows], n_heads, (keys, values, start))
+                want = attention_chain(x, *weights, cached_mask(rows, start), n_heads, store)
+            assert got.data.tobytes() == want.data.tobytes()
+            start += rows
+        assert keys.tobytes() == store["k"].data.tobytes()
+        assert values.tobytes() == store["v"].data.tobytes()
+
+
+def test_attention_scores_hold_each_sequence_alone(monkeypatch):
+    """The score array of a block of B sequences holds heads x B x L^2
+    entries, L the longest length: heads x sum of L_b^2 for equal lengths,
+    not heads x T^2 for T packed rows."""
+    sizes = []
+    attend = tensor._attend
+
+    def spy(*args):
+        out, saved = attend(*args)
+        sizes.append(saved[3].size)
+        return out, saved
+
+    monkeypatch.setattr(tensor, "_attend", spy)
+    rng = np.random.default_rng(0)
+    heads, d = 2, 4
+    weights = [Tensor(np.ones(d))] + [Tensor(rng.standard_normal((d, d))) for _ in range(4)]
+    for lengths in ([8] * 8, [3, 3], [5, 2, 4], [1, 1, 1], [6]):
+        rows = sum(lengths)
+        attention_block(Tensor(rng.standard_normal((rows, d))), *weights, lengths, heads)
+        want = heads * len(lengths) * max(lengths) ** 2
+        assert sizes.pop() == want
+        if len(lengths) > 1:
+            assert want < heads * rows * rows
+        if len(set(lengths)) == 1:
+            assert want == heads * sum(n * n for n in lengths)
 
 
 @pytest.mark.parametrize("act", ["gelu", "relu", "silu"])
@@ -309,28 +362,44 @@ def test_feed_forward_checks_its_inputs():
         feed_forward(x, Tensor(np.ones((3, 5))), Tensor(np.ones((5, 3))), "tanh")
 
 
+def engine_attention(q, k, v, lengths, start, n_heads):
+    """The engine's attention per sequence as a test-local op: the (T, d)
+    queries of sequences of ``lengths``, over their own keys and values,
+    with ``start`` cached rows of one sequence first."""
+    layout = tensor._layout(tuple(lengths), start)
+    out, saved = tensor._attend(q.data, k.data, v.data, layout, n_heads)
+    return tensor._result(out, (q, k, v), lambda g: tensor._attend_grads(g, n_heads, saved),
+                          "engine_attention")
+
+
 @pytest.mark.parametrize("n_heads", [1, 2, 3])
 @pytest.mark.parametrize("shape", ["packed", "cached"])
 def test_attention_matches_per_head_reference(n_heads, shape):
+    """The block-diagonal reference ``attention`` and the engine's attention
+    per sequence each agree with one matmul-softmax-matmul chain per head
+    within 1e-12: the output and the q, k and v gradients, over packed
+    sequences of mixed lengths and over rows after cached ones."""
     rng = np.random.default_rng(10 * n_heads + len(shape))
     d = 4 * n_heads
     for _ in range(5):
         if shape == "packed":
-            lengths = rng.integers(1, 6, size=3)
-            mask = packed_mask(lengths)
-            rows = keys = int(lengths.sum())
+            lengths = rng.integers(1, 6, size=3).tolist()
+            mask, start = packed_mask(lengths), 0
+            rows = keys = sum(lengths)
         else:
-            rows, cached = int(rng.integers(1, 4)), int(rng.integers(1, 8))
-            mask = cached_mask(rows, cached)
-            keys = rows + cached
+            rows, start = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+            mask, lengths = cached_mask(rows, start), [rows]
+            keys = rows + start
         arrays = [rng.standard_normal((rows, d)), rng.standard_normal((keys, d)),
                   rng.standard_normal((keys, d))]
         weight = rng.standard_normal((rows, d))
-        fused, fused_grads = run(lambda p: attention(p[0], p[1], p[2], mask, n_heads), arrays, weight)
-        for cols, ref, ref_grads in per_head_attention(arrays, mask, weight, n_heads):
-            assert np.max(np.abs(fused[:, cols] - ref)) < 1e-12
-            for got, want in zip(fused_grads, ref_grads):
-                assert np.max(np.abs(got[:, cols] - want)) < 1e-12
+        for op in (lambda p: attention(p[0], p[1], p[2], mask, n_heads),
+                   lambda p: engine_attention(p[0], p[1], p[2], lengths, start, n_heads)):
+            fused, fused_grads = run(op, arrays, weight)
+            for cols, ref, ref_grads in per_head_attention(arrays, mask, weight, n_heads):
+                assert np.max(np.abs(fused[:, cols] - ref)) < 1e-12
+                for got, want in zip(fused_grads, ref_grads):
+                    assert np.max(np.abs(got[:, cols] - want)) < 1e-12
 
 
 def chosen_ids(rng, n_rows, experts, k):
@@ -514,33 +583,43 @@ def test_router_gates_and_gate_balance_check_their_inputs():
 
 
 def test_attention_checks_its_inputs():
-    """``attention_block`` rejects a mask of the wrong shape or with
-    non-finite entries, a head count that does not divide d, a norm or a
-    projection of the wrong shape, and rows past the end of the cache
-    buffers; a rejected call writes no cache row."""
+    """``attention_block`` rejects sequence lengths that are not a 1-D
+    integer list, hold a length below 1 or do not sum to the rows, a head
+    count that does not divide d, a norm or a projection of the wrong
+    shape, rows past the end of the cache buffers and a cache given more
+    than one sequence; a rejected call writes no cache row."""
     rng = np.random.default_rng(0)
     x, norm = Tensor(rng.standard_normal((2, 4))), Tensor(np.ones(4))
     ws = [Tensor(rng.standard_normal((4, 4))) for _ in range(4)]
-    mask = cached_mask(2, 0)
 
-    def block(mask=mask, n_heads=2, cache=None, norm=norm, ws=ws):
-        return attention_block(x, norm, *ws, mask, n_heads, cache)
+    def block(lengths=(2,), n_heads=2, cache=None, norm=norm, ws=ws):
+        return attention_block(x, norm, *ws, lengths, n_heads, cache)
 
-    with pytest.raises(ShapeError, match="mask must have shape"):
-        block(mask=mask[:, :1])
+    with pytest.raises(ShapeError, match="sum to 3, not the 2 rows"):
+        block(lengths=[1, 2])
+    with pytest.raises(ContractError, match="positive sequence lengths"):
+        block(lengths=[2, 0])
+    with pytest.raises(ContractError, match="1-D integer"):
+        block(lengths=[1.0, 1.0])
+    with pytest.raises(ContractError, match="1-D integer"):
+        block(lengths=[True, True])
+    with pytest.raises(ContractError, match="1-D integer"):
+        block(lengths=[[2]])
+    with pytest.raises(ContractError, match="1-D integer"):
+        block(lengths=[])
     with pytest.raises(ContractError, match="head count"):
         block(n_heads=3)
-    with pytest.raises(NumericError, match="non-finite"):
-        block(mask=np.where(mask < 0, -np.inf, 0.0))
     with pytest.raises(ShapeError, match="norm"):
         block(norm=Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="projections"):
         block(ws=[ws[0], ws[1], Tensor(np.ones((4, 3))), ws[3]])
     keys, values = np.zeros((3, 4)), np.zeros((3, 4))
     with pytest.raises(ShapeError, match="cannot add 2 rows after 2"):
-        block(mask=cached_mask(2, 2), cache=(keys, values, 2))
-    with pytest.raises(ShapeError, match="mask must have shape"):
-        block(cache=(keys, values, 1))
+        block(cache=(keys, values, 2))
+    with pytest.raises(ContractError, match="one sequence"):
+        block(lengths=[1, 1], cache=(keys, values, 0))
+    with pytest.raises(ShapeError, match="sum to 1"):
+        block(lengths=[1], cache=(keys, values, 1))
     assert not keys.any() and not values.any()
 
 
