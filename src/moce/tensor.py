@@ -364,22 +364,24 @@ def _layout(lengths: tuple[int, ...], start: int):
     the mask: 0 where a query may attend and a large negative score where
     it may not, None when a lone row may attend to every key. Query i of a
     sequence sees its first i + 1 rows; with ``start`` cached rows (one
-    sequence) it also sees all of those. Padded keys are masked out.
+    sequence) it also sees all of those. Padded keys are masked out. A
+    run repeats a few shapes, so layouts are kept per (lengths, start);
+    their arrays are read-only.
     """
     if any(n < 1 for n in lengths):
         raise ContractError(f"attention_block needs positive sequence lengths, got {list(lengths)}")
     batch, longest, rows = len(lengths), max(lengths), sum(lengths)
     slots = mask = None
     if batch * longest != rows:
-        column = np.arange(longest)
-        real = column < np.array(lengths)[:, None]
+        real = np.arange(longest) < np.array(lengths)[:, None]
         slots = np.flatnonzero(real)
+        slots.flags.writeable = False
     if longest > 1:
         allowed = np.tri(longest, start + longest, start, dtype=bool)
         if slots is not None:
             allowed = (allowed & real[:, None, :])[:, None]
         mask = np.where(allowed, 0.0, _NEG_MASK)
-        mask.flags.writeable = False
+        mask.flags.writeable = False  # shared by every call of this shape
     return rows, batch, longest, slots, mask
 
 
@@ -670,11 +672,7 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     idx = order // ids.shape[1]  # each pair's row, pairs sorted by expert
     experts = flat[order]
     # Each row's pair positions, ascending: the order np.add.at would add them in.
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    pairs = position.reshape(ids.shape)
-    if ids.shape[1] > 1:
-        pairs = np.sort(pairs, axis=1)
+    pairs = np.sort(order.argsort().reshape(ids.shape), axis=1)
     cols = experts if width == n else experts % width
     weight = pair_gate = gates.data[idx, cols]
     if renorm_mask is not None:

@@ -1,13 +1,13 @@
 """Shared test helpers: the finite-difference oracle and gradient checking
 against it, test-local ops for reference chains (``matmul``, ``rmsnorm``,
 ``take_rows``, ``softmax``, ``activation``, ``concat_rows`` and
-``attention``, none of which a model path runs), the op chains the fused
-``attention_block`` and ``feed_forward`` replace, the attention masks of
-packed and cached blocks, ``pair_mixture``, the
-adapter mixture on the pair contract it had before it took each row's
-chosen experts, ``top_k_mask`` and ``general_path``, which no model path
-calls either, the broadcast nearest-centroid reference, and synthetic
-cluster geometry."""
+``attention``, the block-diagonal-mask attention, none of which a model
+path runs), the op chains the fused ``attention_block`` and
+``feed_forward`` replace, the masks of packed and cached blocks,
+``pair_mixture``, the adapter mixture on the pair contract it had before
+it took each row's chosen experts, with ``np.add.at``, ``top_k_mask`` and
+``general_path``, which no model path calls either, the broadcast
+nearest-centroid reference, and synthetic cluster geometry."""
 
 import itertools
 
