@@ -11,8 +11,9 @@ residual update. Per layer and path one ``router_gates`` op scores a
 packed block for every group present, each group over its own rows, and
 one ``adapter_mixture`` op takes each row's chosen experts, runs every
 selected expert once, with one activation call over all of their rows,
-and adds the residual x; experts that win no tokens do no work at all. A routed layer is two engine ops beside its frozen
-feed-forward, and the two-path variant adds one more call and one ``add``.
+and adds the residual x; experts that win no tokens do no work at all. A
+routed layer is two engine ops beside its frozen feed-forward, and the
+two-path variant adds one more call and one ``add``.
 ``RoutingRecord`` keeps plain arrays and references to the gate tensors,
 and the balance loss is one ``gate_balance`` op over them.
 """

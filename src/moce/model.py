@@ -166,9 +166,9 @@ def _integers(values, what: str) -> np.ndarray:
     booleans read as 0 and 1, so a dtype that is not an integer kind is
     rejected, and so is a list that holds a boolean among integers, which
     numpy reads as an integer array. An array costs one dtype test and no
-    per-element work."""
+    per-element work; an empty one passes, for the caller to reject."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    if arr.size and arr.dtype.kind not in "iu":
         raise ContractError(f"{what} must be integers, got dtype {arr.dtype}")
     if arr.ndim and not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
         raise ContractError(f"{what} must be integers, got a boolean among them")
@@ -435,12 +435,11 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
     ``max_seq_len`` and a negative ``max_new_tokens`` raise ContractError
     before any forward.
     """
-    prompt = np.asarray(prompt_ids)
+    prompt = _integers(prompt_ids, "token ids")
     if prompt.size == 0:
         raise ContractError("cannot decode from an empty prompt")
     if prompt.ndim != 1:
         raise ContractError(f"a prompt is one 1-D sequence of token ids, got shape {prompt.shape}")
-    _integers(prompt_ids, "token ids")
     _integers(group_id, "group ids")
     if prompt.size > model.cfg.max_seq_len:
         raise ContractError(f"prompt length {prompt.size} exceeds max_seq_len {model.cfg.max_seq_len}")
