@@ -23,7 +23,8 @@ where a sequence is shorter, under a causal mask the op builds. One
 sequence gives the bits of the op chain under the block-diagonal mask;
 several agree with it within 1e-12, as the sums run over fewer masked
 zeros. ``adapter_mixture`` runs one activation call over every pair and
-adds each row's pairs in pair order, the bits of ``np.add.at``. Ops
+adds each row's pairs in pair order with ``np.bincount``, the bits of
+``np.add.at``. Ops
 reduce through the numpy ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, ``np.logical_and.reduce``), not through the
 ``np.sum``/``np.max``/``np.mean`` wrappers, whose per-call cost is most of
@@ -614,16 +615,6 @@ def gate_balance(calls: Sequence[Sequence[tuple]], weights: Sequence) -> Tensor:
     return _result(np.array(sum(terms[1:], terms[0])), tuple(parents), grad_fn, "gate_balance")
 
 
-def _row_sums(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Row t's sum of ``values[pairs[t, 0]], values[pairs[t, 1]], ...``,
-    added one column of ``pairs`` at a time onto zeros: with each row's pair
-    positions ascending, the bits of ``np.add.at`` over the pairs in order."""
-    acc = np.zeros((pairs.shape[0],) + values.shape[1:])
-    for j in range(pairs.shape[1]):
-        acc += values[pairs[:, j]]
-    return acc
-
-
 def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tensor],
                     w_ups: Sequence[Tensor], act: str, renorm_mask=None, scale: float = 1.0,
                     residual: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
@@ -637,8 +628,10 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     pairs by expert, stably, so that expert e runs act(base[rows] @
     w_downs[e]) @ w_ups[e] once over the rows that chose it, plus
     ``residual[rows]`` when given; one activation call covers every pair.
-    Each row adds its weighted pairs in pair order onto zeros, the sum is
-    multiplied by ``scale``, and with ``skip`` the op returns skip + that.
+    Each row adds its weighted pairs in pair order onto zeros (one
+    ``np.bincount`` over the (row, column) cells, the bits of
+    ``np.add.at``), the sum is multiplied by ``scale``, and with ``skip``
+    the op returns skip + that.
     An expert no row chose does no work, and its weights get no gradient:
     None, not zeros. The experts share one rank r.
     """
@@ -671,8 +664,6 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     order = flat.argsort(kind="stable")
     idx = order // ids.shape[1]  # each pair's row, pairs sorted by expert
     experts = flat[order]
-    # Each row's pair positions, ascending: the order np.add.at would add them in.
-    pairs = np.sort(order.argsort().reshape(ids.shape), axis=1)
     cols = experts if width == n else experts % width
     weight = pair_gate = gates.data[idx, cols]
     if renorm_mask is not None:
@@ -698,7 +689,13 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
         out[lo:hi] = value[lo:hi] @ w_ups[e].data
     if residual is not None:
         out = out + residual.data[idx]
-    data = _row_sums(out * weight[:, None], pairs)
+    # bincount adds each cell's values in pair order onto zero, as np.add.at does.
+    cells = (idx[:, None] * d + np.arange(d)).ravel()
+
+    def to_rows(values: np.ndarray) -> np.ndarray:
+        return np.bincount(cells, values.ravel(), base.data.size).reshape(shape)
+
+    data = to_rows(out * weight[:, None])
     if scale != 1.0:
         data = data * scale
 
@@ -707,14 +704,13 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
         d_out = g_pairs * weight[:, None]
         d_gates = d_base = d_residual = None
         if gates.requires_grad:
-            # bincount adds each cell's pairs in pair order onto zeros, as
-            # np.add.at does; a row may hit one column from two gate blocks.
+            # A row may read one gate column from two blocks: its cell adds both.
             d_weight = np.add.reduce(g_pairs * out, axis=1)
             d_gates = np.bincount(idx * width + cols, d_weight if renorm_mask is None
                                   else d_weight * inverse[idx, 0], gates.data.size)
             d_gates = d_gates.reshape(gates.data.shape)
             if renorm_mask is not None:
-                d_inverse = _row_sums(d_weight * pair_gate, pairs)[:, None]
+                d_inverse = np.bincount(idx, d_weight * pair_gate, shape[0])[:, None]
                 d_gates = d_gates + (-d_inverse * inverse * inverse) * mask
         d_downs, d_ups = [None] * n, [None] * n
         d_value = np.empty_like(pre)
@@ -728,9 +724,9 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
             if d_rows is not None:
                 d_rows[lo:hi] = d_pre[lo:hi] @ w_downs[e].data.T
         if d_rows is not None:
-            d_base = _row_sums(d_rows, pairs)
+            d_base = to_rows(d_rows)
         if residual is not None and residual.requires_grad:
-            d_residual = _row_sums(d_out, pairs)
+            d_residual = to_rows(d_out)
         extras = (d for t, d in ((residual, d_residual), (skip, g)) if t is not None)
         return (d_base, d_gates, *d_downs, *d_ups, *extras)
 
