@@ -631,9 +631,9 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     Each row adds its weighted pairs in pair order onto zeros (one
     ``np.bincount`` over the (row, column) cells, the bits of
     ``np.add.at``), the sum is multiplied by ``scale``, and with ``skip``
-    the op returns skip + that.
-    An expert no row chose does no work, and its weights get no gradient:
-    None, not zeros. The experts share one rank r.
+    the op returns skip + that. An expert no row chose does no work, and
+    its weights get no gradient: None, not zeros. The experts share one
+    rank r.
     """
     ids = np.asarray(chosen)
     n, shape = len(w_downs), base.data.shape
