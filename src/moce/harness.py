@@ -59,10 +59,9 @@ METRICS_FILE = "metrics.jsonl"
 SUMMARY_FILE = "summary.json"
 
 # Evaluation and route-stats pack consecutive records into blocks of at
-# most this many tokens. 64 evaluated fastest on the two-dialect corpus
-# when attention scored the whole block under a mask; attention now runs
-# per sequence, padded to the block's longest. The packing decides which
-# sequences share a block, and so the last bits of the evaluation NLL.
+# most this many tokens. The packing decides which records share a block,
+# and so the last bits of the evaluation NLL. A block of mixed lengths is
+# scored as one (T, T) attention, so the budget also bounds that square.
 PACK_TOKENS = 64
 
 

@@ -17,12 +17,13 @@ and ``output_head``. ``embed_tokens``, ``feed_forward`` and
 ``output_head`` compute with the expressions of the op chains they
 replace, in the same order, and add gradient terms in the order the tape
 would, so they are bit-identical to those chains. ``attention_block``
-takes a block's sequence lengths, not a mask: all sequences and heads
-attend at once in a (sequences, heads, longest, d_head) layout, padded
-where a sequence is shorter, under a causal mask the op builds. One
-sequence gives the bits of the op chain under the block-diagonal mask;
-several agree with it within 1e-12, as the sums run over fewer masked
-zeros. ``adapter_mixture`` runs one activation call over every pair and
+takes a block's sequence lengths, not a mask, and builds its causal
+mask itself. Sequences of one length attend at once in a (sequences,
+heads, length, d_head) layout, each over its own rows only; a block of
+mixed lengths attends as one sequence under the block-diagonal mask.
+That gives the bits of the op chain under the block-diagonal mask;
+equal sequences agree with it within 1e-12, as the sums run over fewer
+masked zeros. ``adapter_mixture`` runs one activation call over every pair and
 adds each row's pairs in pair order with ``np.bincount``, the bits of
 ``np.add.at``. Ops
 reduce through the numpy ufuncs themselves (``np.add.reduce``,
@@ -34,7 +35,6 @@ a reduction over one row; the bits are the same.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -355,35 +355,31 @@ def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
 
 # -- fused blocks -------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _layout(lengths: tuple[int, ...], start: int):
-    """How a block of sequences of ``lengths`` sits in the (B, L) batched
-    layout, L the longest, and its additive causal mask.
+def _layout(lengths: np.ndarray, rows: int, start: int):
+    """How a block of sequences of ``lengths``, ``rows`` in all, is scored:
+    the batch count B, the rows L of each batch and the additive causal
+    mask, 0 where a query may attend and a large negative score where it
+    may not (None when a lone row may attend to every key).
 
-    Returns the row count, B, L, the padded slot of each row (None when
-    every sequence is L long, so the rows fill the layout as they are) and
-    the mask: 0 where a query may attend and a large negative score where
-    it may not, None when a lone row may attend to every key. Query i of a
-    sequence sees its first i + 1 rows; with ``start`` cached rows (one
-    sequence) it also sees all of those. Padded keys are masked out. A
-    run repeats a few shapes, so layouts are kept per (lengths, start);
-    their arrays are read-only.
+    Sequences of one length L sit side by side, (B, L): each scores only
+    its own L x L pairs. Query i of a sequence sees its first i + 1 rows;
+    with ``start`` cached rows (one sequence) it also sees all of those.
+    A block of mixed lengths is one batch of all its rows under the
+    block-diagonal mask, as every block was before sequences were
+    batched: no bench workload mixes lengths yet, so padding them to the
+    longest or bucketing them by length waits for one that measures it.
     """
-    if any(n < 1 for n in lengths):
-        raise ContractError(f"attention_block needs positive sequence lengths, got {list(lengths)}")
-    batch, longest, rows = len(lengths), max(lengths), sum(lengths)
-    slots = mask = None
+    batch = lengths.size
+    longest = int(np.maximum.reduce(lengths))
     if batch * longest != rows:
-        real = np.arange(longest) < np.array(lengths)[:, None]
-        slots = np.flatnonzero(real)
-        slots.flags.writeable = False
-    if longest > 1:
+        segment = np.repeat(np.arange(batch), lengths)
+        allowed = np.tri(rows, dtype=bool) & (segment[:, None] == segment)
+        batch, longest = 1, rows
+    elif longest > 1:
         allowed = np.tri(longest, start + longest, start, dtype=bool)
-        if slots is not None:
-            allowed = (allowed & real[:, None, :])[:, None]
-        mask = np.where(allowed, 0.0, _NEG_MASK)
-        mask.flags.writeable = False  # shared by every call of this shape
-    return rows, batch, longest, slots, mask
+    else:
+        return batch, longest, None
+    return batch, longest, np.where(allowed, 0.0, _NEG_MASK)
 
 
 def _split_heads(a: np.ndarray, batch: int, n_heads: int) -> np.ndarray:
@@ -399,53 +395,37 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(batch * rows, heads * d_head)
 
 
-def _padded(a: np.ndarray, slots: np.ndarray | None, size: int) -> np.ndarray:
-    """The rows of ``a`` at their ``slots`` of ``size`` zero rows (``a``
-    itself when there is no padding)."""
-    if slots is None:
-        return a
-    out = np.zeros((size, a.shape[1]))
-    out[slots] = a
-    return out
-
-
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, layout, n_heads: int):
-    """All-head causal attention of each sequence over its own rows, and
-    what the backward reads.
+    """All-head causal attention of each batch of a block over its own
+    rows, and what the backward reads.
 
     ``layout`` comes from ``_layout``. The (T, d) queries and keys and
-    values of the block go to (B, heads, L, d_head) arrays, padded where a
-    sequence is shorter than L; with a cache the one sequence's (S, d)
-    keys and values hold the cached rows first. Head h owns columns
-    ``h*d/n_heads`` to ``(h+1)*d/n_heads`` and computes
+    values go to (B, heads, L, d_head) arrays; with a cache the one
+    sequence's (S, d) keys and values hold the cached rows first. Head h
+    owns columns ``h*d/n_heads`` to ``(h+1)*d/n_heads`` and computes
     softmax(q_h k_h^T / sqrt(d_head) + mask) v_h; the (T, d) result holds
     the heads side by side.
     """
-    rows, batch, longest, slots, mask = layout
-    size = batch * longest
+    batch, _, mask = layout
     scale = (q.shape[1] // n_heads) ** -0.5
-    qh, kh, vh = (_split_heads(_padded(t, slots, size), batch, n_heads) for t in (q, k, v))
+    qh, kh, vh = (_split_heads(t, batch, n_heads) for t in (q, k, v))
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
     if mask is not None:
         scores = scores + mask
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     probs = e / np.add.reduce(e, axis=-1, keepdims=True)
-    out = _merge_heads(np.matmul(probs, vh))
-    return out if slots is None else out[slots], (qh, kh, vh, probs, scale, slots)
+    return _merge_heads(np.matmul(probs, vh)), (qh, kh, vh, probs, scale)
 
 
 def _attend_grads(g: np.ndarray, n_heads: int, saved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gradients of ``_attend`` with respect to q, k and v. A padded
-    query row has a zero gradient, so it adds nothing to any key's."""
-    qh, kh, vh, probs, scale, slots = saved
-    batch, _, longest, _ = qh.shape
-    gh = _split_heads(_padded(g, slots, batch * longest), batch, n_heads)
+    """The gradients of ``_attend`` with respect to q, k and v."""
+    qh, kh, vh, probs, scale = saved
+    gh = _split_heads(g, qh.shape[0], n_heads)
     d_probs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
     d_scores = (d_probs - np.add.reduce(d_probs * probs, axis=-1, keepdims=True)) * probs * scale
-    grads = (_merge_heads(np.matmul(d_scores, kh)),
-             _merge_heads(np.matmul(d_scores.transpose(0, 1, 3, 2), qh)),
-             _merge_heads(np.matmul(probs.transpose(0, 1, 3, 2), gh)))
-    return grads if slots is None else tuple(a[slots] for a in grads)
+    return (_merge_heads(np.matmul(d_scores, kh)),
+            _merge_heads(np.matmul(d_scores.transpose(0, 1, 3, 2), qh)),
+            _merge_heads(np.matmul(probs.transpose(0, 1, 3, 2), gh)))
 
 
 def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -455,8 +435,8 @@ def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 
     ``x`` is (T, d): sequences of the 1-D integer ``lengths`` laid end to
     end. ``norm`` is (d,) and the four projections (d, d). Each row
-    attends to the rows of its own sequence up to itself, all heads and
-    sequences at once (see ``_attend``). With ``cache`` = (keys, values,
+    attends to the rows of its own sequence up to itself, all heads at
+    once, in the layout of ``_layout``. With ``cache`` = (keys, values,
     start), two (capacity, d) arrays whose first ``start`` rows hold the
     keys and values of the one sequence's rows read before, the op writes
     its rows' keys and values after them in place, and the rows also
@@ -478,6 +458,11 @@ def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     if lens.ndim != 1 or lens.size == 0 or lens.dtype.kind not in "iu":
         raise ContractError(f"attention_block needs a 1-D integer array of sequence lengths, "
                             f"got {lens.shape} of {lens.dtype}")
+    if np.minimum.reduce(lens) < 1:
+        raise ContractError(f"attention_block needs positive sequence lengths, got {lens.tolist()}")
+    total = sum(lens.tolist())  # Python ints: no wrap-around
+    if total != rows:
+        raise ShapeError(f"attention_block sequence lengths sum to {total}, not the {rows} rows")
     start = 0
     if cache is not None:
         keys, values, start = cache
@@ -486,9 +471,7 @@ def attention_block(x: Tensor, norm: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         if keys.shape != values.shape or keys.shape[1:] != (d,) or start + rows > keys.shape[0]:
             raise ShapeError(f"attention_block cannot add {rows} rows after {start} to "
                              f"{keys.shape} keys and {values.shape} values")
-    layout = _layout(tuple(lens.tolist()), start)
-    if layout[0] != rows:
-        raise ShapeError(f"attention_block sequence lengths sum to {layout[0]}, not the {rows} rows")
+    layout = _layout(lens, rows, start)
     z, r, normed = _rmsnorm(x.data, norm.data)
     q, k, v = z @ wq.data, z @ wk.data, z @ wv.data
     if cache is not None:
