@@ -364,10 +364,11 @@ def _layout(lengths: np.ndarray, rows: int, start: int):
     Sequences of one length L sit side by side, (B, L): each scores only
     its own L x L pairs. Query i of a sequence sees its first i + 1 rows;
     with ``start`` cached rows (one sequence) it also sees all of those.
-    A block of mixed lengths is one batch of all its rows under the
-    block-diagonal mask, as every block was before sequences were
-    batched: no bench workload mixes lengths yet, so padding them to the
-    longest or bucketing them by length waits for one that measures it.
+    A block of mixed lengths is one batch of all its T rows under the
+    block-diagonal mask. Padding to the longest would score B x L^2
+    pairs, more than T^2 when one sequence is far longer than the rest;
+    whether padding or bucketing by length beats T x T on real traffic
+    is unmeasured, as no bench workload mixes lengths.
     """
     batch = lengths.size
     longest = int(np.maximum.reduce(lengths))
