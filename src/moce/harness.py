@@ -309,8 +309,11 @@ def evaluate_records(model: MoCEModel, km: KMeansModel, seed: int,
     """Greedy-decode every record with its cluster-chosen group.
 
     Reports exact match, teacher-forced NLL (over packed blocks of records)
-    and perplexity, and exact match broken out per source tag.
+    and perplexity, and exact match broken out per source tag. No records
+    raise ContractError: none of these means is defined.
     """
+    if not records:
+        raise ContractError("evaluation needs at least one record")
     groups = [assign_group(km, r.instruction, km.dimension, seed) for r in records]
     n_match = 0
     by_source: dict[str, list[int]] = {}
@@ -387,7 +390,7 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
     for key in sorted(record.routers):
         loads = record.load_fractions(key)
         probs = record.mean_gate_probs(key)
-        selected = record.routers[key].selected_counts
+        selected = record.selections(key)
         for i in range(len(loads)):
             router_rows.append([key, i, f"{loads[i]:.17g}", f"{probs[i]:.17g}", int(selected[i])])
     write_csv(os.path.join(out_dir, "routers.csv"),
@@ -443,6 +446,10 @@ def ablation_grid(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
 def ablation_run(cfg: RunConfig, records: list[InstructionRecord],
                  out_dir: str) -> list[dict]:
     """Train and evaluate every grid cell; writes ablation.csv and returns rows."""
+    # Every cell shares the seed and holdout fraction: one split finds an empty holdout.
+    if not split_dataset(records, cfg.holdout_fraction, cfg.seed)[1]:
+        raise ConfigError(f"ablation scores each cell on the holdout, but holdout_fraction="
+                          f"{cfg.holdout_fraction} leaves none of the {len(records)} records")
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for label, row_cfg in ablation_grid(cfg):

@@ -6,16 +6,18 @@ expert group (the clustering stage decided that); within the group, a
 softmax router scores the group's adapter experts per token and the top-k
 keep their original softmax weights with no renormalisation, so the weights
 of unselected experts are simply zero. Each expert is a bottleneck
-adapter over one shared frozen feed-forward block and contributes a
-residual update. Per layer and path one ``router_gates`` op scores a
-packed block for every group present, each group over its own rows, and
-one ``adapter_mixture`` op takes each row's chosen experts, runs every
-selected expert once, with one activation call over all of their rows,
-and adds the residual x; experts that win no tokens do no work at all. A
-routed layer is two engine ops beside its frozen feed-forward, and the
-two-path variant adds one more call and one ``add``.
-``RoutingRecord`` keeps plain arrays and references to the gate tensors,
-and the balance loss is one ``gate_balance`` op over them.
+adapter over one shared frozen feed-forward block, with that block's
+activation, and contributes a residual update. Per layer and path one
+``router_gates`` op scores a packed block for every group present, each
+group over its own rows, and one ``adapter_mixture`` op takes each row's
+chosen experts, runs every selected expert once, with one activation call
+over all of their rows, and adds the residual x; experts that win no
+tokens do no work at all. A routed layer is two engine ops beside its
+frozen feed-forward, and the two-path variant adds one more call and one
+``add``. ``RoutingRecord`` keeps only its router calls; the load
+fractions, gate means, selection counts and token-level routes are
+computed from them when read, and the balance loss is one
+``gate_balance`` op over them.
 """
 
 from __future__ import annotations
@@ -56,14 +58,11 @@ class FeedForward:
     def forward(self, x: Tensor) -> Tensor:
         return feed_forward(x, self.w1, self.w2, self.act)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w1, self.w2]
-
 
 class AdapterExpert:
     """A bottleneck adapter acting as one expert.
 
-    Its update is act(base_out @ W_down) @ W_up, with its group's ``act``;
+    Its update is act(base_out @ W_down) @ W_up, with the base block's ``act``;
     ``adapter_mixture`` computes it for all of one router call's experts at
     once, and the full output adds the residual input x. With W_up all
     zero the update is exactly zero, which is what makes zero-initialised
@@ -91,15 +90,11 @@ class AdapterExpert:
         w_up = Tensor(np.zeros((rank, d_model)), requires_grad=True)
         return cls(w_down, w_up)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w_down, self.w_up]
-
 
 class ExpertGroup:
-    """One expert group: a router plus its private experts, which share one
-    activation ``act``."""
+    """One expert group: a router plus its private experts."""
 
-    def __init__(self, router: Tensor, experts: list[AdapterExpert], act: str = "gelu"):
+    def __init__(self, router: Tensor, experts: list[AdapterExpert]):
         if not experts:
             raise ContractError("an expert group needs at least one expert")
         if router.shape[1] != len(experts):
@@ -108,23 +103,23 @@ class ExpertGroup:
             )
         self.router = router
         self.experts = experts
-        self.act = act
 
     @classmethod
-    def init(cls, d_model: int, n_experts: int, rank: int, rng: np.random.Generator,
-             act: str = "gelu") -> "ExpertGroup":
+    def init(cls, d_model: int, n_experts: int, rank: int,
+             rng: np.random.Generator) -> "ExpertGroup":
         router = Tensor(rng.normal(0.0, 0.02, size=(d_model, n_experts)), requires_grad=True)
         experts = [AdapterExpert.init(d_model, rank, rng) for _ in range(n_experts)]
-        return cls(router, experts, act)
+        return cls(router, experts)
 
     @property
     def n_experts(self) -> int:
         return len(self.experts)
 
-    def parameters(self) -> list[Tensor]:
-        out = [self.router]
-        for e in self.experts:
-            out.extend(e.parameters())
+    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
+        out = [(f"{prefix}.router", self.router)]
+        for e, expert in enumerate(self.experts):
+            out += [(f"{prefix}.expert{e}.w_down", expert.w_down),
+                    (f"{prefix}.expert{e}.w_up", expert.w_up)]
         return out
 
 
@@ -137,37 +132,21 @@ def _top_k_order(gates: np.ndarray, k: int) -> np.ndarray:
     return (-gates).argsort(axis=1, kind="stable")[:, :k]
 
 
-@dataclass
-class _RouterStats:
-    """Per-router accumulators backing the balance loss and the reports:
-    plain arrays and counts, plus ``gate_calls``, one (block gate tensor,
-    this router's rows of it or None for all) per call."""
-
-    n_experts: int
-    top1_counts: np.ndarray
-    token_count: int = 0
-    gate_calls: list = field(default_factory=list)      # (graph tensor, rows), one per call
-    gate_value_sum: np.ndarray | None = None             # plain values for reporting
-    selected_counts: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.gate_value_sum is None:
-            self.gate_value_sum = np.zeros(self.n_experts)
-        if self.selected_counts is None:
-            self.selected_counts = np.zeros(self.n_experts, dtype=np.int64)
+def _picked(array: np.ndarray, rows) -> np.ndarray:
+    return array if rows is None else array[rows]
 
 
 @dataclass
 class RoutingRecord:
     """Everything observed about routing during one or more forward passes.
 
-    Keeps plain arrays (for CSV / stats) and, per router call, the live
-    gate tensor with the router's rows of it (so the balance loss can
-    backpropagate). The token-level ``rows`` are built only when read,
-    from each router call's gate and selection arrays.
+    Keeps, per router call, the live gate tensor with the router's rows of
+    it (so the balance loss can backpropagate), the selection mask and the
+    token offset. Everything else, from the load fractions to the
+    token-level ``rows``, is computed from those calls when read, adding
+    each call's terms in call order.
     """
 
-    routers: dict = field(default_factory=dict)
     tokens_seen: int = 0
     _calls: list = field(default_factory=list, repr=False)   # (key, gates, mask, rows, offset)
     _starts: list = field(default_factory=list, repr=False)  # first token index of each sequence
@@ -177,36 +156,36 @@ class RoutingRecord:
         self._starts.append(self.tokens_seen)
         self.tokens_seen += n_tokens
 
-    def _stats(self, key, n_experts: int) -> _RouterStats:
-        stats = self.routers.get(key)
-        if stats is None:
-            stats = _RouterStats(n_experts=n_experts, top1_counts=np.zeros(n_experts, dtype=np.int64))
-            self.routers[key] = stats
-        elif stats.n_experts != n_experts:
-            raise ContractError(f"router '{key}' changed expert count mid-record")
-        return stats
-
     def observe(self, key, gates: Tensor, mask: np.ndarray, token_offset: int,
                 rows: np.ndarray | None = None) -> None:
         """Record one router's share of a router call over a block of tokens.
 
         ``rows`` selects this router's rows of the block's ``gates`` and
         ``mask`` (None: every row), and block row r is token
-        ``token_offset + r``. ``mask`` marks the selected experts; the
-        top-1 tally uses the pre-truncation argmax of the full gate row.
-        Records no engine op and copies nothing: the balance loss reads the
-        kept (gates, rows) pair, and ``rows`` gathers the selections from
-        the kept references when it is read.
+        ``token_offset + r``. ``mask`` marks the selected experts. Records
+        no engine op, computes nothing and copies nothing.
         """
-        g = gates.data if rows is None else gates.data[rows]
-        stats = self._stats(key, g.shape[1])
-        stats.token_count += g.shape[0]
-        stats.top1_counts += np.bincount(g.argmax(axis=1), minlength=g.shape[1])
-        stats.gate_value_sum += np.add.reduce(g, axis=0)
-        stats.selected_counts += np.add.reduce(mask if rows is None else mask[rows],
-                                               axis=0).astype(np.int64)
-        stats.gate_calls.append((gates, rows))
         self._calls.append((key, gates, mask, rows, token_offset))
+
+    def _by_router(self) -> dict:
+        """Each router's (gates, mask, rows) calls in call order, keyed in the
+        order of each router's first call."""
+        out: dict = {}
+        for key, gates, mask, rows, _ in self._calls:
+            calls = out.setdefault(key, [])
+            if calls and calls[0][0].shape[1] != gates.shape[1]:
+                raise ContractError(f"router '{key}' changed expert count mid-record")
+            calls.append((gates, mask, rows))
+        return out
+
+    @property
+    def routers(self) -> dict:
+        """Each router's calls as (block gate tensor, its rows or None for all)."""
+        return {key: [(gates, rows) for gates, _, rows in calls]
+                for key, calls in self._by_router().items()}
+
+    def _gate_values(self, key) -> list[np.ndarray]:
+        return [_picked(gates.data, rows) for gates, _, rows in self._by_router()[key]]
 
     @property
     def rows(self) -> list:
@@ -219,11 +198,11 @@ class RoutingRecord:
             return []
         calls, tokens, experts, weights = [], [], [], []
         for i, (_, gates, mask, rows, offset) in enumerate(self._calls):
-            t, e = np.nonzero(mask if rows is None else mask[rows])
+            t, e = np.nonzero(_picked(mask, rows))
             calls.append(np.full(t.size, i))
             tokens.append(offset + (t if rows is None else np.asarray(rows, dtype=np.int64)[t]))
             experts.append(e)
-            weights.append((gates.data if rows is None else gates.data[rows])[t, e])
+            weights.append(_picked(gates.data, rows)[t, e])
         call, token, expert, weight = (np.concatenate(a) for a in (calls, tokens, experts, weights))
         sequence = np.searchsorted(np.asarray(self._starts, dtype=np.int64), token, side="right")
         order = np.lexsort((expert, token, call, sequence))
@@ -232,17 +211,23 @@ class RoutingRecord:
 
     def load_fractions(self, key) -> np.ndarray:
         """f_i: fraction of this router's tokens whose top-1 expert is i."""
-        stats = self.routers[key]
-        if stats.token_count == 0:
-            return np.zeros(stats.n_experts)
-        return stats.top1_counts / stats.token_count
+        gates = self._gate_values(key)
+        top1 = np.concatenate([g.argmax(axis=1) for g in gates])
+        return np.bincount(top1, minlength=gates[0].shape[1]) / top1.size
 
     def mean_gate_probs(self, key) -> np.ndarray:
         """P_i: mean gate probability of expert i over this router's tokens."""
-        stats = self.routers[key]
-        if stats.token_count == 0:
-            return np.zeros(stats.n_experts)
-        return stats.gate_value_sum / stats.token_count
+        gates = self._gate_values(key)
+        total = np.zeros(gates[0].shape[1])
+        for g in gates:
+            total += np.add.reduce(g, axis=0)
+        return total / sum(g.shape[0] for g in gates)
+
+    def selections(self, key) -> np.ndarray:
+        """How many of this router's tokens selected each expert."""
+        counts = [np.add.reduce(_picked(mask, rows), axis=0).astype(np.int64)
+                  for _, mask, rows in self._by_router()[key]]
+        return sum(counts[1:], counts[0])
 
     def write_csv(self, path: str) -> None:
         write_csv(path, ["token_idx", "group", "expert", "weight"],
@@ -259,16 +244,15 @@ def load_balance_loss(record: RoutingRecord) -> Tensor:
     gradient). Uniform routing scores 1.0; total collapse onto one expert
     approaches N. One ``gate_balance`` op computes it for every router.
     """
-    calls, weights = [], []
-    for key, stats in record.routers.items():
-        if stats.token_count == 0:
-            continue
-        calls.append(stats.gate_calls)
-        weights.append(record.load_fractions(key)[None, :] * stats.n_experts / stats.token_count)
-    if not calls:
+    routers = record.routers
+    if not routers:
         log.warning("load_balance_loss called on an empty routing record; returning 0")
         return Tensor(np.zeros(()))
-    return gate_balance(calls, weights)
+    weights = []
+    for key, calls in routers.items():
+        n_tokens = sum(gates.shape[0] if rows is None else len(rows) for gates, rows in calls)
+        weights.append(record.load_fractions(key)[None, :] * calls[0][0].shape[1] / n_tokens)
+    return gate_balance(list(routers.values()), weights)
 
 
 class MoCELayer:
@@ -293,8 +277,6 @@ class MoCELayer:
             raise ConfigError(f"unknown routing mode '{mode}', expected one of {ROUTING_MODES}")
         if not (1 <= k <= n):
             raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
-        if len({g.act for g in groups + ([general_group] if general_group else [])}) > 1:
-            raise ContractError("all expert groups of a layer must share one activation")
         self.groups = groups
         self.base_ffn = base_ffn
         self.k = k
@@ -349,7 +331,7 @@ class MoCELayer:
                 expert.forward_calls += 1
                 expert.rows_processed += count
         return adapter_mixture(base_out, gates, chosen, [e.w_down for e in experts],
-                               [e.w_up for e in experts], groups[0].act,
+                               [e.w_up for e in experts], self.base_ffn.act,
                                mask if renormalize else None, self.moe_scale, residual, skip)
 
     def _group_path(self, x: Tensor, base_out: Tensor, group_id,
@@ -404,16 +386,9 @@ class MoCELayer:
         return add(self._group_path(x, base_out, group_id, record),
                    self._general_path(x, base_out, record))
 
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for g in self.groups:
-            out.extend(g.parameters())
+    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
+        out = [p for g, group in enumerate(self.groups)
+               for p in group.named_parameters(f"{prefix}.group{g}")]
         if self.general_group is not None:
-            out.extend(self.general_group.parameters())
+            out += self.general_group.named_parameters(f"{prefix}.general")
         return out
-
-    def reset_instrumentation(self) -> None:
-        for g in self.groups + ([self.general_group] if self.general_group else []):
-            for e in g.experts:
-                e.forward_calls = 0
-                e.rows_processed = 0

@@ -2,10 +2,12 @@
 
 The dense base is attention-only in its residual stream: each block is
 attention plus residual, while the block's feed-forward weights exist
-solely to feed adapter bottlenecks after upcycling. Upcycling copies and
-freezes the whole backbone and drops a fresh mixture layer (zero-init
-adapters) into every block, so the upcycled model computes bit-for-bit
-the dense base's function until training moves the adapters.
+solely to feed adapter bottlenecks after upcycling. The mixture model's
+backbone is a frozen ``DenseBaseModel``: upcycling builds a mixture
+model, copies every dense tensor into the backbone tensor of the same
+name (as loading a checkpoint fills one) and leaves a fresh mixture
+layer (zero-init adapters) in every block, so the upcycled model computes
+bit-for-bit the dense base's function until training moves the adapters.
 
 A packed block carries its sequences' lengths, and the attention op
 keeps each sequence to its own rows; no block builds a mask. The
@@ -100,15 +102,15 @@ class _Block:
         self.n_heads = n_heads
 
     @classmethod
-    def init(cls, cfg: ModelConfig, rng: np.random.Generator, requires_grad: bool) -> "_Block":
+    def init(cls, cfg: ModelConfig, rng: np.random.Generator) -> "_Block":
         d = cfg.d_model
         scale = d ** -0.5
 
         def mat():
-            return Tensor(rng.normal(0.0, scale, size=(d, d)), requires_grad)
+            return Tensor(rng.normal(0.0, scale, size=(d, d)), requires_grad=True)
 
-        norm = Tensor(np.ones(d), requires_grad)
-        base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=requires_grad)
+        norm = Tensor(np.ones(d), requires_grad=True)
+        base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=True)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
     def attend(self, x: Tensor, lengths, cache: tuple | None = None) -> Tensor:
@@ -206,8 +208,15 @@ class _Packed:
                           else np.concatenate([np.arange(start, start + k) for k in lengths]))
 
 
-class _Backbone:
-    """Embeddings, blocks and head shared by both model classes."""
+class DenseBaseModel:
+    """The upcycling source: causal attention blocks, no stream-side FFN.
+
+    Each block still carries feed-forward weights; they ride along frozen
+    into the mixture model, where adapters read their features. Keeping
+    them out of the residual stream here is what lets zero-initialised
+    adapters reproduce this model exactly. A frozen copy of this model is
+    the mixture model's backbone.
+    """
 
     def __init__(self, cfg: ModelConfig, tok_emb: Tensor, pos_emb: Tensor,
                  blocks: list[_Block], final_norm: Tensor, head: Tensor):
@@ -219,20 +228,29 @@ class _Backbone:
         self.head = head
 
     @classmethod
-    def init(cls, cfg: ModelConfig, rng: np.random.Generator, requires_grad: bool) -> "_Backbone":
+    def build(cls, cfg: ModelConfig, seed: int) -> "DenseBaseModel":
+        rng = substream(seed, "init", "dense")
         d = cfg.d_model
-        tok = Tensor(rng.normal(0.0, 0.5, size=(cfg.vocab_size, d)), requires_grad)
-        pos = Tensor(rng.normal(0.0, 0.5, size=(cfg.max_seq_len, d)), requires_grad)
-        blocks = [_Block.init(cfg, rng, requires_grad) for _ in range(cfg.n_layers)]
-        final = Tensor(np.ones(d), requires_grad)
-        head = Tensor(rng.normal(0.0, d ** -0.5, size=(d, cfg.vocab_size)), requires_grad)
+        tok = Tensor(rng.normal(0.0, 0.5, size=(cfg.vocab_size, d)), requires_grad=True)
+        pos = Tensor(rng.normal(0.0, 0.5, size=(cfg.max_seq_len, d)), requires_grad=True)
+        blocks = [_Block.init(cfg, rng) for _ in range(cfg.n_layers)]
+        final = Tensor(np.ones(d), requires_grad=True)
+        head = Tensor(rng.normal(0.0, d ** -0.5, size=(d, cfg.vocab_size)), requires_grad=True)
         return cls(cfg, tok, pos, blocks, final, head)
 
-    def embed(self, batch: "_Packed") -> Tensor:
+    def embed(self, batch: _Packed) -> Tensor:
         return embed_tokens(self.tok_emb, self.pos_emb, batch.ids, batch.positions)
 
     def project(self, x: Tensor) -> Tensor:
         return output_head(x, self.final_norm, self.head)
+
+    def forward(self, token_ids) -> Tensor:
+        """Logits for one sequence, or for a list of sequences packed into one block."""
+        batch = _Packed(token_ids, self.cfg)
+        x = self.embed(batch)
+        for block in self.blocks:
+            x = block.attend(x, batch.lengths)
+        return self.project(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
@@ -241,48 +259,19 @@ class _Backbone:
         out.extend([("final_norm", self.final_norm), ("head", self.head)])
         return out
 
-
-class DenseBaseModel:
-    """The upcycling source: causal attention blocks, no stream-side FFN.
-
-    Each block still carries feed-forward weights; they ride along frozen
-    into the mixture model, where adapters read their features. Keeping
-    them out of the residual stream here is what lets zero-initialised
-    adapters reproduce this model exactly.
-    """
-
-    def __init__(self, backbone: _Backbone):
-        self.backbone = backbone
-        self.cfg = backbone.cfg
-
-    @classmethod
-    def build(cls, cfg: ModelConfig, seed: int) -> "DenseBaseModel":
-        rng = substream(seed, "init", "dense")
-        return cls(_Backbone.init(cfg, rng, requires_grad=True))
-
-    def forward(self, token_ids) -> Tensor:
-        """Logits for one sequence, or for a list of sequences packed into one block."""
-        batch = _Packed(token_ids, self.cfg)
-        x = self.backbone.embed(batch)
-        for block in self.backbone.blocks:
-            x = block.attend(x, batch.lengths)
-        return self.backbone.project(x)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return self.backbone.named_parameters()
-
     def trainable_parameters(self) -> list[Tensor]:
         # The feed-forward stacks have no path to the loss here; they are
         # excluded so the optimiser state covers only live parameters.
-        skip = {id(b.base_ffn.w1) for b in self.backbone.blocks}
-        skip |= {id(b.base_ffn.w2) for b in self.backbone.blocks}
+        skip = {id(b.base_ffn.w1) for b in self.blocks}
+        skip |= {id(b.base_ffn.w2) for b in self.blocks}
         return [p for _, p in self.named_parameters() if id(p) not in skip]
 
 
 class MoCEModel:
-    """The upcycled model: the frozen backbone plus one mixture layer per block."""
+    """The upcycled model: a frozen dense base as backbone plus one mixture
+    layer per block."""
 
-    def __init__(self, backbone: _Backbone, layers: list[MoCELayer]):
+    def __init__(self, backbone: DenseBaseModel, layers: list[MoCELayer]):
         if len(layers) != len(backbone.blocks):
             raise ConfigError(
                 f"{len(backbone.blocks)} blocks but {len(layers)} mixture layers"
@@ -295,9 +284,22 @@ class MoCEModel:
 
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int) -> "MoCEModel":
-        """A fresh model with a random frozen backbone; used by loading."""
-        backbone = _Backbone.init(cfg, substream(seed, "init", "dense"), requires_grad=False)
-        return cls(backbone, _make_moce_layers(backbone, cfg, seed))
+        """A fresh model with a random frozen backbone, for upcycling or
+        loading to fill, and fresh adapters and routers in every block."""
+        backbone = DenseBaseModel.build(cfg, seed)
+        for _, p in backbone.named_parameters():
+            p.requires_grad = False
+        layers = []
+        for i, block in enumerate(backbone.blocks):
+            rng = substream(seed, "init", "moce", i)
+            groups = [ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng)
+                      for _ in range(cfg.n_groups)]
+            general = (ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng)
+                       if cfg.variant else None)
+            layers.append(MoCELayer(groups, block.base_ffn, cfg.top_k, mode=cfg.mode,
+                                    renormalize=cfg.renormalize, moe_scale=cfg.moe_scale,
+                                    general_group=general))
+        return cls(backbone, layers)
 
     def forward(self, token_ids, group_id, record: RoutingRecord | None = None,
                 cache: KVCache | None = None) -> Tensor:
@@ -337,87 +339,31 @@ class MoCEModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = self.backbone.named_parameters()
         for i, layer in enumerate(self.layers):
-            for g, group in enumerate(layer.groups):
-                out.extend(_group_parameters(f"layer{i}.group{g}", group))
-            if layer.general_group is not None:
-                out.extend(_group_parameters(f"layer{i}.general", layer.general_group))
+            out.extend(layer.named_parameters(f"layer{i}"))
         return out
 
     def trainable_parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters() if p.requires_grad]
 
-    def reset_instrumentation(self) -> None:
-        for layer in self.layers:
-            layer.reset_instrumentation()
-
-
-def _group_parameters(prefix: str, group: ExpertGroup) -> list[tuple[str, Tensor]]:
-    out = [(f"{prefix}.router", group.router)]
-    for e, expert in enumerate(group.experts):
-        out.append((f"{prefix}.expert{e}.w_down", expert.w_down))
-        out.append((f"{prefix}.expert{e}.w_up", expert.w_up))
-    return out
-
-
-def _make_moce_layers(backbone: _Backbone, cfg: ModelConfig, seed: int) -> list[MoCELayer]:
-    layers = []
-    for i, block in enumerate(backbone.blocks):
-        rng = substream(seed, "init", "moce", i)
-        groups = [
-            ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng, cfg.activation)
-            for _ in range(cfg.n_groups)
-        ]
-        general = None
-        if cfg.variant:
-            general = ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng, cfg.activation)
-        layers.append(MoCELayer(
-            groups=groups,
-            base_ffn=block.base_ffn,
-            k=cfg.top_k,
-            mode=cfg.mode,
-            renormalize=cfg.renormalize,
-            moe_scale=cfg.moe_scale,
-            general_group=general,
-        ))
-    return layers
-
 
 def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoCEModel:
     """Create the mixture model on top of a trained (or fresh) dense base.
 
-    The backbone (embeddings, attention, feed-forward stacks, head) is
-    copied and frozen; adapters start with W_up = 0 and routers small
-    random, so the new model's function equals the dense base's exactly.
+    Every backbone tensor (embeddings, attention, feed-forward stacks,
+    head) of a fresh ``MoCEModel.build`` is overwritten with a copy of the
+    dense tensor of the same name, and stays frozen; adapters start with
+    W_up = 0 and routers small random, so the new model's function equals
+    the dense base's exactly.
     """
     differ = [f"{name} {getattr(dense_base.cfg, name)} vs {getattr(cfg, name)}"
               for name in _BACKBONE_FIELDS if getattr(dense_base.cfg, name) != getattr(cfg, name)]
     if differ:
         raise ConfigError(f"dense base and target config disagree on {', '.join(differ)}")
-    src = dense_base.backbone
-    frozen = _Backbone(
-        cfg,
-        _frozen_copy(src.tok_emb),
-        _frozen_copy(src.pos_emb),
-        [
-            _Block(
-                _frozen_copy(b.norm),
-                _frozen_copy(b.wq),
-                _frozen_copy(b.wk),
-                _frozen_copy(b.wv),
-                _frozen_copy(b.wo),
-                FeedForward(_frozen_copy(b.base_ffn.w1), _frozen_copy(b.base_ffn.w2), cfg.activation),
-                cfg.n_heads,
-            )
-            for b in src.blocks
-        ],
-        _frozen_copy(src.final_norm),
-        _frozen_copy(src.head),
-    )
-    return MoCEModel(frozen, _make_moce_layers(frozen, cfg, seed))
-
-
-def _frozen_copy(p: Tensor) -> Tensor:
-    return Tensor(p.data.copy(), requires_grad=False)
+    model = MoCEModel.build(cfg, seed)
+    dense = dict(dense_base.named_parameters())
+    for name, tensor in model.backbone.named_parameters():
+        tensor.data = dense[name].data.copy()
+    return model
 
 
 def lm_loss(logits: Tensor, targets, weights) -> Tensor:
@@ -542,6 +488,8 @@ def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, object]]:
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         size = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(take(size * 8), dtype="<f8").reshape(shape)
+        if name in loaded:
+            raise FormatError(f"checkpoint holds parameter '{name}' twice")
         loaded[name] = np.array(data, dtype=np.float64)
     if offset != len(raw):
         raise FormatError("trailing bytes after the last parameter blob")

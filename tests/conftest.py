@@ -6,7 +6,8 @@ path runs), the op chains the fused ``attention_block`` and
 ``feed_forward`` replace, the masks of packed and cached blocks,
 ``pair_mixture``, the adapter mixture on the pair contract it had before
 it took each row's chosen experts, with ``np.add.at``, ``top_k_mask`` and
-``general_path``, which no model path calls either, the broadcast
+``general_path``, which no model path calls either,
+``reset_instrumentation`` for the adapters' work counters, the broadcast
 nearest-centroid reference, and synthetic cluster geometry."""
 
 import itertools
@@ -60,6 +61,16 @@ def general_path(layer, x, record=None):
     general-expert outputs, the half of ``variant_forward`` past the group
     path."""
     return layer._general_path(x, layer.base_ffn.forward(x), record)
+
+
+def reset_instrumentation(model):
+    """Zero the ``forward_calls`` and ``rows_processed`` of every adapter of
+    a mixture model, or of one mixture layer."""
+    for layer in getattr(model, "layers", [model]):
+        for group in layer.groups + ([layer.general_group] if layer.general_group else []):
+            for e in group.experts:
+                e.forward_calls = 0
+                e.rows_processed = 0
 
 
 def matmul(a, b):

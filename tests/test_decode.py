@@ -5,7 +5,8 @@ nothing recorded for a backward pass."""
 import numpy as np
 import pytest
 
-from conftest import attention_chain, cached_mask, feed_forward_chain, matmul, packed_mask
+from conftest import (attention_chain, cached_mask, feed_forward_chain, matmul, packed_mask,
+                      reset_instrumentation)
 from moce import layer as layer_module
 from moce import model as model_module
 from moce.errors import ContractError, NumericError, ShapeError
@@ -260,7 +261,7 @@ def test_no_prefix_is_recomputed(top_k):
     cfg = micro_cfg(top_k=top_k, max_seq_len=16)
     model = trained_like(cfg, seed=9)
     prompt = [4, 2, 7, 1, 3]
-    model.reset_instrumentation()
+    reset_instrumentation(model)
     out = greedy_decode(model, prompt, 2, max_new_tokens=cfg.max_seq_len, eos_id=-1)
     generated = len(out) - len(prompt)
     assert generated == cfg.max_seq_len - len(prompt)

@@ -313,6 +313,11 @@ class TestOverLongRecords:
             route_statistics(run_dir, over_long(1) + corpus[:3], str(out))
         assert not out.exists()
 
+    def test_evaluating_no_records_rejected(self, trained_run):
+        model, km, seed = moce.harness._load_run(trained_run[0])
+        with pytest.raises(ContractError, match="at least one record"):
+            moce.harness.evaluate_records(model, km, seed, [])
+
     def test_cli_exits_2(self, trained_run, corpus, tmp_path, capsys):
         run_dir, _ = trained_run
         data = str(tmp_path / "data.jsonl")
@@ -348,6 +353,21 @@ class TestAblation:
         for r in csv_rows:
             assert np.isfinite(float(r["final_lm_loss"]))
             assert 0.0 <= float(r["exact_match"]) <= 1.0
+
+    def test_empty_holdout_rejected_before_training(self, tmp_path, corpus, capsys):
+        """Every cell is scored on the holdout, so a split that leaves none
+        fails before the first cell trains, and the CLI exits 2."""
+        out = tmp_path / "ablate"
+        with pytest.raises(ConfigError, match="holdout"):
+            ablation_run(micro_cfg(holdout_fraction=0.0), corpus[:10], str(out))
+        assert not out.exists()
+        cfg_path = tmp_path / "run.cfg"
+        write_run_config(str(cfg_path), micro_cfg(holdout_fraction=0.0))
+        data = str(tmp_path / "data.jsonl")
+        save_dataset(data, corpus[:10])
+        assert main(["ablate", "--config", str(cfg_path), "--data", data,
+                     "--out-dir", str(out)]) == 2
+        assert "holdout" in capsys.readouterr().err and not out.exists()
 
 
 class TestCli:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
-from conftest import general_path, gradcheck, matmul, pair_mixture, softmax, take_rows, top_k_mask
+from conftest import (general_path, gradcheck, matmul, pair_mixture, reset_instrumentation, softmax,
+                      take_rows, top_k_mask)
 from moce.errors import ConfigError, ContractError
 from moce.layer import (
     AdapterExpert,
@@ -327,7 +328,7 @@ class TestSparsity:
         x = rng.standard_normal((6, 6))
         gates = np_softmax(x @ layer.groups[0].router.data)
         winners = set(np.argmax(gates, axis=1).tolist())
-        layer.reset_instrumentation()
+        reset_instrumentation(layer)
         layer.forward(Tensor(x), 0)
         for i, e in enumerate(layer.groups[0].experts):
             if i in winners:
@@ -338,7 +339,7 @@ class TestSparsity:
     def test_total_expert_rows_equal_tokens_times_k(self):
         rng = np.random.default_rng(19)
         layer = build_layer(rng, n_groups=1, n_experts=4, k=2)
-        layer.reset_instrumentation()
+        reset_instrumentation(layer)
         layer.forward(Tensor(rng.standard_normal((9, 6))), 0)
         total = sum(e.rows_processed for e in layer.groups[0].experts)
         assert total == 9 * 2
@@ -362,10 +363,10 @@ class TestGradients:
         x = Tensor(rng.standard_normal((4, 6)))
         backward(tensor_sum(layer.forward(x, 1)))
         for gid in (0, 2):
-            for p in layer.groups[gid].parameters():
+            for _, p in layer.groups[gid].named_parameters(f"group{gid}"):
                 assert p.grad is None
         assert any(p.grad is not None and np.any(p.grad != 0)
-                   for p in layer.groups[1].parameters())
+                   for _, p in layer.groups[1].named_parameters("group1"))
 
     def test_layer_gradients_against_central_differences(self):
         """Group-path gradients match the oracle when routing margins are safe."""
@@ -426,8 +427,8 @@ def routed_per_group(layer, x, row_groups):
         return pair_mixture(base_out, gates, tokens, tokens if rows is None else rows[tokens],
                             np.concatenate([[0], np.cumsum(np.bincount(experts, minlength=n))]),
                             [e.w_down for e in group.experts], [e.w_up for e in group.experts],
-                            group.act, x.shape[0], mask if renorm else None, layer.moe_scale,
-                            x if include_residual else None)
+                            layer.base_ffn.act, x.shape[0], mask if renorm else None,
+                            layer.moe_scale, x if include_residual else None)
 
     present = np.unique(row_groups)
     combined = None
@@ -463,7 +464,7 @@ class TestOneRouterCall:
             row_groups[:2] = rng.choice(3, size=2, replace=False)
             x = rng.standard_normal((rows, 6))
             weight = Tensor(rng.standard_normal((rows, 6)))
-            params = layer.parameters()
+            params = [p for _, p in layer.named_parameters("layer0")]
 
             def run(fn):
                 leaf = Tensor(x, requires_grad=True)
@@ -485,16 +486,6 @@ class TestOneRouterCall:
             got, want = run(merged), run(lambda leaf: routed_per_group(layer, leaf, row_groups))
             assert got[:3] == want[:3]
             assert np.max(np.abs(got[3] - want[3])) < 1e-12
-
-    def test_groups_must_share_one_activation(self):
-        rng = np.random.default_rng(3)
-        layer = build_layer(rng, general=True)
-        layer.general_group.act = "silu"
-        with pytest.raises(ContractError, match="one activation"):
-            MoCELayer(layer.groups, layer.base_ffn, k=2, general_group=layer.general_group)
-        layer.groups[1].act = "relu"
-        with pytest.raises(ContractError, match="one activation"):
-            MoCELayer(layer.groups, layer.base_ffn, k=2)
 
 
 class TestBalanceLoss:
@@ -549,6 +540,18 @@ class TestBalanceLoss:
         assert group.router.grad is not None and np.any(group.router.grad != 0)
         for e in group.experts:
             assert e.w_down.grad is None and e.w_up.grad is None
+
+    def test_changed_expert_count_raises_when_read(self):
+        """One key observed with gates of two widths cannot be read."""
+        rng = np.random.default_rng(29)
+        record = RoutingRecord()
+        for n in (3, 4):
+            gates = Tensor(np_softmax(rng.standard_normal((2, n))))
+            record.observe("r", gates, top_k_mask(gates.data, 1), 0)
+        with pytest.raises(ContractError, match="changed expert count"):
+            load_balance_loss(record)
+        with pytest.raises(ContractError, match="changed expert count"):
+            record.load_fractions("r")
 
     def test_empty_record_warns_and_returns_zero(self, caplog):
         with caplog.at_level(logging.WARNING):

@@ -2,6 +2,7 @@
 causality, decoding, and bit-exact checkpoints."""
 
 import builtins
+import struct
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestUpcycling:
             moce = upcycle_init(dense, cfg, seed=5)
             ids = [1, 4, 2, 9]
             assert np.array_equal(dense.forward(ids).data, moce.forward(ids, 0).data)
+
+    def test_backbone_is_a_frozen_copy_of_the_dense_base(self):
+        """The backbone shares no array with the dense base, so writes to the
+        base after upcycling leave the mixture model as it was."""
+        for cfg in (micro_cfg(), micro_cfg(variant=True)):
+            dense = DenseBaseModel.build(cfg, seed=2)
+            moce = upcycle_init(dense, cfg, seed=2)
+            names = [name for name, _ in moce.named_parameters()]
+            assert len(names) == len(set(names))
+            before = {name: p.data.copy() for name, p in moce.named_parameters()}
+            backbone = moce.backbone.named_parameters()
+            for (name, p), (_, q) in zip(dense.named_parameters(), backbone):
+                assert not np.shares_memory(p.data, q.data), name
+                assert not q.requires_grad, name
+                p.data += 1.0
+            for name, p in moce.named_parameters():
+                assert np.array_equal(p.data, before[name]), name
 
     def test_backbone_frozen_adapters_trainable(self):
         cfg = micro_cfg()
@@ -213,6 +231,22 @@ class TestCheckpoint:
         raw[8] = 0xFF  # the first byte of the first parameter's name: not UTF-8
         blob.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="parameter"):
+            load_checkpoint(str(tmp_path / "ck"))
+
+    def test_parameter_given_twice_rejected(self, tmp_path):
+        """A second ``tok_emb`` blob, with an edited value, is not loaded over the first."""
+        cfg = micro_cfg()
+        moce = upcycle_init(DenseBaseModel.build(cfg, seed=15), cfg, seed=15)
+        save_checkpoint(str(tmp_path / "ck"), moce, seed=15, step=0)
+        blob = tmp_path / "ck" / "params.bin"
+        raw = blob.read_bytes()
+        (count,) = struct.unpack("<I", raw[:4])
+        tok = moce.backbone.tok_emb.data
+        first = 4 + 4 + len(b"tok_emb") + 4 + 4 * tok.ndim + tok.size * 8
+        again = bytearray(raw[4:first])
+        again[-8:] = struct.pack("<d", 0.25)
+        blob.write_bytes(struct.pack("<I", count + 1) + raw[4:] + bytes(again))
+        with pytest.raises(FormatError, match="'tok_emb' twice"):
             load_checkpoint(str(tmp_path / "ck"))
 
     def test_manifest_header_checked(self, tmp_path):

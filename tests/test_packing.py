@@ -4,6 +4,7 @@ sequences compute one at a time, and one packed step must stay small."""
 import numpy as np
 import pytest
 
+from conftest import reset_instrumentation
 from moce import tensor
 from moce.data import encode_example, make_two_dialect_corpus, prompt_ids, training_pair
 from moce.errors import ContractError
@@ -97,7 +98,7 @@ def test_packed_matches_one_sequence_at_a_time(overrides):
         model = trained_like(cfg, seed=trial)
         batch = random_batch(cfg, rng)
 
-        model.reset_instrumentation()
+        reset_instrumentation(model)
         ref_logits, ref_loss, _ = one_at_a_time(model, *batch)
         backward(ref_loss)
         ref_grads = grads(model)
@@ -105,7 +106,7 @@ def test_packed_matches_one_sequence_at_a_time(overrides):
         ref_used = [e.forward_calls > 0 for e in experts(model)]
         zero_grads(model)
 
-        model.reset_instrumentation()
+        reset_instrumentation(model)
         logits, loss, _ = packed(model, *batch)
         backward(loss)
         got = grads(model)
