@@ -43,7 +43,6 @@ class KMeansModel:
     seed: int
     centroids: np.ndarray
     final_sse: float
-    iterations: int
     sse_history: list[float] = field(default_factory=list)
 
 
@@ -201,44 +200,45 @@ def _update(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
     centroids[filled] = (onehot @ points)[filled] / counts[filled, None]
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int, tol: float) -> tuple[np.ndarray, np.ndarray, list[float], int]:
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     centroids = centroids.copy()
     p2max = _max_sq_norm(points)
     labels = _assign(points, centroids, p2max)
     labels, counts = _repair_empty(points, centroids, labels)
     history = [sse(points, centroids, labels)]
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
+    for iteration in range(1, _MAX_ITERS + 1):
         _update(points, centroids, labels, counts)
         new_labels = _assign(points, centroids, p2max)
         new_labels, counts = _repair_empty(points, centroids, new_labels)
         current = sse(points, centroids, new_labels)
         if current > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise NumericError(
-                f"k-means objective increased at iteration {iterations}: "
+                f"k-means objective increased at iteration {iteration}: "
                 f"{history[-1]:.12g} -> {current:.12g}"
             )
         history.append(current)
-        if (new_labels == labels).all():
-            labels = new_labels
-            break
-        if tol > 0.0 and history[-2] - history[-1] <= tol:
-            labels = new_labels
-            break
+        converged = (new_labels == labels).all()
         labels = new_labels
-    return centroids, labels, history, iterations
+        if converged:
+            break
+    return centroids, labels, history
 
 
-def kmeans_fit(embeddings, k: int, seed: int, max_iters: int = _MAX_ITERS, tol: float = 0.0,
-               n_init: int = 10) -> KMeansModel:
+def _fit(points: np.ndarray, start: np.ndarray, seed: int) -> KMeansModel:
+    """Lloyd from the ``start`` centroids, as a fitted model."""
+    centroids, _, history = _lloyd(points, start)
+    return KMeansModel(k=start.shape[0], dimension=points.shape[1], seed=seed, centroids=centroids,
+                       final_sse=history[-1], sse_history=history)
+
+
+def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10) -> KMeansModel:
     """Fit k centroids with k-means++ init and Lloyd iteration.
 
     ``embeddings`` is an (n, d) array or anything with a ``matrix()``
-    method. Convergence means the assignment stopped changing (or, with
-    tol > 0, the objective improvement fell to tol or below). Lloyd only
+    method. Convergence means the assignment stopped changing. Lloyd only
     finds local optima, so ``n_init`` seeded restarts run and the lowest
-    final objective wins; every restart seed derives from ``seed``.
+    final objective wins, the first on ties; every restart seed derives
+    from ``seed``.
     """
     points = _points(embeddings)
     n = points.shape[0]
@@ -246,26 +246,11 @@ def kmeans_fit(embeddings, k: int, seed: int, max_iters: int = _MAX_ITERS, tol: 
         raise ContractError(f"cluster count must be positive, got {k}")
     if k > n:
         raise ContractError(f"cannot fit {k} clusters to {n} points")
-    if max_iters < 1 or n_init < 1:
-        raise ContractError(f"max_iters and n_init must be positive, got {max_iters} and {n_init}")
-
-    best = None
-    for restart in range(n_init):
-        rng = substream(seed, "kmeans-init", restart)
-        centroids = _kmeanspp_init(points, k, rng)
-        centroids, _, history, iterations = _lloyd(points, centroids, max_iters, tol)
-        if best is None or history[-1] < best[1][-1]:
-            best = (centroids, history, iterations)
-    centroids, history, iterations = best
-    return KMeansModel(
-        k=k,
-        dimension=points.shape[1],
-        seed=seed,
-        centroids=centroids,
-        final_sse=history[-1],
-        iterations=iterations,
-        sse_history=history,
-    )
+    if n_init < 1:
+        raise ContractError(f"n_init must be positive, got {n_init}")
+    starts = (_kmeanspp_init(points, k, substream(seed, "kmeans-init", restart))
+              for restart in range(n_init))
+    return min((_fit(points, start, seed) for start in starts), key=lambda fit: fit.final_sse)
 
 
 def kmeans_predict(model: KMeansModel, vectors) -> ClusterAssignment:
@@ -354,10 +339,7 @@ def _warm_fit(points: np.ndarray, previous: KMeansModel, seed: int) -> KMeansMod
     assigned centroid (the first such point on ties)."""
     centroids = previous.centroids
     d2 = np.sum((points - centroids[_assign(points, centroids, _max_sq_norm(points))]) ** 2, axis=1)
-    start = np.vstack([centroids, points[int(np.argmax(d2))]])
-    centroids, _, history, iterations = _lloyd(points, start, _MAX_ITERS, 0.0)
-    return KMeansModel(k=start.shape[0], dimension=points.shape[1], seed=seed, centroids=centroids,
-                       final_sse=history[-1], iterations=iterations, sse_history=history)
+    return _fit(points, np.vstack([centroids, points[int(np.argmax(d2))]]), seed)
 
 
 def _elbow_seed(seed: int, k: int, attempt: int) -> int:
@@ -407,6 +389,5 @@ def load_kmeans(path: str) -> KMeansModel:
         seed=seed,
         centroids=centroids,
         final_sse=float("nan"),
-        iterations=0,
         sse_history=[],
     )

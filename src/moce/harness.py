@@ -21,8 +21,7 @@ from .clustering import (
     load_kmeans,
     save_kmeans,
 )
-from .config import (KeyValueFormat, build, check_fields, field_types, format_lines, read_values,
-                     schema, setting)
+from .config import KeyValueFormat, build, check_fields, field_types, read_values, schema, setting
 from .data import (
     EOS_ID,
     VOCAB_SIZE,
@@ -121,10 +120,6 @@ def parse_run_config(path: str) -> RunConfig:
     return build(RunConfig, read_values(path, schema(RunConfig), RUN_FILE), path)
 
 
-def write_run_config(path: str, cfg: RunConfig) -> None:
-    write_atomic(path, "".join(line + "\n" for line in format_lines(cfg, RUN_FILE)))
-
-
 def model_config_from(cfg: RunConfig, n_groups: int) -> ModelConfig:
     return ModelConfig(vocab_size=VOCAB_SIZE, n_groups=n_groups,
                        **{name: getattr(cfg, name) for name in _MODEL_KEYS})
@@ -143,12 +138,12 @@ def _packed_batch(examples, indices) -> tuple[list, np.ndarray, np.ndarray]:
     return inputs, targets, weights
 
 
-def _pack_chunks(lengths: list[int], budget: int = PACK_TOKENS) -> list[list[int]]:
-    """Consecutive index runs whose lengths sum to at most ``budget`` (at least one each)."""
+def _pack_chunks(lengths: list[int]) -> list[list[int]]:
+    """Consecutive index runs whose lengths sum to at most ``PACK_TOKENS`` (at least one each)."""
     chunks: list[list[int]] = []
     total = 0
     for i, n in enumerate(lengths):
-        if not chunks or total + n > budget:
+        if not chunks or total + n > PACK_TOKENS:
             chunks.append([])
             total = 0
         chunks[-1].append(i)
@@ -210,12 +205,29 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     mcfg = model_config_from(cfg, n_groups)
     examples = [training_pair(encode_example(r)) for r in train]
 
+    def dense_loss(indices):
+        inputs, targets, weights = _packed_batch(examples, indices)
+        loss = lm_loss(dense.forward(inputs), targets, weights)
+        return loss, {"lm_loss": loss.item()}
+
+    def adapter_loss(indices):
+        record = RoutingRecord()
+        inputs, targets, weights = _packed_batch(examples, indices)
+        loss = lm_loss(moce.forward(inputs, group_labels[indices], record), targets, weights)
+        fields = {"lm_loss": loss.item()}
+        if cfg.balance_weight != 0.0:
+            balance = load_balance_loss(record)
+            fields["balance_loss"] = balance.item()
+            loss = add(loss, mul(balance, cfg.balance_weight))
+        fields["total_loss"] = loss.item()
+        return loss, fields
+
     metrics_path = os.path.join(out_dir, METRICS_FILE)
     with open(metrics_path, "w", encoding="utf-8") as metrics:
         dense = DenseBaseModel.build(mcfg, cfg.seed)
-        _train_dense(cfg, dense, examples, metrics)
+        _train(cfg, "pretrain", dense, cfg.pretrain_steps, len(examples), dense_loss, metrics)
         moce = upcycle_init(dense, mcfg, cfg.seed)
-        first_loss, last_loss = _train_adapters(cfg, moce, examples, group_labels, metrics)
+        losses = _train(cfg, "train", moce, cfg.train_steps, len(examples), adapter_loss, metrics)
 
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)
     save_checkpoint(ckpt_dir, moce, seed=cfg.seed, step=cfg.train_steps,
@@ -225,8 +237,8 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         "n_train": len(train),
         "n_holdout": len(holdout),
         "n_groups": n_groups,
-        "initial_lm_loss": first_loss,
-        "final_lm_loss": last_loss,
+        "initial_lm_loss": losses[0],
+        "final_lm_loss": losses[-1],
         "checkpoint": ckpt_dir,
         "kmeans": os.path.join(out_dir, KMEANS_FILE),
         "metrics": metrics_path,
@@ -236,58 +248,26 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     return summary
 
 
-def _train_dense(cfg: RunConfig, dense: DenseBaseModel, examples, metrics) -> None:
-    if cfg.pretrain_steps == 0:
-        return
-    opt = Adam(dense.trainable_parameters(), lr=cfg.lr)
-    order = substream(cfg.seed, "data_order", "pretrain")
-    for step in range(cfg.pretrain_steps):
-        inputs, targets, weights = _packed_batch(
-            examples, _batch_indices(order, len(examples), cfg.batch_size))
-        loss = lm_loss(dense.forward(inputs), targets, weights)
-        value = loss.item()
-        _check_finite(value, "pretrain", step)
+def _train(cfg: RunConfig, phase: str, model: DenseBaseModel | MoCEModel, steps: int,
+           n_examples: int, step_loss, metrics) -> list[float]:
+    """Run ``steps`` Adam steps over ``model``'s trainable parameters, one
+    metrics row each, and return each step's ``lm_loss``.
+
+    ``step_loss(indices)`` returns the loss of the batch at ``indices`` and
+    the row's fields. Each phase draws its batches from its own stream.
+    """
+    opt = Adam(model.trainable_parameters(), lr=cfg.lr)
+    order = substream(cfg.seed, "data_order", phase)
+    losses = []
+    for step in range(steps):
+        loss, fields = step_loss(_batch_indices(order, n_examples, cfg.batch_size))
+        _check_finite(loss.item(), phase, step)
         backward(loss)
         opt.step()
         opt.zero_grad()
-        metrics.write(json.dumps(
-            {"phase": "pretrain", "step": step, "lm_loss": value}, sort_keys=True
-        ) + "\n")
-
-
-def _train_adapters(cfg: RunConfig, moce: MoCEModel, examples, group_labels, metrics):
-    """Adapter and router training; returns (first, last) language loss."""
-    opt = Adam(moce.trainable_parameters(), lr=cfg.lr)
-    order = substream(cfg.seed, "data_order", "train")
-    first = last = None
-    for step in range(cfg.train_steps):
-        record = RoutingRecord()
-        indices = _batch_indices(order, len(examples), cfg.batch_size)
-        inputs, targets, weights = _packed_batch(examples, indices)
-        logits = moce.forward(inputs, group_labels[indices], record)
-        lm = lm_loss(logits, targets, weights)
-        lm_value = lm.item()
-        if cfg.balance_weight != 0.0:
-            balance = load_balance_loss(record)
-            balance_value = balance.item()
-            loss = add(lm, mul(balance, cfg.balance_weight))
-        else:
-            balance_value = None
-            loss = lm
-        total_value = loss.item()
-        _check_finite(total_value, "train", step)
-        backward(loss)
-        opt.step()
-        opt.zero_grad()
-        row = {"phase": "train", "step": step, "lm_loss": lm_value,
-               "total_loss": total_value}
-        if balance_value is not None:
-            row["balance_loss"] = balance_value
-        metrics.write(json.dumps(row, sort_keys=True) + "\n")
-        if first is None:
-            first = lm_value
-        last = lm_value
-    return first, last
+        metrics.write(json.dumps({"phase": phase, "step": step, **fields}, sort_keys=True) + "\n")
+        losses.append(fields["lm_loss"])
+    return losses
 
 
 def _load_run(run_dir: str) -> tuple[MoCEModel, KMeansModel, int]:
@@ -446,8 +426,9 @@ def ablation_grid(cfg: RunConfig) -> list[tuple[str, RunConfig]]:
 def ablation_run(cfg: RunConfig, records: list[InstructionRecord],
                  out_dir: str) -> list[dict]:
     """Train and evaluate every grid cell; writes ablation.csv and returns rows."""
-    # Every cell shares the seed and holdout fraction: one split finds an empty holdout.
-    if not split_dataset(records, cfg.holdout_fraction, cfg.seed)[1]:
+    # Every cell shares the seed and holdout fraction, so one split serves them all.
+    _, holdout = split_dataset(records, cfg.holdout_fraction, cfg.seed)
+    if not holdout:
         raise ConfigError(f"ablation scores each cell on the holdout, but holdout_fraction="
                           f"{cfg.holdout_fraction} leaves none of the {len(records)} records")
     os.makedirs(out_dir, exist_ok=True)
@@ -455,7 +436,6 @@ def ablation_run(cfg: RunConfig, records: list[InstructionRecord],
     for label, row_cfg in ablation_grid(cfg):
         row_dir = os.path.join(out_dir, label)
         summary = pipeline_train(row_cfg, records, row_dir)
-        _, holdout = split_dataset(records, row_cfg.holdout_fraction, row_cfg.seed)
         eval_result = pipeline_eval(row_dir, holdout)
         results.append({
             "label": label,

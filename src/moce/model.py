@@ -22,6 +22,7 @@ token: 10 engine ops on the criterion-8 shapes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -486,8 +487,7 @@ def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, object]]:
         name = take(name_len).decode("utf-8", "replace")  # a garbled name matches no parameter
         (ndim,) = struct.unpack("<I", take(4))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(size * 8), dtype="<f8").reshape(shape)
+        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
         if name in loaded:
             raise FormatError(f"checkpoint holds parameter '{name}' twice")
         loaded[name] = np.array(data, dtype=np.float64)

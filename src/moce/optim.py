@@ -17,17 +17,17 @@ class Adam:
     the list harmlessly.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 2e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         if lr <= 0:
             raise ContractError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("the same parameter was registered twice")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._ends = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self.m = np.zeros(self._ends[-1])

@@ -7,15 +7,19 @@ path runs), the op chains the fused ``attention_block`` and
 ``pair_mixture``, the adapter mixture on the pair contract it had before
 it took each row's chosen experts, with ``np.add.at``, ``top_k_mask`` and
 ``general_path``, which no model path calls either,
-``reset_instrumentation`` for the adapters' work counters, the broadcast
-nearest-centroid reference, and synthetic cluster geometry."""
+``reset_instrumentation`` for the adapters' work counters,
+``write_run_config``, the broadcast nearest-centroid reference, and
+synthetic cluster geometry."""
 
 import itertools
 
 import numpy as np
 
 from moce import tensor
+from moce.config import format_lines
 from moce.errors import ContractError, NumericError, ShapeError
+from moce.fileio import write_atomic
+from moce.harness import RUN_FILE
 from moce.layer import _top_k_order
 from moce.tensor import Tensor, add, backward
 
@@ -71,6 +75,11 @@ def reset_instrumentation(model):
             for e in group.experts:
                 e.forward_calls = 0
                 e.rows_processed = 0
+
+
+def write_run_config(path, cfg):
+    """Write ``cfg`` as the run file ``parse_run_config`` reads, every key set."""
+    write_atomic(path, "".join(line + "\n" for line in format_lines(cfg, RUN_FILE)))
 
 
 def matmul(a, b):

@@ -107,7 +107,7 @@ class TestKMeansFit:
         """A centroid that captures nothing is moved onto the farthest point."""
         points = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2], [5.0, 5.0]])
         init = np.array([[0.1, 0.1], [100.0, 100.0]])
-        centroids, labels, history, _ = _lloyd(points, init, max_iters=50, tol=0.0)
+        centroids, labels, history = _lloyd(points, init)
         assert len(np.unique(labels)) == 2
         assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
 
@@ -182,7 +182,7 @@ class TestKMeansFit:
         model = KMeansModel(
             k=2, dimension=1, seed=0,
             centroids=np.array([[1.0], [-1.0]]),
-            final_sse=0.0, iterations=0,
+            final_sse=0.0,
         )
         assert kmeans_predict(model, np.array([[0.0]])).labels[0] == 0
 
@@ -324,7 +324,7 @@ class TestGramAssignment:
         """Gram labels are the broadcast argmin's, ties to the lower index."""
         points, centroids = _gram_case(data)
         model = KMeansModel(k=centroids.shape[0], dimension=points.shape[1], seed=0,
-                            centroids=centroids, final_sse=0.0, iterations=0)
+                            centroids=centroids, final_sse=0.0)
         labels = kmeans_predict(model, points).labels
         assert labels.tobytes() == nearest_reference(points, centroids).tobytes()
 
@@ -335,7 +335,7 @@ class TestGramAssignment:
         points = bench_embeddings(3)
         for k in (2, 4, 8):
             centroids = points[:k] + 0.01
-            model = KMeansModel(k=k, dimension=64, seed=0, centroids=centroids, final_sse=0.0, iterations=0)
+            model = KMeansModel(k=k, dimension=64, seed=0, centroids=centroids, final_sse=0.0)
             assert np.array_equal(kmeans_predict(model, points).labels, nearest_reference(points, centroids)), k
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_run_config
 from moce.config import format_lines
 from moce.errors import ConfigError, FormatError
-from moce.harness import RunConfig, parse_run_config, write_run_config
+from moce.harness import RunConfig, parse_run_config
 from moce.model import (
     CKPT_MAGIC,
     CKPT_VERSION,

@@ -12,6 +12,7 @@ import pytest
 import moce.clustering
 import moce.harness
 import moce.model
+from conftest import write_run_config
 from moce.cli import main
 from moce.data import InstructionRecord, make_two_dialect_corpus, save_dataset, split_dataset
 from moce.errors import ConfigError, ContractError, NumericError
@@ -24,7 +25,6 @@ from moce.harness import (
     pipeline_eval,
     pipeline_train,
     route_statistics,
-    write_run_config,
 )
 
 
@@ -161,9 +161,27 @@ class TestPipeline:
         for r in rows:
             assert "time" not in r and "timestamp" not in r
             assert np.isfinite(r["lm_loss"])
+        for r in pre:
+            assert set(r) == {"lm_loss", "phase", "step"}
         for r in tr:
             assert r["total_loss"] >= r["lm_loss"] - 1e-12
-            assert "balance_loss" in r
+            assert set(r) == {"lm_loss", "phase", "step", "total_loss", "balance_loss"}
+
+    def test_no_pretraining_keeps_the_built_backbone(self, tmp_path, corpus):
+        """pretrain_steps=0 writes no pretrain row, and the checkpoint's
+        backbone is the dense base as built, bit for bit."""
+        cfg = micro_cfg(pretrain_steps=0)
+        out = str(tmp_path / "nopre")
+        summary = pipeline_train(cfg, corpus, out)
+        rows = [json.loads(line) for line in open(os.path.join(out, "metrics.jsonl"))]
+        assert [(r["phase"], r["step"]) for r in rows] == [("train", s) for s in range(4)]
+        model, _ = moce.model.load_checkpoint(os.path.join(out, "checkpoint"))
+        mcfg = moce.harness.model_config_from(cfg, summary["n_groups"])
+        built = dict(moce.model.DenseBaseModel.build(mcfg, cfg.seed).named_parameters())
+        loaded = dict(model.backbone.named_parameters())
+        assert loaded.keys() == built.keys()
+        for name, tensor in loaded.items():
+            assert tensor.data.tobytes() == built[name].data.tobytes(), name
 
     def test_runs_are_bit_identical(self, tmp_path, corpus):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

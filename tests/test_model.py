@@ -249,6 +249,25 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="'tok_emb' twice"):
             load_checkpoint(str(tmp_path / "ck"))
 
+    def test_overflowing_shape_rejected(self, tmp_path, capsys):
+        """A declared shape whose size overflows int64 reads as a truncated
+        blob, not as a negative size, and ``moce eval`` exits 3."""
+        cfg = micro_cfg()
+        moce = upcycle_init(DenseBaseModel.build(cfg, seed=15), cfg, seed=15)
+        ck = tmp_path / "run" / "checkpoint"
+        save_checkpoint(str(ck), moce, seed=15, step=0, kmeans_path="../kmeans.txt")
+        blob = ck / "params.bin"
+        raw = bytearray(blob.read_bytes())
+        dims = 4 + 4 + len(b"tok_emb") + 4  # tok_emb's two dimensions follow its ndim
+        raw[dims:dims + 8] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(str(ck))
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(data, make_two_dialect_corpus(2, seed=0))
+        assert main(["eval", "--run-dir", str(tmp_path / "run"), "--data", data]) == 3
+        assert "truncated" in capsys.readouterr().err
+
     def test_manifest_header_checked(self, tmp_path):
         cfg = micro_cfg()
         moce = upcycle_init(DenseBaseModel.build(cfg, seed=16), cfg, seed=16)
