@@ -306,7 +306,8 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
 
     fits = []
     for k in range(1, k_max + 1):
-        candidates = [kmeans_fit(points, k, seed=_elbow_seed(seed, k, attempt), n_init=_ELBOW_RESTARTS)
+        candidates = [kmeans_fit(points, k, seed=substream_seed(seed, "elbow", k, attempt),
+                                 n_init=_ELBOW_RESTARTS)
                       for attempt in range(3)]
         if fits:
             candidates.append(_warm_fit(points, fits[-1], seed))
@@ -340,10 +341,6 @@ def _warm_fit(points: np.ndarray, previous: KMeansModel, seed: int) -> KMeansMod
     centroids = previous.centroids
     d2 = np.sum((points - centroids[_assign(points, centroids, _max_sq_norm(points))]) ** 2, axis=1)
     return _fit(points, np.vstack([centroids, points[int(np.argmax(d2))]]), seed)
-
-
-def _elbow_seed(seed: int, k: int, attempt: int) -> int:
-    return substream_seed(seed, "elbow", k, attempt)
 
 
 def save_kmeans(path: str, model: KMeansModel) -> None:

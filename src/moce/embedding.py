@@ -9,7 +9,7 @@ can be swapped in through the same file format.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,36 +22,29 @@ EMB_VERSION = "v1"
 
 
 @dataclass
-class SequenceEmbedding:
-    """One embedded sequence: the unit vector plus the id it came from."""
-
-    source_id: str
-    vector: np.ndarray
-
-
-@dataclass
 class EmbeddingSet:
-    """An ordered collection of embeddings sharing one dimension."""
+    """Embedded sequences: their ids in order, and one (n, d) array whose
+    row i is the vector of ``ids[i]``."""
 
-    dimension: int
-    items: list[SequenceEmbedding] = field(default_factory=list)
+    ids: list[str]
+    vectors: np.ndarray
 
     def __post_init__(self):
-        for e in self.items:
-            if e.vector.shape != (self.dimension,):
-                raise ContractError(
-                    f"embedding '{e.source_id}' has dimension {e.vector.shape[0]}, "
-                    f"set declares {self.dimension}"
-                )
+        if not (isinstance(self.vectors, np.ndarray) and self.vectors.ndim == 2
+                and self.vectors.shape[0] == len(self.ids)):
+            raise ContractError(f"need a ({len(self.ids)}, d) array of vectors for "
+                                f"{len(self.ids)} ids, got {np.shape(self.vectors)}")
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
     def matrix(self) -> np.ndarray:
-        """Stack vectors into an (n, d) array in insertion order."""
-        if not self.items:
-            return np.zeros((0, self.dimension))
-        return np.stack([e.vector for e in self.items])
+        """The (n, d) array of vectors, in id order."""
+        return self.vectors
 
 
 def _hash_feature(seed: int, tag: str, payload: str) -> int:
@@ -92,8 +85,8 @@ def embed_sequence(tokens: Sequence[int | str], d_e: int = 64, seed: int = 0) ->
 
 def embed_dataset(sequences: list[tuple[str, Sequence[int | str]]], d_e: int = 64, seed: int = 0) -> EmbeddingSet:
     """Embed (source_id, tokens) pairs into one EmbeddingSet."""
-    items = [SequenceEmbedding(sid, embed_sequence(toks, d_e, seed)) for sid, toks in sequences]
-    return EmbeddingSet(dimension=d_e, items=items)
+    vectors = [embed_sequence(toks, d_e, seed) for _, toks in sequences]
+    return EmbeddingSet([sid for sid, _ in sequences], np.array(vectors).reshape(len(vectors), d_e))
 
 
 def save_embeddings(path: str, embeddings: EmbeddingSet) -> None:
@@ -103,11 +96,11 @@ def save_embeddings(path: str, embeddings: EmbeddingSet) -> None:
     32-bit-precision storage within 1e-7.
     """
     lines = [f"{EMB_MAGIC} {EMB_VERSION} {len(embeddings)} {embeddings.dimension}\n"]
-    for e in embeddings.items:
-        if any(ch.isspace() for ch in e.source_id) or not e.source_id:
-            raise ContractError(f"source_id '{e.source_id}' must be non-empty and whitespace-free")
-        values = " ".join(f"{x:.9g}" for x in e.vector)
-        lines.append(f"{e.source_id} {values}\n")
+    for source_id, vector in zip(embeddings.ids, embeddings.vectors):
+        if any(ch.isspace() for ch in source_id) or not source_id:
+            raise ContractError(f"source_id '{source_id}' must be non-empty and whitespace-free")
+        values = " ".join(f"{x:.9g}" for x in vector)
+        lines.append(f"{source_id} {values}\n")
     write_atomic(path, "".join(lines))
 
 
@@ -128,7 +121,7 @@ def load_embeddings(path: str) -> EmbeddingSet:
     if count < 0 or dim < 1:
         raise FormatError(f"{path}:1: invalid count {count} or dim {dim}")
 
-    items = []
+    ids, vectors = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -141,7 +134,8 @@ def load_embeddings(path: str) -> EmbeddingSet:
             raise FormatError(f"{path}:{lineno}: non-numeric value") from None
         if not np.all(np.isfinite(vec)):
             raise NumericError(f"{path}:{lineno}: non-finite embedding value")
-        items.append(SequenceEmbedding(parts[0], vec))
-    if len(items) != count:
-        raise FormatError(f"{path}:1: header declares {count} rows, file has {len(items)}")
-    return EmbeddingSet(dimension=dim, items=items)
+        ids.append(parts[0])
+        vectors.append(vec)
+    if len(ids) != count:
+        raise FormatError(f"{path}:1: header declares {count} rows, file has {len(ids)}")
+    return EmbeddingSet(ids, np.array(vectors).reshape(count, dim))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -198,6 +199,7 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         km = report.fit
     else:
         km = kmeans_fit(emb, cfg.n_groups, seed=cfg.seed)
+        Path(out_dir, ELBOW_FILE).unlink(missing_ok=True)  # another run's sweep
     n_groups = km.k
     save_kmeans(os.path.join(out_dir, KMEANS_FILE), km)
     group_labels = kmeans_predict(km, emb).labels

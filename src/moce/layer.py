@@ -39,7 +39,7 @@ ROUTING_MODES = ("topk", "soft")
 
 
 class FeedForward:
-    """Two-layer feed-forward block; frozen once upcycling copies it."""
+    """Two-layer feed-forward block, built frozen; adapters read its features."""
 
     def __init__(self, w1: Tensor, w2: Tensor, act: str = "gelu"):
         if w1.shape[1] != w2.shape[0]:
@@ -49,10 +49,10 @@ class FeedForward:
         self.act = act
 
     @classmethod
-    def init(cls, d_model: int, d_hidden: int, rng: np.random.Generator, act: str = "gelu",
-             requires_grad: bool = False) -> "FeedForward":
-        w1 = Tensor(rng.normal(0.0, d_model ** -0.5, size=(d_model, d_hidden)), requires_grad)
-        w2 = Tensor(rng.normal(0.0, d_hidden ** -0.5, size=(d_hidden, d_model)), requires_grad)
+    def init(cls, d_model: int, d_hidden: int, rng: np.random.Generator,
+             act: str = "gelu") -> "FeedForward":
+        w1 = Tensor(rng.normal(0.0, d_model ** -0.5, size=(d_model, d_hidden)))
+        w2 = Tensor(rng.normal(0.0, d_hidden ** -0.5, size=(d_hidden, d_model)))
         return cls(w1, w2, act)
 
     def forward(self, x: Tensor) -> Tensor:

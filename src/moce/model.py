@@ -3,11 +3,10 @@
 The dense base is attention-only in its residual stream: each block is
 attention plus residual, while the block's feed-forward weights exist
 solely to feed adapter bottlenecks after upcycling. The mixture model's
-backbone is a frozen ``DenseBaseModel``: upcycling builds a mixture
-model, copies every dense tensor into the backbone tensor of the same
-name (as loading a checkpoint fills one) and leaves a fresh mixture
-layer (zero-init adapters) in every block, so the upcycled model computes
-bit-for-bit the dense base's function until training moves the adapters.
+backbone is a frozen ``DenseBaseModel``: upcycling freezes a copy of the
+dense base and puts a fresh mixture layer (zero-init adapters) over every
+block, so the upcycled model computes bit-for-bit the dense base's
+function until training moves the adapters.
 
 A packed block carries its sequences' lengths, and the attention op
 keeps each sequence to its own rows; no block builds a mask. The
@@ -15,13 +14,15 @@ embedding is one ``embed_tokens`` engine op, each block's attention
 sublayer one ``attention_block`` op, its frozen feed-forward one
 ``feed_forward`` op, and the head one ``output_head`` op; the mixture
 layer adds one ``router_gates`` and one ``adapter_mixture`` op per block.
-Greedy decoding reads the prompt once into a ``KVCache`` whose per-block
-arrays the attention op fills in place, then runs one forward per new
-token: 10 engine ops on the criterion-8 shapes.
+Greedy decoding reads the prompt once into a ``KVCache``, allocated when
+the decode starts, whose per-block arrays the attention op fills in
+place, then runs one forward per new token: 10 engine ops on the
+criterion-8 shapes.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -111,14 +112,13 @@ class _Block:
             return Tensor(rng.normal(0.0, scale, size=(d, d)), requires_grad=True)
 
         norm = Tensor(np.ones(d), requires_grad=True)
-        base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation, requires_grad=True)
+        base = FeedForward.init(d, cfg.d_ff, rng, cfg.activation)
         return cls(norm, mat(), mat(), mat(), mat(), base, cfg.n_heads)
 
     def attend(self, x: Tensor, lengths, cache: tuple | None = None) -> Tensor:
         """Causal self-attention of each packed sequence of ``lengths`` over
-        its own rows, plus the residual, in one ``attention_block`` op. With
-        ``cache`` (see ``_BlockCache.rows``) the rows' keys and values are
-        written after the cached ones and the rows attend over all of them."""
+        its own rows, plus the residual, in one ``attention_block`` op. With a
+        ``cache`` (see ``KVCache``) the rows also attend over the cached rows."""
         return attention_block(x, self.norm, self.wq, self.wk, self.wv, self.wo, lengths,
                                self.n_heads, cache)
 
@@ -134,31 +134,17 @@ class _Block:
         ]
 
 
-class _BlockCache:
-    """One block's keys and values: two (max_seq_len, d_model) arrays,
-    allocated on first use, whose leading rows hold the rows read so far."""
-
-    def __init__(self):
-        self.keys: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-
-    def rows(self, cfg: ModelConfig, start: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """The ``attention_block`` cache for rows that follow the first ``start``."""
-        if self.keys is None:
-            self.keys = np.zeros((cfg.max_seq_len, cfg.d_model))
-            self.values = np.zeros((cfg.max_seq_len, cfg.d_model))
-        return self.keys, self.values, start
-
-
 class KVCache:
     """What an incremental forward keeps between calls over one sequence:
-    how many rows it has read, and every block's keys and values for them.
+    how many rows it has read, and each block's keys and values for them,
+    two (max_seq_len, d_model) arrays allocated here and filled in place.
     A forward that raises leaves ``length`` as it was; the next forward
     overwrites whatever rows the failed one wrote after it."""
 
-    def __init__(self, n_blocks: int):
+    def __init__(self, cfg: ModelConfig):
         self.length = 0
-        self.blocks = [_BlockCache() for _ in range(n_blocks)]
+        shape = (cfg.max_seq_len, cfg.d_model)
+        self.blocks = [(np.zeros(shape), np.zeros(shape)) for _ in range(cfg.n_layers)]
 
 
 _BOOLS = frozenset((bool, np.bool_))
@@ -261,11 +247,7 @@ class DenseBaseModel:
         return out
 
     def trainable_parameters(self) -> list[Tensor]:
-        # The feed-forward stacks have no path to the loss here; they are
-        # excluded so the optimiser state covers only live parameters.
-        skip = {id(b.base_ffn.w1) for b in self.blocks}
-        skip |= {id(b.base_ffn.w2) for b in self.blocks}
-        return [p for _, p in self.named_parameters() if id(p) not in skip]
+        return [p for _, p in self.named_parameters() if p.requires_grad]
 
 
 class MoCEModel:
@@ -284,10 +266,11 @@ class MoCEModel:
             layer.layer_key = i
 
     @classmethod
-    def build(cls, cfg: ModelConfig, seed: int) -> "MoCEModel":
-        """A fresh model with a random frozen backbone, for upcycling or
-        loading to fill, and fresh adapters and routers in every block."""
-        backbone = DenseBaseModel.build(cfg, seed)
+    def build(cls, backbone: DenseBaseModel, seed: int) -> "MoCEModel":
+        """Fresh adapters and routers over every block of ``backbone``, which
+        is frozen in place and owned by the new model from then on. The
+        mixture layers take their shapes from ``backbone.cfg``."""
+        cfg = backbone.cfg
         for _, p in backbone.named_parameters():
             p.requires_grad = False
         layers = []
@@ -323,7 +306,7 @@ class MoCEModel:
         row_groups = groups.reshape(()) if groups.size == 1 else np.repeat(groups, batch.lengths)
         x = self.backbone.embed(batch)
         caches = ([None] * len(self.layers) if cache is None
-                  else [c.rows(self.cfg, cache.length) for c in cache.blocks])
+                  else [(keys, values, cache.length) for keys, values in cache.blocks])
         for block, layer, block_cache in zip(self.backbone.blocks, self.layers, caches):
             x = block.attend(x, batch.lengths, block_cache)
             if self.cfg.variant:
@@ -343,33 +326,29 @@ class MoCEModel:
             out.extend(layer.named_parameters(f"layer{i}"))
         return out
 
-    def trainable_parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters() if p.requires_grad]
+    trainable_parameters = DenseBaseModel.trainable_parameters
 
 
 def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoCEModel:
     """Create the mixture model on top of a trained (or fresh) dense base.
 
-    Every backbone tensor (embeddings, attention, feed-forward stacks,
-    head) of a fresh ``MoCEModel.build`` is overwritten with a copy of the
-    dense tensor of the same name, and stays frozen; adapters start with
-    W_up = 0 and routers small random, so the new model's function equals
-    the dense base's exactly.
+    The backbone is a frozen copy of ``dense_base`` under ``cfg``: new
+    tensors holding copies of its arrays, so later writes to the dense
+    base leave the mixture model as it was. Adapters start with W_up = 0
+    and routers small random, so the new model's function equals the
+    dense base's exactly.
     """
     differ = [f"{name} {getattr(dense_base.cfg, name)} vs {getattr(cfg, name)}"
               for name in _BACKBONE_FIELDS if getattr(dense_base.cfg, name) != getattr(cfg, name)]
     if differ:
         raise ConfigError(f"dense base and target config disagree on {', '.join(differ)}")
-    model = MoCEModel.build(cfg, seed)
-    dense = dict(dense_base.named_parameters())
-    for name, tensor in model.backbone.named_parameters():
-        tensor.data = dense[name].data.copy()
-    return model
+    backbone = copy.deepcopy(dense_base)
+    backbone.cfg = cfg
+    return MoCEModel.build(backbone, seed)
 
 
-def lm_loss(logits: Tensor, targets, weights) -> Tensor:
-    """Next-token NLL averaged with per-row weights (see ``masked_cross_entropy``)."""
-    return masked_cross_entropy(logits, targets, weights)
+# Next-token NLL averaged with per-row weights.
+lm_loss = masked_cross_entropy
 
 
 def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: int,
@@ -393,7 +372,7 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
     if max_new_tokens < 0:
         raise ContractError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
     ids = prompt.tolist()
-    cache = KVCache(model.cfg.n_layers)
+    cache = KVCache(model.cfg)
     rows = list(ids)
     with no_grad():
         for _ in range(max_new_tokens):
@@ -457,14 +436,23 @@ def read_manifest(path) -> tuple[ModelConfig, dict[str, object]]:
                                if key.startswith("config.")}, path), entries
 
 
+def _parameter_count(cfg: ModelConfig) -> int:
+    """How many values ``MoCEModel.named_parameters`` holds under ``cfg``,
+    in Python integers and without building anything."""
+    d = cfg.d_model
+    block = d + 4 * d * d + 2 * d * cfg.d_ff
+    mixture = (cfg.n_groups + cfg.variant) * cfg.n_experts * (d + 2 * d * cfg.adapter_rank)
+    return (2 * cfg.vocab_size + cfg.max_seq_len + 1) * d + cfg.n_layers * (block + mixture)
+
+
 def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, object]]:
     """Rebuild a model from ``save_checkpoint`` output, bit-exact; also returns
-    the manifest's typed values by key (see ``read_manifest``)."""
+    the manifest's typed values by key (see ``read_manifest``). No model is
+    built before the blob's size matches the manifest's config."""
     root = Path(directory)
     if not (root / MANIFEST_NAME).exists():
         raise FormatError(f"missing checkpoint manifest at {root / MANIFEST_NAME}")
     cfg, entries = read_manifest(root / MANIFEST_NAME)
-    model = MoCEModel.build(cfg, entries["seed"])
 
     blob_path = root / PARAMS_NAME
     if not blob_path.exists():
@@ -493,6 +481,11 @@ def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, object]]:
         loaded[name] = np.array(data, dtype=np.float64)
     if offset != len(raw):
         raise FormatError("trailing bytes after the last parameter blob")
+    held = sum(v.size for v in loaded.values())
+    if held != _parameter_count(cfg):
+        raise ConfigError(f"{root / MANIFEST_NAME}: its config describes {_parameter_count(cfg)} parameter "
+                          f"values, but {blob_path} holds {held}")
+    model = MoCEModel.build(DenseBaseModel.build(cfg, entries["seed"]), entries["seed"])
 
     for name, tensor in model.named_parameters():
         if name not in loaded:

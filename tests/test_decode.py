@@ -66,7 +66,7 @@ def test_cached_steps_match_the_whole_prefix(overrides):
         ids = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len).tolist()
         group = int(rng.integers(cfg.n_groups))
         prompt_len = int(rng.integers(1, cfg.max_seq_len))
-        cache = KVCache(cfg.n_layers)
+        cache = KVCache(cfg)
         with no_grad():
             step = model.forward(ids[:prompt_len], group, cache=cache).data
             assert np.max(np.abs(step - model.forward(ids[:prompt_len], group).data)) < 1e-12
@@ -149,10 +149,10 @@ def test_cache_misuse_raises():
     cfg = micro_cfg()
     model = trained_like(cfg, seed=5)
     with pytest.raises(ContractError, match="one sequence"):
-        model.forward([[1, 2], [3]], [0, 1], cache=KVCache(cfg.n_layers))
+        model.forward([[1, 2], [3]], [0, 1], cache=KVCache(cfg))
     with pytest.raises(ContractError, match="routing record"):
-        model.forward([1, 2], 0, RoutingRecord(), cache=KVCache(cfg.n_layers))
-    cache = KVCache(cfg.n_layers)
+        model.forward([1, 2], 0, RoutingRecord(), cache=KVCache(cfg))
+    cache = KVCache(cfg)
     with no_grad():
         model.forward([1] * (cfg.max_seq_len - 1), 0, cache=cache)
         with pytest.raises(ContractError, match="exceeds max_seq_len"):
@@ -273,7 +273,7 @@ def test_no_prefix_is_recomputed(top_k):
 def cached_logits(model, ids, prompt_len, group):
     """Every step's logits, as bytes, of a cached decode that reads the
     prompt in one forward and then feeds ``ids`` one row at a time."""
-    cache = KVCache(model.cfg.n_layers)
+    cache = KVCache(model.cfg)
     with no_grad():
         steps = [model.forward(ids[:prompt_len], group, cache=cache).data.tobytes()]
         steps += [model.forward([i], group, cache=cache).data.tobytes() for i in ids[prompt_len:]]
@@ -316,7 +316,7 @@ def test_cached_forward_has_no_gradient():
     cached rows."""
     cfg = micro_cfg()
     model = trained_like(cfg, seed=6)
-    quiet, recorded = KVCache(cfg.n_layers), KVCache(cfg.n_layers)
+    quiet, recorded = KVCache(cfg), KVCache(cfg)
     with no_grad():
         model.forward([1, 2, 3], 0, cache=quiet)
         want = model.forward([4], 0, cache=quiet).data

@@ -8,7 +8,6 @@ import pytest
 from moce.cli import main
 from moce.embedding import (
     EmbeddingSet,
-    SequenceEmbedding,
     embed_dataset,
     embed_sequence,
     load_embeddings,
@@ -82,8 +81,14 @@ class TestEmbeddingFile:
         save_embeddings(str(path), es)
         loaded = load_embeddings(str(path))
         assert loaded.dimension == 24 and len(loaded) == 10
-        assert [e.source_id for e in loaded.items] == [e.source_id for e in es.items]
+        assert loaded.ids == es.ids
         assert np.max(np.abs(loaded.matrix() - es.matrix())) < 1e-7
+
+    def test_matrix_is_one_array(self):
+        """The set holds one (n, d) array: ``matrix()`` returns it, not a new stack."""
+        es = embed_dataset([(f"seq{i}", [i, i + 1]) for i in range(5)], d_e=8, seed=1)
+        assert es.matrix() is es.matrix()
+        assert es.matrix().shape == (5, 8) and es.dimension == 8
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -126,4 +131,4 @@ class TestEmbeddingFile:
 
     def test_dimension_mismatch_in_set_rejected(self):
         with pytest.raises(ContractError):
-            EmbeddingSet(dimension=4, items=[SequenceEmbedding("a", np.zeros(3))])
+            EmbeddingSet(["a", "b"], np.zeros((1, 3)))

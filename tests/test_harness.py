@@ -208,6 +208,16 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "elbow.csv"))
         assert summary["n_groups"] == 2
 
+    def test_fixed_group_run_removes_an_earlier_sweep(self, tmp_path, corpus):
+        """An n_groups run in the directory of a k_max run leaves no
+        elbow.csv beside its own kmeans.txt."""
+        out = str(tmp_path / "reused")
+        pipeline_train(micro_cfg(n_groups=None, k_max=3, pretrain_steps=1, train_steps=1),
+                       corpus, out)
+        assert os.path.exists(os.path.join(out, "elbow.csv"))
+        pipeline_train(micro_cfg(pretrain_steps=1, train_steps=1), corpus, out)
+        assert not os.path.exists(os.path.join(out, "elbow.csv"))
+
     def test_elbow_mode_keeps_the_sweeps_fit(self, tmp_path, corpus, monkeypatch):
         """The selected k is not fitted again: three attempts per k, no more."""
         calls, reports = [], []

@@ -16,6 +16,7 @@ from moce.model import (
     DenseBaseModel,
     ModelConfig,
     MoCEModel,
+    _parameter_count,
     greedy_decode,
     lm_loss,
     load_checkpoint,
@@ -81,6 +82,49 @@ class TestUpcycling:
                 p.data += 1.0
             for name, p in moce.named_parameters():
                 assert np.array_equal(p.data, before[name]), name
+
+    def test_upcycling_builds_no_second_backbone(self, monkeypatch):
+        """The backbone is copied from the dense base given, not drawn at
+        random and then overwritten."""
+        cfg = micro_cfg(top_k=2)
+        dense = DenseBaseModel.build(cfg, seed=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("upcycle_init built a dense base")
+
+        monkeypatch.setattr(DenseBaseModel, "build", refuse)
+        moce = upcycle_init(dense, cfg, seed=4)
+        ids = [3, 1, 4, 1, 5]
+        assert np.array_equal(dense.forward(ids).data, moce.forward(ids, 1).data)
+
+    def test_trainable_parameters_are_pinned(self):
+        """The dense base's feed-forward weights are frozen from the start,
+        so both models' optimiser lists are their ``requires_grad`` tensors."""
+        cfg = micro_cfg()
+        dense = DenseBaseModel.build(cfg, seed=1)
+        for block in dense.blocks:
+            assert not block.base_ffn.w1.requires_grad and not block.base_ffn.w2.requires_grad
+
+        def trainable_names(model):
+            names = {id(p): name for name, p in model.named_parameters()}
+            return [names[id(p)] for p in model.trainable_parameters()]
+
+        attention = ["attn_norm", "wq", "wk", "wv", "wo"]
+        assert trainable_names(dense) == [
+            "tok_emb", "pos_emb", *(f"layer{i}.{w}" for i in range(2) for w in attention),
+            "final_norm", "head"]
+        experts = ["router", "expert0.w_down", "expert0.w_up", "expert1.w_down", "expert1.w_up"]
+        assert trainable_names(upcycle_init(dense, cfg, seed=1)) == [
+            f"layer{i}.group{g}.{w}" for i in range(2) for g in range(2) for w in experts]
+
+    def test_parameter_count_matches_the_model(self):
+        """The count a checkpoint's size is checked against equals the
+        values the model holds, over varied configs."""
+        for overrides in ({}, dict(variant=True), dict(n_layers=3), dict(adapter_rank=5, d_ff=7),
+                          dict(n_groups=3, n_experts=3, adapter_rank=1, variant=True, n_layers=3)):
+            cfg = micro_cfg(**overrides)
+            model = upcycle_init(DenseBaseModel.build(cfg, seed=0), cfg, seed=0)
+            assert _parameter_count(cfg) == sum(p.data.size for _, p in model.named_parameters())
 
     def test_backbone_frozen_adapters_trainable(self):
         cfg = micro_cfg()
@@ -330,6 +374,10 @@ MANIFEST_FAULTS = {
     "seed-x1": (_set("seed", "x1"), FormatError, 3),
     "n_heads-0": (_set("config.n_heads", "0"), ConfigError, 2),
     "duplicate-top_k": (lambda lines: lines + ["config.top_k=2"], FormatError, 3),
+    # Sizes that pass their rules but describe a model far larger than the blob.
+    "vocab_size-huge": (_set("config.vocab_size", "99999999999999999999"), ConfigError, 2),
+    "d_model-huge": (_set("config.d_model", "100000000"), ConfigError, 2),
+    "n_experts-huge": (_set("config.n_experts", "99999999999999999999"), ConfigError, 2),
 }
 
 
