@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError, NumericError
-from .fileio import read_lines, write_atomic, write_csv
+from .fileio import read_table, write_csv, write_table
 from .seeding import substream, substream_seed
 
 KMEANS_MAGIC = "MOCE-KMEANS"
@@ -69,9 +69,8 @@ class ElbowReport:
     fit: KMeansModel | None = None         # the selected k's winning fit
 
     def write_csv(self, path: str) -> None:
-        curvature = {k: f"{c:.17g}" for k, c in self.curvature.items()}
         write_csv(path, ["k", "sse", "curvature"],
-                  [[k, f"{value:.17g}", curvature.get(k, "")]
+                  [[k, value, self.curvature.get(k, "")]
                    for k, value in enumerate(self.sse_curve, start=1)])
 
 
@@ -164,40 +163,36 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 def _repair_empty(points: np.ndarray, centroids: np.ndarray,
                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Give each empty cluster the point currently farthest from its
-    centroid; returns the labels and their per-cluster counts, counted
-    again only when a repair moved a label."""
+    """Move each empty cluster, in index order, onto the point farthest
+    from its centroid among clusters of two or more (the first on ties),
+    and return the labels and their per-cluster counts. No donor is left
+    empty, and with k <= n one of two or more exists while any cluster is
+    empty, so every count returned is positive."""
     k = centroids.shape[0]
     counts = np.bincount(labels, minlength=k)
     if counts.all():
         return labels, counts
     labels = labels.copy()
-    for cluster in range(k):
-        if np.any(labels == cluster):
-            continue
+    for cluster in np.flatnonzero(counts == 0):
         dist = np.sum((points - centroids[labels]) ** 2, axis=1)
-        donor = int(np.argmax(dist))
+        donor = int(np.argmax(np.where(counts[labels] > 1, dist, -np.inf)))
+        counts[labels[donor]] -= 1
+        counts[cluster] = 1
         centroids[cluster] = points[donor]
         labels[donor] = cluster
-    return labels, np.bincount(labels, minlength=k)
+    return labels, counts
 
 
 def _update(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
             counts: np.ndarray) -> None:
-    """Move each non-empty cluster's centroid to its members' mean, in place.
+    """Move each cluster's centroid to its members' mean, in place.
 
-    ``counts`` holds each cluster's member count under ``labels``. One
-    (k, n) one-hot product sums every cluster at once; an empty cluster's
-    centroid stays where it is. Lloyd repairs empty clusters before each
-    update, so it always takes the unmasked division.
+    ``counts`` holds each cluster's member count under ``labels``, every
+    one positive: Lloyd repairs empty clusters before each update. One
+    (k, n) one-hot product sums every cluster at once.
     """
-    k = centroids.shape[0]
-    onehot = (labels[None, :] == np.arange(k)[:, None]).astype(np.float64)
-    if counts.all():
-        np.divide(onehot @ points, counts[:, None], out=centroids)
-        return
-    filled = counts > 0
-    centroids[filled] = (onehot @ points)[filled] / counts[filled, None]
+    onehot = (labels[None, :] == np.arange(centroids.shape[0])[:, None]).astype(np.float64)
+    np.divide(onehot @ points, counts[:, None], out=centroids)
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
@@ -344,47 +339,17 @@ def _warm_fit(points: np.ndarray, previous: KMeansModel, seed: int) -> KMeansMod
 
 
 def save_kmeans(path: str, model: KMeansModel) -> None:
-    """Write the text format: header line, then one centroid per line."""
-    lines = [f"{KMEANS_MAGIC} {KMEANS_VERSION} {model.k} {model.dimension} {model.seed}"]
-    lines += [" ".join(f"{x:.17g}" for x in row) for row in model.centroids]
-    write_atomic(path, "".join(line + "\n" for line in lines))
+    """Write the text format: header line, then one centroid per line at
+    17 significant digits, which read back as the same doubles."""
+    write_table(path, KMEANS_MAGIC, KMEANS_VERSION, model.centroids, 17, extra=(model.seed,))
 
 
 def load_kmeans(path: str) -> KMeansModel:
-    """Read the format written by ``save_kmeans``. Every error names the
-    file and the 1-based line; a blank line, which ``save_kmeans`` never
-    writes, is one."""
-    lines = read_lines(path)
-    header = lines[0].split() if lines else []
-    if len(header) != 5 or header[0] != KMEANS_MAGIC or header[1] != KMEANS_VERSION:
-        raise FormatError(f"{path}:1: expected header '{KMEANS_MAGIC} {KMEANS_VERSION} <k> <dim> <seed>'")
-    try:
-        k, dim, seed = int(header[2]), int(header[3]), int(header[4])
-    except ValueError:
-        raise FormatError(f"{path}:1: k, dim and seed must be integers") from None
-    if k < 1 or dim < 1:
-        raise FormatError(f"{path}:1: invalid k {k} or dim {dim}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            raise FormatError(f"{path}:{lineno}: blank line")
-        if len(parts) != dim:
-            raise FormatError(f"{path}:{lineno}: expected {dim} values, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric value") from None
-        if not np.all(np.isfinite(rows[-1])):
-            raise NumericError(f"{path}:{lineno}: non-finite centroid value")
-    if len(rows) != k:
-        raise FormatError(f"{path}:1: header declares {k} centroids, file has {len(rows)}")
-    centroids = np.array(rows, dtype=np.float64).reshape(k, dim)
-    return KMeansModel(
-        k=k,
-        dimension=dim,
-        seed=seed,
-        centroids=centroids,
-        final_sse=float("nan"),
-        sse_history=[],
-    )
+    """Read the format written by ``save_kmeans`` with ``read_table``'s
+    strict rules, and at least one centroid: every error names the file
+    and the 1-based line."""
+    (k, dim, seed), _, centroids = read_table(path, KMEANS_MAGIC, KMEANS_VERSION,
+                                               ("k", "dim", "seed"))
+    if k < 1:
+        raise FormatError(f"{path}:1: invalid k {k}")
+    return KMeansModel(k=k, dimension=dim, seed=seed, centroids=centroids, final_sse=float("nan"))

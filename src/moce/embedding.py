@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, NumericError
-from .fileio import read_lines, write_atomic
+from .errors import ContractError
+from .fileio import read_table, write_table
 
 EMB_MAGIC = "MOCE-EMB"
 EMB_VERSION = "v1"
@@ -95,47 +95,11 @@ def save_embeddings(path: str, embeddings: EmbeddingSet) -> None:
     Values are written with 9 significant digits, enough to round-trip
     32-bit-precision storage within 1e-7.
     """
-    lines = [f"{EMB_MAGIC} {EMB_VERSION} {len(embeddings)} {embeddings.dimension}\n"]
-    for source_id, vector in zip(embeddings.ids, embeddings.vectors):
-        if any(ch.isspace() for ch in source_id) or not source_id:
-            raise ContractError(f"source_id '{source_id}' must be non-empty and whitespace-free")
-        values = " ".join(f"{x:.9g}" for x in vector)
-        lines.append(f"{source_id} {values}\n")
-    write_atomic(path, "".join(lines))
+    write_table(path, EMB_MAGIC, EMB_VERSION, embeddings.vectors, 9, ids=embeddings.ids)
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
-    """Read the format written by ``save_embeddings``, validating as it goes.
-
-    Every error names the file and the 1-based line; a blank line, which
-    ``save_embeddings`` never writes, is one.
-    """
-    lines = read_lines(path)
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != EMB_MAGIC or header[1] != EMB_VERSION:
-        raise FormatError(f"{path}:1: expected header '{EMB_MAGIC} {EMB_VERSION} <count> <dim>'")
-    try:
-        count, dim = int(header[2]), int(header[3])
-    except ValueError:
-        raise FormatError(f"{path}:1: count and dim must be integers") from None
-    if count < 0 or dim < 1:
-        raise FormatError(f"{path}:1: invalid count {count} or dim {dim}")
-
-    ids, vectors = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            raise FormatError(f"{path}:{lineno}: blank line")
-        if len(parts) != dim + 1:
-            raise FormatError(f"{path}:{lineno}: expected id plus {dim} values, got {len(parts) - 1}")
-        try:
-            vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric value") from None
-        if not np.all(np.isfinite(vec)):
-            raise NumericError(f"{path}:{lineno}: non-finite embedding value")
-        ids.append(parts[0])
-        vectors.append(vec)
-    if len(ids) != count:
-        raise FormatError(f"{path}:1: header declares {count} rows, file has {len(ids)}")
-    return EmbeddingSet(ids, np.array(vectors).reshape(count, dim))
+    """Read the format written by ``save_embeddings`` with ``read_table``'s
+    strict rules: every error names the file and the 1-based line."""
+    _, ids, vectors = read_table(path, EMB_MAGIC, EMB_VERSION, ("count", "dim"), ids=True)
+    return EmbeddingSet(ids, vectors)

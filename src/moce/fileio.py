@@ -1,13 +1,17 @@
-"""Whole-file replacement, so that no artifact is ever left half written,
-and the one reader every text loader starts from."""
+"""How every artifact goes into and comes out of a file: whole-file
+replacement, so that none is ever left half written; CSV, JSON and the
+strict numeric tables through it; and the one reader every loader uses."""
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 
-from .errors import FormatError
+import numpy as np
+
+from .errors import ContractError, FormatError, NumericError
 
 
 def write_atomic(path, data: str | bytes) -> None:
@@ -28,12 +32,20 @@ def write_atomic(path, data: str | bytes) -> None:
 
 def write_csv(path, header, rows) -> None:
     """Write a header row and the data rows in the csv module's default
-    dialect (``\\r\\n`` line ends) through ``write_atomic``."""
+    dialect (``\\r\\n`` line ends) through ``write_atomic``. A float cell
+    (a Python float or an ``np.float64``) gets 17 significant digits, which
+    read back as the same double; any other cell is written as given."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([f"{cell:.17g}" if isinstance(cell, float) else cell for cell in row]
+                     for row in rows)
     write_atomic(path, buffer.getvalue())
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` as indented JSON with sorted keys through ``write_atomic``."""
+    write_atomic(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def read_lines(path) -> list[str]:
@@ -56,3 +68,62 @@ def read_lines(path) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def write_table(path, magic: str, version: str, matrix: np.ndarray, digits: int,
+                extra: tuple[int, ...] = (), ids: list[str] | None = None) -> None:
+    """Write the header ``magic version rows width *extra``, then one line
+    per row of ``matrix`` at ``digits`` significant digits, its id first
+    when ``ids`` is given. The reader splits lines on whitespace, so an id
+    must be non-empty and hold none."""
+    for row_id in ids or ():
+        if not row_id or any(ch.isspace() for ch in row_id):
+            raise ContractError(f"source_id '{row_id}' must be non-empty and whitespace-free")
+    lines = [" ".join([magic, version, *map(str, (*matrix.shape, *extra))])]
+    for i, row in enumerate(matrix):
+        values = " ".join(f"{x:.{digits}g}" for x in row)
+        lines.append(values if ids is None else f"{ids[i]} {values}")
+    write_atomic(path, "".join(line + "\n" for line in lines))
+
+
+def read_table(path, magic: str, version: str, fields: tuple[str, ...],
+               ids: bool = False) -> tuple[list[int], list[str], np.ndarray]:
+    """Read a ``write_table`` file strictly: the header is ``magic version``
+    and one integer per name in ``fields``, the row count (>= 0) and width
+    (>= 1) first; each later line is one row, an id when ``ids`` is set,
+    then exactly ``width`` finite numbers. A blank line or a row count
+    other than the header's is an error. Each error names the file and the
+    1-based line: ``FormatError``, or ``NumericError`` for NaN or inf.
+    Returns the header integers, the ids and the (count, width) array."""
+    lines = read_lines(path)
+    header = lines[0].split() if lines else []
+    if len(header) != 2 + len(fields) or header[:2] != [magic, version]:
+        names = " ".join(f"<{name}>" for name in fields)
+        raise FormatError(f"{path}:1: expected header '{magic} {version} {names}'")
+    try:
+        values = [int(value) for value in header[2:]]
+    except ValueError:
+        raise FormatError(f"{path}:1: {', '.join(fields)} must be integers") from None
+    count, width = values[:2]
+    if count < 0 or width < 1:
+        raise FormatError(f"{path}:1: invalid {fields[0]} {count} or {fields[1]} {width}")
+    lead = int(ids)
+    row_ids, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            raise FormatError(f"{path}:{lineno}: blank line")
+        if len(parts) != lead + width:
+            expected = f"an id and {width}" if ids else width
+            raise FormatError(f"{path}:{lineno}: expected {expected} values, got {len(parts) - lead}")
+        try:
+            row = [float(part) for part in parts[lead:]]
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.isfinite(row).all():
+            raise NumericError(f"{path}:{lineno}: non-finite value")
+        row_ids += parts[:lead]
+        rows.append(row)
+    if len(rows) != count:
+        raise FormatError(f"{path}:1: header declares {count} rows, file has {len(rows)}")
+    return values, row_ids, np.array(rows, dtype=np.float64).reshape(count, width)

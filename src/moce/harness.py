@@ -35,7 +35,7 @@ from .data import (
 )
 from .embedding import embed_dataset, embed_sequence, save_embeddings
 from .errors import ConfigError, ContractError, NumericError
-from .fileio import write_atomic, write_csv
+from .fileio import write_csv, write_json
 from .layer import RoutingRecord, load_balance_loss
 from .model import (
     DenseBaseModel,
@@ -245,8 +245,7 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         "kmeans": os.path.join(out_dir, KMEANS_FILE),
         "metrics": metrics_path,
     }
-    write_atomic(os.path.join(out_dir, SUMMARY_FILE),
-                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, SUMMARY_FILE), summary)
     return summary
 
 
@@ -277,7 +276,11 @@ def _load_run(run_dir: str) -> tuple[MoCEModel, KMeansModel, int]:
     model, entries = load_checkpoint(ckpt_dir)
     if not entries["kmeans_path"]:
         raise ConfigError(f"{ckpt_dir}: checkpoint records no k-means artifact")
-    km = load_kmeans(os.path.normpath(os.path.join(ckpt_dir, entries["kmeans_path"])))
+    km_path = os.path.normpath(os.path.join(ckpt_dir, entries["kmeans_path"]))
+    km = load_kmeans(km_path)
+    if km.k != model.cfg.n_groups:
+        raise ConfigError(f"{km_path}: k-means fit has {km.k} clusters, but the checkpoint "
+                          f"{ckpt_dir} has {model.cfg.n_groups} expert groups")
     return model, km, entries["seed"]
 
 
@@ -339,7 +342,7 @@ def pipeline_eval(run_dir: str, records: list[InstructionRecord],
     _check_lengths(records, model.cfg.max_seq_len)
     result = evaluate_records(model, km, seed, records)
     if output_path:
-        write_atomic(output_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
+        write_json(output_path, result)
     return result
 
 
@@ -374,7 +377,7 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
         probs = record.mean_gate_probs(key)
         selected = record.selections(key)
         for i in range(len(loads)):
-            router_rows.append([key, i, f"{loads[i]:.17g}", f"{probs[i]:.17g}", int(selected[i])])
+            router_rows.append([key, i, loads[i], probs[i], int(selected[i])])
     write_csv(os.path.join(out_dir, "routers.csv"),
               ["router", "expert", "load_fraction", "mean_gate_prob", "selections"], router_rows)
 
@@ -390,8 +393,7 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
             default=0.0,
         ),
     }
-    write_atomic(os.path.join(out_dir, "stats.json"),
-                 json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "stats.json"), stats)
     return stats
 
 
@@ -449,10 +451,6 @@ def ablation_run(cfg: RunConfig, records: list[InstructionRecord],
             "exact_match": eval_result["exact_match"],
             "perplexity": eval_result["perplexity"],
         })
-    write_csv(os.path.join(out_dir, "ablation.csv"),
-              ["label", "mode", "n_groups", "n_experts", "top_k",
-               "final_lm_loss", "exact_match", "perplexity"],
-              [[row["label"], row["mode"], row["n_groups"], row["n_experts"], row["top_k"],
-                f"{row['final_lm_loss']:.17g}", f"{row['exact_match']:.17g}",
-                f"{row['perplexity']:.17g}"] for row in results])
+    write_csv(os.path.join(out_dir, "ablation.csv"), list(results[0]),
+              [list(row.values()) for row in results])
     return results

@@ -230,9 +230,7 @@ class RoutingRecord:
         return sum(counts[1:], counts[0])
 
     def write_csv(self, path: str) -> None:
-        write_csv(path, ["token_idx", "group", "expert", "weight"],
-                  [[token_idx, group, expert, f"{weight:.17g}"]
-                   for token_idx, group, expert, weight in self.rows])
+        write_csv(path, ["token_idx", "group", "expert", "weight"], self.rows)
 
 
 def load_balance_loss(record: RoutingRecord) -> Tensor:

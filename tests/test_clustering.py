@@ -15,9 +15,12 @@ from moce import clustering
 from moce.clustering import (
     ElbowReport,
     KMeansModel,
+    _assign,
     _distances,
     _kmeanspp_init,
     _lloyd,
+    _max_sq_norm,
+    _repair_empty,
     _update,
     elbow_curvature,
     elbow_select,
@@ -111,23 +114,28 @@ class TestKMeansFit:
         assert len(np.unique(labels)) == 2
         assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
 
+    def test_repair_never_empties_a_donor(self):
+        """The farthest point of all is cluster 0's only member, so the
+        empty cluster 1 takes cluster 2's farther point instead: every
+        cluster ends filled."""
+        points = np.array([[0.0, 0.0], [10.0, 0.0], [10.1, 0.0]])
+        centroids = np.array([[-5.0, 0.0], [100.0, 100.0], [10.0, 0.0]])
+        labels = _assign(points, centroids, _max_sq_norm(points))
+        assert labels.tolist() == [0, 2, 2]
+        labels, counts = _repair_empty(points, centroids, labels)
+        assert labels.tolist() == [0, 2, 1] and counts.tolist() == [1, 1, 1]
+        assert centroids[1].tolist() == [10.1, 0.0]
+
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_update_matches_per_cluster_mean(self, k):
-        """The one-hot product gives each member mean within 1e-12 and leaves
-        an empty cluster's centroid untouched."""
+        """The one-hot product gives each member mean within 1e-12."""
         rng = np.random.default_rng(k)
         points = rng.standard_normal((40, 5)) * 3.0 + 1.0
-        labels = rng.integers(0, max(1, k - 1), size=40)  # for k > 1, cluster k - 1 is empty
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=40 - k)]))
         centroids = rng.standard_normal((k, 5))
-        expected = centroids.copy()
-        for cluster in range(k):
-            members = points[labels == cluster]
-            if members.shape[0]:
-                expected[cluster] = members.mean(axis=0)
+        expected = np.array([points[labels == cluster].mean(axis=0) for cluster in range(k)])
         _update(points, centroids, labels, np.bincount(labels, minlength=k))
         assert np.max(np.abs(centroids - expected)) <= 1e-12
-        if k > 1:
-            assert centroids[k - 1].tobytes() == expected[k - 1].tobytes()
 
     def test_criterion_8_cell_centroids_keep_their_bytes(self):
         """k=2 on the criterion-8 cell's training embeddings (seeds 0-2) gives

@@ -129,6 +129,14 @@ class TestEmbeddingFile:
         assert f"{p}:3: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_id", ["", "a b", "a\tb", "a\rb"])
+    def test_id_the_reader_cannot_split_off_rejected(self, tmp_path, bad_id):
+        """An empty id or one holding whitespace raises before any byte is written."""
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ContractError, match="whitespace-free"):
+            save_embeddings(str(path), EmbeddingSet(["ok", bad_id], np.zeros((2, 3))))
+        assert not path.exists()
+
     def test_dimension_mismatch_in_set_rejected(self):
         with pytest.raises(ContractError):
             EmbeddingSet(["a", "b"], np.zeros((1, 3)))

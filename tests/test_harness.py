@@ -460,6 +460,28 @@ class TestCli:
         assert main(["eval", "--run-dir", run_dir, "--data", data]) == 3
         assert f"{km}:2: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_kmeans_fit_of_another_group_count_exits_2(self, trained_run, corpus, tmp_path,
+                                                      capsys, k):
+        """A 2-group run whose kmeans.txt holds a k=1 or k=3 fit: eval and
+        route-stats exit 2 naming both files, and route-stats writes nothing."""
+        run_dir = str(tmp_path / "run")
+        shutil.copytree(trained_run[0], run_dir)
+        km = os.path.join(run_dir, "kmeans.txt")
+        points = np.random.default_rng(0).standard_normal((5, moce.clustering.load_kmeans(km).dimension))
+        moce.clustering.save_kmeans(km, moce.clustering.kmeans_fit(points, k, seed=0))
+        data = str(tmp_path / "data.jsonl")
+        save_dataset(data, corpus[:3])
+        ckpt = os.path.join(run_dir, "checkpoint")
+        assert main(["eval", "--run-dir", run_dir, "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert f"{km}: k-means fit has {k} clusters" in err and ckpt in err
+        stats_dir = str(tmp_path / "stats")
+        assert main(["route-stats", "--run-dir", run_dir, "--data", data,
+                     "--out-dir", stats_dir]) == 2
+        assert f"{km}: k-means fit has {k} clusters" in capsys.readouterr().err
+        assert not os.path.exists(stats_dir)
+
     def test_bad_utf8_run_file_exits_3_naming_file_and_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_bytes(b"n_groups=2\nseed=\xff\n")

@@ -52,7 +52,8 @@ def test_dataset_loads_or_raises_package_errors(target, raw):
 
 @FUZZ
 @given(raw=st.one_of(st.binary(max_size=64),
-                     lines_of(st.sampled_from([b"MOCE-EMB v1 2 2", b"MOCE-EMB v1 -1 0"]),
+                     lines_of(st.sampled_from([b"MOCE-EMB v1 2 2", b"MOCE-EMB v1 -1 0",
+                                               b"MOCE-EMB v1 2", b"MOCE-EMB v1 2 2 0"]),
                               st.builds(lambda row: b"id " + row, ROWS))))
 def test_embeddings_load_or_raise_package_errors(target, raw):
     loads_or_raises_package_error(load_embeddings, target, raw)
@@ -60,7 +61,8 @@ def test_embeddings_load_or_raise_package_errors(target, raw):
 
 @FUZZ
 @given(raw=st.one_of(st.binary(max_size=64),
-                     lines_of(st.sampled_from([b"MOCE-KMEANS v1 2 2 0", b"MOCE-KMEANS v1 0 -1 0"]),
+                     lines_of(st.sampled_from([b"MOCE-KMEANS v1 2 2 0", b"MOCE-KMEANS v1 0 -1 0",
+                                               b"MOCE-KMEANS v1 2 2", b"MOCE-KMEANS v1 2 2 0 0"]),
                               ROWS)))
 def test_kmeans_loads_or_raises_package_errors(target, raw):
     loads_or_raises_package_error(load_kmeans, target, raw)

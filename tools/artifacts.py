@@ -10,6 +10,9 @@ OUT_DIR it writes, on the two-dialect corpus (100 per dialect, seed 0):
   then the same with the variant, with ``k_max`` 4, with
   ``balance_weight`` 0, with no pretraining, with renormalisation,
   ``moe_scale`` 0.5, relu and 3 layers, and in soft mode;
+- the same for a silu config on a two-dialect-style corpus whose
+  payloads hold 2 to 6 characters, so that its training batches and
+  eval chunks mix sequence lengths (a block-diagonal attention mask);
 - the CLI's ``embed``, ``cluster`` and ``elbow`` outputs;
 - 10 greedy decodes from a loaded checkpoint;
 - a 12-cell ``ablation_run`` of a few steps per cell.
@@ -27,11 +30,19 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from moce.cli import main  # noqa: E402
 from moce.clustering import load_kmeans  # noqa: E402
-from moce.data import make_two_dialect_corpus, prompt_ids, save_dataset, split_dataset  # noqa: E402
+from moce.data import (  # noqa: E402
+    InstructionRecord,
+    make_two_dialect_corpus,
+    prompt_ids,
+    save_dataset,
+    split_dataset,
+)
 from moce.harness import (  # noqa: E402
     RunConfig,
     ablation_run,
@@ -54,6 +65,8 @@ CONFIGS = {
     "renorm-relu-3l": dict(renormalize=True, moe_scale=0.5, activation="relu", n_layers=3),
     "soft": dict(mode="soft", top_k=4),
 }
+# Run on mixed_length_corpus: silu is the one activation CONFIGS leave out.
+MIXED = dict(activation="silu")
 SEEDS = (0, 1)
 DECODES = 10
 ABLATION = dict(CELL, pretrain_steps=3, train_steps=5)
@@ -64,6 +77,31 @@ def write_json(path: str, value) -> None:
         fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
+def mixed_length_corpus(n_per_dialect: int) -> list[InstructionRecord]:
+    """Two dialects as in ``make_two_dialect_corpus`` (first or last digit;
+    upper-cased first or last letter), with payloads of 2 to 6 characters
+    drawn from a fixed stream."""
+    rng = np.random.default_rng(0)
+    records = []
+    for source, alphabet, markers in (("digits", "0123456789", "FL"),
+                                      ("letters", "abcdefghij", "UV")):
+        for i in range(n_per_dialect):
+            payload = "".join(rng.choice(list(alphabet), size=int(rng.integers(2, 7))))
+            marker = markers[int(rng.integers(2))]
+            answer = payload[0] if marker in "FU" else payload[-1]
+            records.append(InstructionRecord(
+                record_id=f"{source}-{i:04d}", instruction=f"{marker} {payload}",
+                response=answer.upper() if source == "letters" else answer, source=source))
+    return records
+
+
+def train_eval_stats(cfg: RunConfig, records: list[InstructionRecord], run_dir: str) -> None:
+    pipeline_train(cfg, records, run_dir)
+    _, holdout = split_dataset(records, cfg.holdout_fraction, cfg.seed)
+    pipeline_eval(run_dir, holdout, os.path.join(run_dir, "eval.json"))
+    route_statistics(run_dir, holdout, os.path.join(run_dir, "route-stats"))
+
+
 def run(out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
@@ -72,12 +110,12 @@ def run(out_dir: str) -> int:
 
     for name, overrides in CONFIGS.items():
         for seed in SEEDS:
-            cfg = RunConfig(seed=seed, **dict(CELL, **overrides))
-            run_dir = f"{name}-s{seed}"
-            pipeline_train(cfg, records, run_dir)
-            _, holdout = split_dataset(records, cfg.holdout_fraction, cfg.seed)
-            pipeline_eval(run_dir, holdout, os.path.join(run_dir, "eval.json"))
-            route_statistics(run_dir, holdout, os.path.join(run_dir, "route-stats"))
+            train_eval_stats(RunConfig(seed=seed, **dict(CELL, **overrides)), records,
+                             f"{name}-s{seed}")
+    mixed = mixed_length_corpus(100)
+    save_dataset("mixed.jsonl", mixed)
+    for seed in SEEDS:
+        train_eval_stats(RunConfig(seed=seed, **dict(CELL, **MIXED)), mixed, f"silu-mixed-s{seed}")
 
     os.makedirs("cli", exist_ok=True)
     for argv in (["embed", "--data", "corpus.jsonl", "--output", "cli/emb.txt", "--dim", "32"],
