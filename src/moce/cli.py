@@ -7,13 +7,13 @@ files, 4 numeric failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .clustering import elbow_select, kmeans_fit, kmeans_predict, load_kmeans, save_kmeans
 from .data import ingest_dataset, make_two_dialect_corpus, save_dataset
 from .embedding import embed_dataset, load_embeddings, save_embeddings
 from .errors import FormatError, MoceError, NumericError
+from .fileio import json_text
 from .harness import (
     ablation_run,
     parse_run_config,
@@ -69,21 +69,21 @@ def _cmd_train(args) -> int:
     cfg = parse_run_config(args.config)
     records = ingest_dataset(args.data)
     summary = pipeline_train(cfg, records, args.out_dir)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json_text(summary), end="")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     records = ingest_dataset(args.data)
     result = pipeline_eval(args.run_dir, records, output_path=args.output)
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(json_text(result), end="")
     return EXIT_OK
 
 
 def _cmd_route_stats(args) -> int:
     records = ingest_dataset(args.data)
     stats = route_statistics(args.run_dir, records, args.out_dir)
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    print(json_text(stats), end="")
     return EXIT_OK
 
 

@@ -43,9 +43,15 @@ def write_csv(path, header, rows) -> None:
     write_atomic(path, buffer.getvalue())
 
 
+def json_text(value) -> str:
+    """``value`` as indented JSON with sorted keys and a final newline: the
+    layout of every JSON artifact, and of the JSON the CLI prints."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, value) -> None:
-    """Write ``value`` as indented JSON with sorted keys through ``write_atomic``."""
-    write_atomic(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
+    """Write ``json_text(value)`` through ``write_atomic``."""
+    write_atomic(path, json_text(value))
 
 
 def read_lines(path) -> list[str]:

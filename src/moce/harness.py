@@ -3,6 +3,10 @@ train adapters and routers, then evaluate and export routing statistics.
 
 Every run is a pure function of its config file and dataset: the metrics
 stream carries no timestamps, so identical runs produce identical bytes.
+Training examples become arrays once. The adapter phase keeps each
+example's block-0 rows, made by the frozen backbone the first time the
+example is drawn, and starts every later forward of it at layer 0's
+mixture.
 """
 
 from __future__ import annotations
@@ -126,16 +130,22 @@ def model_config_from(cfg: RunConfig, n_groups: int) -> ModelConfig:
                        **{name: getattr(cfg, name) for name in _MODEL_KEYS})
 
 
-def _packed_batch(examples, indices) -> tuple[list, np.ndarray, np.ndarray]:
-    """Inputs, targets and per-row loss weights of the examples at ``indices``.
+def _training_example(record: InstructionRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A record's training inputs, targets and per-row loss weights, as arrays.
 
-    Each sequence's weights are its response mask over the mask's sum, so
-    the weighted NLL over the packed block is the mean over sequences of
-    each sequence's mean NLL.
+    The weights are the response mask over the mask's sum, so the
+    weighted NLL over a packed block is the mean over sequences of each
+    sequence's mean NLL.
     """
+    inputs, targets, mask = training_pair(encode_example(record))
+    return np.array(inputs), np.array(targets), np.asarray(mask) / sum(mask)
+
+
+def _packed_batch(examples, indices) -> tuple[list, np.ndarray, np.ndarray]:
+    """Inputs, targets and per-row loss weights of the examples at ``indices``."""
     inputs = [examples[i][0] for i in indices]
     targets = np.concatenate([examples[i][1] for i in indices])
-    weights = np.concatenate([np.asarray(examples[i][2]) / sum(examples[i][2]) for i in indices])
+    weights = np.concatenate([examples[i][2] for i in indices])
     return inputs, targets, weights
 
 
@@ -205,7 +215,10 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     group_labels = kmeans_predict(km, emb).labels
 
     mcfg = model_config_from(cfg, n_groups)
-    examples = [training_pair(encode_example(r)) for r in train]
+    examples = [_training_example(r) for r in train]
+    # Block 0's rows of each example over the frozen backbone, made the
+    # first time the adapter phase draws the example.
+    first_rows: list = [None] * len(examples)
 
     def dense_loss(indices):
         inputs, targets, weights = _packed_batch(examples, indices)
@@ -213,9 +226,14 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         return loss, {"lm_loss": loss.item()}
 
     def adapter_loss(indices):
+        for i in indices:
+            if first_rows[i] is None:
+                first_rows[i] = moce.first_block(examples[i][0])
         record = RoutingRecord()
-        inputs, targets, weights = _packed_batch(examples, indices)
-        loss = lm_loss(moce.forward(inputs, group_labels[indices], record), targets, weights)
+        _, targets, weights = _packed_batch(examples, indices)
+        logits = moce.forward_first_block([first_rows[i] for i in indices],
+                                          group_labels[indices], record)
+        loss = lm_loss(logits, targets, weights)
         fields = {"lm_loss": loss.item()}
         if cfg.balance_weight != 0.0:
             balance = load_balance_loss(record)

@@ -362,25 +362,33 @@ class MoCELayer:
         return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), group, None)], k,
                               record, residual=x)
 
-    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
+    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
+                base_out: Tensor | None = None) -> Tensor:
         """Group-path output: x plus the gated sum of selected adapter updates.
 
         ``group_id`` is one group for every row, or one group id per row of
         a packed block; one router call scores each group present over its
-        own rows. With every W_up at zero this is exactly the identity on
-        x, for any k, the property upcycled initialisation relies on.
+        own rows. ``base_out`` is the frozen feed-forward's rows over x when
+        the caller has them already. With every W_up at zero this is
+        exactly the identity on x, for any k, the property upcycled
+        initialisation relies on.
         """
-        return self._group_path(x, self.base_ffn.forward(x), group_id, record)
+        if base_out is None:
+            base_out = self.base_ffn.forward(x)
+        return self._group_path(x, base_out, group_id, record)
 
-    def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None) -> Tensor:
-        """Two-path output: the group path plus the general path, over one base FFN pass.
+    def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
+                        base_out: Tensor | None = None) -> Tensor:
+        """Two-path output: the group path plus the general path, over one base
+        FFN pass (``base_out``, as in ``forward``).
 
         The two paths meet in an ``add`` rather than in the general path's
         ``skip``: with the skip, a backward over three or more layers sums
         x's gradient terms in another order, and the gradients change in
         their last bits.
         """
-        base_out = self.base_ffn.forward(x)
+        if base_out is None:
+            base_out = self.base_ffn.forward(x)
         return add(self._group_path(x, base_out, group_id, record),
                    self._general_path(x, base_out, record))
 

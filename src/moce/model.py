@@ -18,6 +18,10 @@ Greedy decoding reads the prompt once into a ``KVCache``, allocated when
 the decode starts, whose per-block arrays the attention op fills in
 place, then runs one forward per new token: 10 engine ops on the
 criterion-8 shapes.
+
+``MoCEModel.forward`` runs block 0, then every layer from layer 0's
+mixture on. Adapter training computes block 0's rows once per example
+(``first_block``) and enters at layer 0's mixture (``forward_first_block``).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .config import (KeyValueFormat, build, check_fields, format_lines, read_values, schema,
                      setting)
-from .errors import ConfigError, ContractError, FormatError, NumericError
+from .errors import ConfigError, ContractError, FormatError, NumericError, StateError
 from .fileio import write_atomic
 from .layer import ROUTING_MODES, ExpertGroup, FeedForward, MoCELayer, RoutingRecord
 from .seeding import substream
@@ -162,6 +166,17 @@ def _integers(values, what: str) -> np.ndarray:
     if arr.ndim and not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
         raise ContractError(f"{what} must be integers, got a boolean among them")
     return arr
+
+
+def _row_groups(group_id, lengths: np.ndarray) -> np.ndarray:
+    """Each row's expert group, from one group for every sequence of
+    ``lengths`` or one group per sequence. One group for every row stays a
+    scalar, so no layer searches the rows for groups."""
+    groups = _integers(group_id, "group ids")
+    if groups.ndim != 0 and groups.shape != lengths.shape:
+        raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
+                            f"for {lengths.size} sequences")
+    return groups.reshape(()) if groups.size == 1 else np.repeat(groups, lengths)
 
 
 class _Packed:
@@ -298,26 +313,63 @@ class MoCEModel:
         if cache is not None and record is not None:
             raise ContractError("a K/V cache cannot be combined with a routing record")
         batch = _Packed(token_ids, self.cfg, 0 if cache is None else cache.length)
-        groups = _integers(group_id, "group ids")
-        if groups.ndim != 0 and groups.shape != batch.lengths.shape:
-            raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
-                                f"for {batch.lengths.size} sequences")
-        # One group for every row stays a scalar, so no layer searches the rows for groups.
-        row_groups = groups.reshape(()) if groups.size == 1 else np.repeat(groups, batch.lengths)
-        x = self.backbone.embed(batch)
+        row_groups = _row_groups(group_id, batch.lengths)
         caches = ([None] * len(self.layers) if cache is None
                   else [(keys, values, cache.length) for keys, values in cache.blocks])
-        for block, layer, block_cache in zip(self.backbone.blocks, self.layers, caches):
-            x = block.attend(x, batch.lengths, block_cache)
-            if self.cfg.variant:
-                x = layer.variant_forward(x, row_groups, record)
-            else:
-                x = layer.forward(x, row_groups, record)
-        if record is not None:
-            for n in batch.lengths:
-                record.advance(int(n))
+        x, base = self._block_0(batch, caches[0])
+        logits = self._mixture(x, base, batch.lengths, row_groups, record, caches)
         if cache is not None:
             cache.length += int(batch.lengths[0])
+        return logits
+
+    def first_block(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Block 0's attention output rows for one sequence and its frozen
+        feed-forward's rows over them: a fixed function of the sequence,
+        which a caller may keep, while the embedding and block 0 are frozen."""
+        self._check_first_block_frozen()
+        with no_grad():
+            x, base = self._block_0(_Packed(token_ids, self.cfg))
+        return x.data, base.data
+
+    def forward_first_block(self, rows: list[tuple[np.ndarray, np.ndarray]], group_id,
+                            record: RoutingRecord | None = None) -> Tensor:
+        """``forward`` of the sequences whose ``first_block`` rows are
+        ``rows``, packed into one block, from layer 0's mixture on. Like
+        ``first_block`` it raises StateError unless block 0 is frozen, so a
+        trainable block 0 is never served stale rows."""
+        self._check_first_block_frozen()
+        lengths = np.array([x.shape[0] for x, _ in rows])
+        x, base = (Tensor(np.concatenate(part)) for part in zip(*rows))
+        return self._mixture(x, base, lengths, _row_groups(group_id, lengths), record,
+                             [None] * len(self.layers))
+
+    def _block_0(self, batch: _Packed, cache: tuple | None = None) -> tuple[Tensor, Tensor]:
+        """Block 0's attention output rows and its frozen feed-forward's rows over them."""
+        block = self.backbone.blocks[0]
+        x = block.attend(self.backbone.embed(batch), batch.lengths, cache)
+        return x, block.base_ffn.forward(x)
+
+    def _check_first_block_frozen(self) -> None:
+        frozen = [self.backbone.tok_emb, self.backbone.pos_emb,
+                  *(p for _, p in self.backbone.blocks[0].named_parameters("layer0"))]
+        if any(p.requires_grad for p in frozen):
+            raise StateError("block 0's rows are fixed only while the embedding and block 0 "
+                             "are frozen, but one of their tensors requires a gradient")
+
+    def _mixture(self, x: Tensor, base: Tensor, lengths: np.ndarray, row_groups: np.ndarray,
+                 record: RoutingRecord | None, caches: list) -> Tensor:
+        """Logits from layer 0's mixture on, given block 0's output rows ``x``
+        and its frozen feed-forward's rows ``base`` over them."""
+        for i, (block, layer) in enumerate(zip(self.backbone.blocks, self.layers)):
+            if i:
+                x, base = block.attend(x, lengths, caches[i]), None
+            if self.cfg.variant:
+                x = layer.variant_forward(x, row_groups, record, base)
+            else:
+                x = layer.forward(x, row_groups, record, base)
+        if record is not None:
+            for n in lengths:
+                record.advance(int(n))
         return self.backbone.project(x)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, StateError
 from .tensor import Tensor
 
 
 class Adam:
     """Standard Adam with bias correction; one writer per parameter.
 
-    All moments live in one flat ``m`` and one flat ``v``, so a step is one
-    pass of array expressions. Parameters without a gradient after backward
-    keep their values and moments, so frozen or unused tensors can sit in
-    the list harmlessly.
+    The optimiser copies its parameters into one flat ``data`` array, and
+    each parameter's ``data`` becomes a view into it; the moments live in
+    one flat ``m`` and one flat ``v``. A step is one pass of array
+    expressions written into those arrays in place. Parameters without a
+    gradient after backward keep their values and moments, so frozen or
+    unused tensors can sit in the list harmlessly. A parameter whose
+    ``data`` was replaced by another array would lose its updates, so the
+    step raises StateError instead. Checkpoints and ``copy.deepcopy`` copy
+    the arrays, so nothing they make shares the buffer.
     """
 
     beta1 = 0.9
@@ -29,29 +34,46 @@ class Adam:
             raise ContractError("the same parameter was registered twice")
         self.lr = lr
         self.t = 0
-        self._ends = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
-        self.m = np.zeros(self._ends[-1])
-        self.v = np.zeros(self._ends[-1])
+        self._sizes = [p.data.size for p in self.params]
+        ends = np.cumsum([0] + self._sizes).tolist()
+        self.data = np.zeros(ends[-1])
+        for p, lo, hi in zip(self.params, ends, ends[1:]):
+            self.data[lo:hi] = p.data.reshape(-1)
+            p.data = self.data[lo:hi].reshape(p.data.shape)
+        self._views = [p.data for p in self.params]
+        self._zeros = [np.zeros(size) for size in self._sizes]
+        self.m = np.zeros(ends[-1])
+        self.v = np.zeros(ends[-1])
+        # Each step's gradient, new moments, a temporary and the new values:
+        # written in place, so a step allocates no array of the buffer's size.
+        self._scratch = np.zeros((5, ends[-1]))
 
     def step(self) -> None:
+        if any(p.data is not view for p, view in zip(self.params, self._views)):
+            raise StateError("a parameter's data was replaced after the optimiser took it; "
+                             "its updates would be lost")
         self.t += 1
         grads = [p.grad for p in self.params]
-        if all(g is None for g in grads):
+        live = [g is not None for g in grads]
+        if not any(live):
             return
-        live = np.repeat([g is not None for g in grads], np.diff(self._ends))
-        g = np.concatenate([np.zeros(p.data.size) if gp is None else gp.reshape(-1)
-                            for p, gp in zip(self.params, grads)])
-        data = np.concatenate([p.data.reshape(-1) for p in self.params])
-        m = self.beta1 * self.m + (1 - self.beta1) * g
-        v = self.beta2 * self.v + (1 - self.beta2) * (g * g)
-        m_hat = m / (1 - self.beta1 ** self.t)
-        v_hat = v / (1 - self.beta2 ** self.t)
-        new = data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        self.m = np.where(live, m, self.m)
-        self.v = np.where(live, v, self.v)
-        for p, gp, lo, hi in zip(self.params, grads, self._ends, self._ends[1:]):
-            if gp is not None:
-                p.data = new[lo:hi].reshape(p.data.shape)
+        g, m, v, tmp, new = self._scratch
+        np.concatenate([gp.reshape(-1) if ok else zero
+                        for gp, ok, zero in zip(grads, live, self._zeros)], out=g)
+        # m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g),
+        # new = data - lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
+        np.add(np.multiply(self.m, self.beta1, out=m),
+               np.multiply(g, 1 - self.beta1, out=tmp), out=m)
+        np.multiply(np.multiply(g, g, out=tmp), 1 - self.beta2, out=tmp)
+        np.add(np.multiply(self.v, self.beta2, out=v), tmp, out=v)
+        np.add(np.sqrt(np.divide(v, 1 - self.beta2 ** self.t, out=tmp), out=tmp), self.eps,
+               out=tmp)
+        np.multiply(np.divide(m, 1 - self.beta1 ** self.t, out=new), self.lr, out=new)
+        np.subtract(self.data, np.divide(new, tmp, out=new), out=new)
+        where = True if all(live) else np.repeat(live, self._sizes)
+        np.copyto(self.m, m, where=where)
+        np.copyto(self.v, v, where=where)
+        np.copyto(self.data, new, where=where)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -323,13 +323,15 @@ def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"masked_cross_entropy needs (T,V) logits, got {logits.data.shape}")
-    t = np.asarray(targets, dtype=np.int64)
+    t = np.asarray(targets)
     m = np.asarray(weights, dtype=np.float64)
     rows, vocab = logits.data.shape
     if t.shape != (rows,) or m.shape != (rows,):
         raise ShapeError(
             f"targets/weights must have shape ({rows},), got {t.shape} and {m.shape}"
         )
+    if t.dtype.kind not in "iu":
+        raise ContractError(f"masked_cross_entropy needs integer targets, got {t.dtype}")
     if rows and (np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= vocab):
         raise ContractError(f"target index out of range for vocab size {vocab}")
     if np.logical_or.reduce(m < 0.0) or not np.logical_and.reduce(np.isfinite(m)):
@@ -537,9 +539,13 @@ def router_gates(x: Tensor, routers: Sequence[Tensor], rows: Sequence) -> Tensor
     else:
         if any(r is None for r in rows):
             raise ContractError("router_gates takes None rows only for a lone router")
-        idx = [np.asarray(r, dtype=np.int64) for r in rows]
+        idx = [np.asarray(r) for r in rows]
         if any(i.ndim != 1 for i in idx):
             raise ShapeError("router_gates needs 1-D row lists")
+        if any(i.dtype.kind not in "iu" for i in idx):
+            raise ContractError(f"router_gates needs integer row lists, got "
+                                f"{[str(i.dtype) for i in idx]}")
+        idx = [i.astype(np.int64, copy=False) for i in idx]
         flat = np.concatenate(idx)
         if flat.size and (np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= n_rows):
             raise ContractError(f"router_gates row out of range for {n_rows} rows")

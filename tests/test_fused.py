@@ -551,6 +551,20 @@ def test_adapter_mixture_reads_one_gate_block_per_router(blocks):
                 assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_router_gates_rejects_float_and_boolean_row_lists():
+    """Float row lists would be truncated ([[0.2, 1.9], [2.5, 3.0]] read as
+    rows [0, 1] and [2, 3]) and booleans read as rows 0 and 1."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4, 3)))
+    r = [Tensor(rng.standard_normal((3, 2))) for _ in range(2)]
+    for rows in ([[0.2, 1.9], [2.5, 3.0]], [np.array([0.0, 1.0]), [2, 3]],
+                 [[True, False], [2, 3]]):
+        with pytest.raises(ContractError, match="integer row lists"):
+            router_gates(x, r, rows)
+    unsigned = router_gates(x, r, [np.array([0, 1], dtype=np.uint32), [2, 3]])
+    assert unsigned.data.tobytes() == router_gates(x, r, [[0, 1], [2, 3]]).data.tobytes()
+
+
 def test_router_gates_and_gate_balance_check_their_inputs():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((4, 3)))

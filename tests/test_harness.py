@@ -429,6 +429,17 @@ class TestCli:
         assert os.path.exists(os.path.join(stats_dir, "stats.json"))
         capsys.readouterr()
 
+    def test_train_stdout_is_the_bytes_of_summary_json(self, tmp_path, capsys):
+        """The printed summary and ``summary.json`` share one JSON layout."""
+        data = str(tmp_path / "data.jsonl")
+        save_dataset(data, make_two_dialect_corpus(10, 0))
+        cfg_path = str(tmp_path / "run.cfg")
+        write_run_config(cfg_path, micro_cfg())
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg_path, "--data", data, "--out-dir", str(run_dir)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (run_dir / "summary.json").read_bytes()
+
     def test_exit_code_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("n_groups=2\nbogus_key=1\n")

@@ -1,9 +1,15 @@
-"""Adam over one flat moment buffer against a per-tensor reference."""
+"""Adam over one flat parameter buffer and flat moments: bit-exact against a
+per-tensor reference, and never aliased by what copies the parameters."""
 
 import numpy as np
+import pytest
 
+from moce.errors import StateError
+from moce.layer import RoutingRecord, load_balance_loss
+from moce.model import (DenseBaseModel, KVCache, ModelConfig, lm_loss, load_checkpoint,
+                        save_checkpoint, upcycle_init)
 from moce.optim import Adam
-from moce.tensor import Tensor
+from moce.tensor import Tensor, add, backward, mul, no_grad
 
 
 class ReferenceAdam:
@@ -58,3 +64,80 @@ def test_flat_adam_is_bit_exact_against_per_tensor_reference():
     assert not opt.m[lo:hi].any() and not opt.v[lo:hi].any()
     assert not any(np.shares_memory(p.data, opt.m) or np.shares_memory(p.data, opt.v)
                    for p in params)
+
+
+def test_empty_parameter_list_steps():
+    opt = Adam([], lr=1e-2)
+    opt.step()
+    opt.zero_grad()
+    assert opt.t == 1 and opt.data.size == 0
+
+
+def test_replaced_parameter_data_raises_state_error():
+    """A parameter whose data is no longer its view into the buffer would
+    lose its updates silently."""
+    params = [Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones(4), requires_grad=True)]
+    opt = Adam(params, lr=1e-2)
+    assert all(np.shares_memory(p.data, opt.data) for p in params)
+    params[1].data = params[1].data + 1.0
+    params[1].grad = np.ones(4)
+    with pytest.raises(StateError, match="replaced"):
+        opt.step()
+    assert opt.t == 0
+
+
+def _pretrained(steps=3):
+    cfg = ModelConfig(vocab_size=11, d_model=8, n_layers=2, n_heads=2, max_seq_len=10, d_ff=12,
+                      n_groups=2, n_experts=2, adapter_rank=3, top_k=1)
+    dense = DenseBaseModel.build(cfg, seed=0)
+    opt = Adam(dense.trainable_parameters(), lr=1e-2)
+    for _ in range(steps):
+        backward(lm_loss(dense.forward([1, 2, 3, 4]), [2, 3, 4, 5], [1.0] * 4))
+        opt.step()
+        opt.zero_grad()
+    return cfg, dense, opt
+
+
+def _adapter_steps(model, opt, n):
+    for _ in range(n):
+        record = RoutingRecord()
+        loss = add(lm_loss(model.forward([1, 2, 3, 4], 0, record), [2, 3, 4, 5], [1.0] * 4),
+                   mul(load_balance_loss(record), 0.01))
+        backward(loss)
+        opt.step()
+        opt.zero_grad()
+
+
+def test_upcycled_backbone_never_aliases_the_pretraining_buffer():
+    cfg, dense, opt = _pretrained()
+    assert all(np.shares_memory(p.data, opt.data) for p in dense.trainable_parameters())
+    moce = upcycle_init(dense, cfg, seed=0)
+    assert not any(np.shares_memory(p.data, opt.data) for _, p in moce.named_parameters())
+    before = [p.data.tobytes() for _, p in moce.backbone.named_parameters()]
+    for p in dense.trainable_parameters():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    assert [p.data.tobytes() for _, p in moce.backbone.named_parameters()] == before
+
+
+def test_checkpoint_and_kv_cache_keep_their_bytes_after_further_steps(tmp_path):
+    cfg, dense, _ = _pretrained()
+    moce = upcycle_init(dense, cfg, seed=0)
+    opt = Adam(moce.trainable_parameters(), lr=5e-2)
+    _adapter_steps(moce, opt, 2)
+    save_checkpoint(str(tmp_path), moce, seed=0, step=2)
+    blob = (tmp_path / "params.bin").read_bytes()
+    loaded, _ = load_checkpoint(str(tmp_path))
+    assert not any(np.shares_memory(p.data, opt.data) for _, p in loaded.named_parameters())
+    kept = [p.data.tobytes() for _, p in loaded.named_parameters()]
+    cache = KVCache(cfg)
+    with no_grad():
+        moce.forward([1, 2, 3], 0, cache=cache)
+    keys = [k.tobytes() for k, _ in cache.blocks]
+    assert not any(np.shares_memory(a, opt.data) for block in cache.blocks for a in block)
+    _adapter_steps(moce, opt, 2)
+    assert (tmp_path / "params.bin").read_bytes() == blob
+    assert [p.data.tobytes() for _, p in loaded.named_parameters()] == kept
+    assert [k.tobytes() for k, _ in cache.blocks] == keys
+    assert [p.data.tobytes() for p in moce.trainable_parameters()] != \
+        [p.data.tobytes() for p in loaded.trainable_parameters()]

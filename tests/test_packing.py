@@ -6,9 +6,9 @@ import pytest
 
 from conftest import reset_instrumentation
 from moce import tensor
-from moce.data import encode_example, make_two_dialect_corpus, prompt_ids, training_pair
+from moce.data import make_two_dialect_corpus, prompt_ids
 from moce.errors import ContractError
-from moce.harness import RunConfig, _packed_batch, model_config_from
+from moce.harness import RunConfig, _packed_batch, _training_example, model_config_from
 from moce.layer import RoutingRecord, load_balance_loss
 from moce.model import DenseBaseModel, ModelConfig, greedy_decode, lm_loss, upcycle_init
 from moce.tensor import add, backward, mul
@@ -219,7 +219,7 @@ def test_adapter_step_stays_small():
                     n_experts=4, adapter_rank=4, top_k=2, batch_size=8)
     mcfg = model_config_from(cfg, 2)
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
-    examples = [training_pair(encode_example(r)) for r in make_two_dialect_corpus(100, seed=0)]
+    examples = [_training_example(r) for r in make_two_dialect_corpus(100, seed=0)]
     indices = list(range(0, 200, 25))
     inputs, targets, weights = _packed_batch(examples, indices)
     record = RoutingRecord()
@@ -243,7 +243,7 @@ def test_fused_ops_keep_decode_and_step_small(monkeypatch):
     mcfg = model_config_from(cfg, 2)
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
-    examples = [training_pair(encode_example(r)) for r in records]
+    examples = [_training_example(r) for r in records]
     inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
@@ -276,7 +276,7 @@ def test_one_mixture_op_per_router_call(monkeypatch):
     mcfg = model_config_from(cfg, 2)
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
-    examples = [training_pair(encode_example(r)) for r in records]
+    examples = [_training_example(r) for r in records]
     inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
@@ -310,7 +310,7 @@ def test_one_router_call_per_layer(monkeypatch):
     mcfg = model_config_from(cfg, 2)
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
-    examples = [training_pair(encode_example(r)) for r in records]
+    examples = [_training_example(r) for r in records]
     inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
     ops = []
     result = tensor._result
@@ -348,7 +348,7 @@ def test_one_op_per_sublayer(monkeypatch):
     mcfg = model_config_from(cfg, 2)
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
-    examples = [training_pair(encode_example(r)) for r in records]
+    examples = [_training_example(r) for r in records]
     inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
@@ -384,7 +384,7 @@ def test_ten_ops_per_decoded_token(monkeypatch):
     mcfg = model_config_from(cfg, 2)
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
-    examples = [training_pair(encode_example(r)) for r in records]
+    examples = [_training_example(r) for r in records]
     inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)

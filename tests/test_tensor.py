@@ -384,6 +384,16 @@ class TestBackward:
         with pytest.raises(ContractError):
             masked_cross_entropy(Tensor(np.zeros((3, 4))), [0, 1, 2], [0.0, 0.0, 0.0])
 
+    def test_cross_entropy_rejects_float_and_boolean_targets(self):
+        """Float targets would be truncated ([1.7, 2.2] scored as [1, 2]) and
+        booleans read as 0 and 1: both raise before any arithmetic."""
+        logits = Tensor(np.zeros((2, 4)))
+        for targets in ([1.7, 2.2], np.array([1.0, 2.0]), [True, False]):
+            with pytest.raises(ContractError, match="integer targets"):
+                masked_cross_entropy(logits, targets, [1.0, 1.0])
+        assert masked_cross_entropy(logits, np.array([1, 2], dtype=np.uint8),
+                                    [1.0, 1.0]).item() == np.log(4.0)
+
     def test_finite_difference_oracle_on_quadratic(self):
         """The oracle itself reproduces an analytic gradient it cannot see."""
         q = np.array([[2.0, 0.5], [0.5, 3.0]])
