@@ -4,9 +4,9 @@ train adapters and routers, then evaluate and export routing statistics.
 Every run is a pure function of its config file and dataset: the metrics
 stream carries no timestamps, so identical runs produce identical bytes.
 Training examples become arrays once. The adapter phase keeps each
-example's block-0 rows, made by the frozen backbone the first time the
-example is drawn, and starts every later forward of it at layer 0's
-mixture.
+example's block-0 rows, made by the frozen backbone in one packed block
+for all of a step's first draws, and starts every adapter forward at
+layer 0's mixture, so it gains as far as its steps draw examples again.
 """
 
 from __future__ import annotations
@@ -141,12 +141,15 @@ def _training_example(record: InstructionRecord) -> tuple[np.ndarray, np.ndarray
     return np.array(inputs), np.array(targets), np.asarray(mask) / sum(mask)
 
 
+def _loss_rows(examples, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and per-row loss weights of the examples at ``indices``, packed."""
+    return (np.concatenate([examples[i][1] for i in indices]),
+            np.concatenate([examples[i][2] for i in indices]))
+
+
 def _packed_batch(examples, indices) -> tuple[list, np.ndarray, np.ndarray]:
     """Inputs, targets and per-row loss weights of the examples at ``indices``."""
-    inputs = [examples[i][0] for i in indices]
-    targets = np.concatenate([examples[i][1] for i in indices])
-    weights = np.concatenate([examples[i][2] for i in indices])
-    return inputs, targets, weights
+    return [examples[i][0] for i in indices], *_loss_rows(examples, indices)
 
 
 def _pack_chunks(lengths: list[int]) -> list[list[int]]:
@@ -226,14 +229,16 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         return loss, {"lm_loss": loss.item()}
 
     def adapter_loss(indices):
-        for i in indices:
-            if first_rows[i] is None:
-                first_rows[i] = moce.first_block(examples[i][0])
+        # The batch's examples not drawn before, in batch order, go through
+        # block 0 together in one packed block, as the whole batch would.
+        fresh = list(dict.fromkeys(i for i in indices if first_rows[i] is None))
+        if fresh:
+            for i, rows in zip(fresh, moce.first_block([examples[i][0] for i in fresh])):
+                first_rows[i] = rows
         record = RoutingRecord()
-        _, targets, weights = _packed_batch(examples, indices)
         logits = moce.forward_first_block([first_rows[i] for i in indices],
                                           group_labels[indices], record)
-        loss = lm_loss(logits, targets, weights)
+        loss = lm_loss(logits, *_loss_rows(examples, indices))
         fields = {"lm_loss": loss.item()}
         if cfg.balance_weight != 0.0:
             balance = load_balance_loss(record)

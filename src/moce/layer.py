@@ -362,6 +362,11 @@ class MoCELayer:
         return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), group, None)], k,
                               record, residual=x)
 
+    def _base(self, x: Tensor, base_out: Tensor | None) -> Tensor:
+        """``base_out``, or the frozen feed-forward's rows over x when the
+        caller passes none."""
+        return self.base_ffn.forward(x) if base_out is None else base_out
+
     def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
                 base_out: Tensor | None = None) -> Tensor:
         """Group-path output: x plus the gated sum of selected adapter updates.
@@ -373,9 +378,7 @@ class MoCELayer:
         exactly the identity on x, for any k, the property upcycled
         initialisation relies on.
         """
-        if base_out is None:
-            base_out = self.base_ffn.forward(x)
-        return self._group_path(x, base_out, group_id, record)
+        return self._group_path(x, self._base(x, base_out), group_id, record)
 
     def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
                         base_out: Tensor | None = None) -> Tensor:
@@ -387,8 +390,7 @@ class MoCELayer:
         x's gradient terms in another order, and the gradients change in
         their last bits.
         """
-        if base_out is None:
-            base_out = self.base_ffn.forward(x)
+        base_out = self._base(x, base_out)
         return add(self._group_path(x, base_out, group_id, record),
                    self._general_path(x, base_out, record))
 

@@ -45,6 +45,7 @@ from .tensor import (
     Tensor,
     attention_block,
     embed_tokens,
+    from_checked,
     masked_cross_entropy,
     no_grad,
     output_head,
@@ -316,20 +317,23 @@ class MoCEModel:
         row_groups = _row_groups(group_id, batch.lengths)
         caches = ([None] * len(self.layers) if cache is None
                   else [(keys, values, cache.length) for keys, values in cache.blocks])
-        x, base = self._block_0(batch, caches[0])
+        x, base = self._block_rows(0, self.backbone.embed(batch), batch.lengths, caches[0])
         logits = self._mixture(x, base, batch.lengths, row_groups, record, caches)
         if cache is not None:
             cache.length += int(batch.lengths[0])
         return logits
 
-    def first_block(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Block 0's attention output rows for one sequence and its frozen
-        feed-forward's rows over them: a fixed function of the sequence,
+    def first_block(self, token_ids) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Block 0's attention output rows and its frozen feed-forward's rows
+        over them, for one sequence or each of a list of sequences, computed
+        over one packed block. They are a fixed function of each sequence,
         which a caller may keep, while the embedding and block 0 are frozen."""
         self._check_first_block_frozen()
+        batch = _Packed(token_ids, self.cfg)
         with no_grad():
-            x, base = self._block_0(_Packed(token_ids, self.cfg))
-        return x.data, base.data
+            x, base = self._block_rows(0, self.backbone.embed(batch), batch.lengths)
+        ends = np.cumsum(batch.lengths).tolist()
+        return [(x.data[lo:hi], base.data[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
     def forward_first_block(self, rows: list[tuple[np.ndarray, np.ndarray]], group_id,
                             record: RoutingRecord | None = None) -> Tensor:
@@ -339,14 +343,16 @@ class MoCEModel:
         trainable block 0 is never served stale rows."""
         self._check_first_block_frozen()
         lengths = np.array([x.shape[0] for x, _ in rows])
-        x, base = (Tensor(np.concatenate(part)) for part in zip(*rows))
+        x, base = (from_checked(np.concatenate(part)) for part in zip(*rows))
         return self._mixture(x, base, lengths, _row_groups(group_id, lengths), record,
                              [None] * len(self.layers))
 
-    def _block_0(self, batch: _Packed, cache: tuple | None = None) -> tuple[Tensor, Tensor]:
-        """Block 0's attention output rows and its frozen feed-forward's rows over them."""
-        block = self.backbone.blocks[0]
-        x = block.attend(self.backbone.embed(batch), batch.lengths, cache)
+    def _block_rows(self, i: int, x: Tensor, lengths, cache: tuple | None = None
+                    ) -> tuple[Tensor, Tensor]:
+        """Block i's attention output rows over ``x`` and its frozen
+        feed-forward's rows over them."""
+        block = self.backbone.blocks[i]
+        x = block.attend(x, lengths, cache)
         return x, block.base_ffn.forward(x)
 
     def _check_first_block_frozen(self) -> None:
@@ -360,9 +366,9 @@ class MoCEModel:
                  record: RoutingRecord | None, caches: list) -> Tensor:
         """Logits from layer 0's mixture on, given block 0's output rows ``x``
         and its frozen feed-forward's rows ``base`` over them."""
-        for i, (block, layer) in enumerate(zip(self.backbone.blocks, self.layers)):
+        for i, layer in enumerate(self.layers):
             if i:
-                x, base = block.attend(x, lengths, caches[i]), None
+                x, base = self._block_rows(i, x, lengths, caches[i])
             if self.cfg.variant:
                 x = layer.variant_forward(x, row_groups, record, base)
             else:

@@ -35,18 +35,17 @@ class Adam:
         self.lr = lr
         self.t = 0
         self._sizes = [p.data.size for p in self.params]
-        ends = np.cumsum([0] + self._sizes).tolist()
-        self.data = np.zeros(ends[-1])
-        for p, lo, hi in zip(self.params, ends, ends[1:]):
+        self._ends = np.cumsum([0] + self._sizes).tolist()
+        self.data = np.zeros(self._ends[-1])
+        for p, lo, hi in zip(self.params, self._ends, self._ends[1:]):
             self.data[lo:hi] = p.data.reshape(-1)
             p.data = self.data[lo:hi].reshape(p.data.shape)
         self._views = [p.data for p in self.params]
-        self._zeros = [np.zeros(size) for size in self._sizes]
-        self.m = np.zeros(ends[-1])
-        self.v = np.zeros(ends[-1])
+        self.m = np.zeros(self._ends[-1])
+        self.v = np.zeros(self._ends[-1])
         # Each step's gradient, new moments, a temporary and the new values:
         # written in place, so a step allocates no array of the buffer's size.
-        self._scratch = np.zeros((5, ends[-1]))
+        self._scratch = np.zeros((5, self._ends[-1]))
 
     def step(self) -> None:
         if any(p.data is not view for p, view in zip(self.params, self._views)):
@@ -58,8 +57,11 @@ class Adam:
         if not any(live):
             return
         g, m, v, tmp, new = self._scratch
-        np.concatenate([gp.reshape(-1) if ok else zero
-                        for gp, ok, zero in zip(grads, live, self._zeros)], out=g)
+        # A parameter without a gradient keeps stale rows of g; the masked
+        # copies below leave its values and moments as they were.
+        for gp, lo, hi in zip(grads, self._ends, self._ends[1:]):
+            if gp is not None:
+                g[lo:hi] = gp.reshape(-1)
         # m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g),
         # new = data - lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
         np.add(np.multiply(self.m, self.beta1, out=m),

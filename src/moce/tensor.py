@@ -114,22 +114,30 @@ def _tracked(parents: tuple[Tensor, ...]) -> bool:
     return _recording and any(p.requires_grad for p in parents)
 
 
+def from_checked(data: np.ndarray) -> Tensor:
+    """A constant tensor over ``data`` itself, with no copy and no
+    finiteness check: for C-ordered float64 rows built from op results,
+    which were checked when the op made them."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward_fn = None
+    out._consumed = False
+    return out
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     """The one constructor of op results: checks finiteness, and records
     ``parents`` and ``backward_fn`` when the op is tracked."""
     if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NumericError(f"non-finite values produced by {op}")
-    out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(data, dtype=np.float64)
-    out.grad = None
-    out.requires_grad = _tracked(parents)
-    out._consumed = False
-    if out.requires_grad:
+    out = from_checked(np.ascontiguousarray(data, dtype=np.float64))
+    if _tracked(parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
-    else:
-        out._parents = ()
-        out._backward_fn = None
     return out
 
 
