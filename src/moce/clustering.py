@@ -10,8 +10,10 @@ assignment ranks the centroids by one Gram product and computes the exact
 broadcast distances again only for rows whose two best centroids lie
 within a proven rounding bound, so every label is the broadcast's, ties
 to the lower index. The elbow sweep warm-starts each k from the k - 1
-winner, which keeps its SSE curve non-increasing. Input rows holding NaN
-or inf are rejected before any fit.
+winner, which keeps its SSE curve non-increasing, and draws k-means++
+seeding once per restart for its largest k, since the draw for a smaller
+k is a prefix of it. Input rows holding NaN or inf are rejected before
+any fit.
 """
 
 from __future__ import annotations
@@ -226,14 +228,22 @@ def _fit(points: np.ndarray, start: np.ndarray, seed: int) -> KMeansModel:
                        final_sse=history[-1], sse_history=history)
 
 
-def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10) -> KMeansModel:
+def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10, starts=None) -> KMeansModel:
     """Fit k centroids with k-means++ init and Lloyd iteration.
 
     ``embeddings`` is an (n, d) array or anything with a ``matrix()``
     method. Convergence means the assignment stopped changing. Lloyd only
     finds local optima, so ``n_init`` seeded restarts run and the lowest
-    final objective wins, the first on ties; every restart seed derives
-    from ``seed``.
+    final objective wins, the first on ties. Restart r starts from the
+    k-means++ draw of ``substream(seed, "kmeans-init", r)``, so ``seed``
+    reproduces the fit.
+
+    ``starts``, when given, holds one (m, d) k-means++ draw per restart,
+    m >= k, each made by ``_kmeanspp_init`` from restart r's stream, and
+    restart r starts from its first k rows. k-means++ for k is a prefix of
+    the draw for m under one generator, so the fit is bit-equal to the same
+    call without ``starts``; a caller fitting several k on the same seed
+    draws once for the largest.
     """
     points = _points(embeddings)
     n = points.shape[0]
@@ -243,8 +253,16 @@ def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10) -> KMeansModel:
         raise ContractError(f"cannot fit {k} clusters to {n} points")
     if n_init < 1:
         raise ContractError(f"n_init must be positive, got {n_init}")
-    starts = (_kmeanspp_init(points, k, substream(seed, "kmeans-init", restart))
-              for restart in range(n_init))
+    if starts is None:
+        starts = (_kmeanspp_init(points, k, substream(seed, "kmeans-init", restart))
+                  for restart in range(n_init))
+    else:
+        starts = [np.asarray(draw, dtype=np.float64) for draw in starts]
+        if len(starts) != n_init or any(draw.ndim != 2 or draw.shape[0] < k
+                                        or draw.shape[1] != points.shape[1] for draw in starts):
+            raise ContractError(f"starts must be {n_init} arrays of at least {k} rows of width "
+                                f"{points.shape[1]}, got shapes {[draw.shape for draw in starts]}")
+        starts = [draw[:k] for draw in starts]
     return min((_fit(points, start, seed) for start in starts), key=lambda fit: fit.final_sse)
 
 
@@ -285,13 +303,18 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
     """Fit k = 1..k_max and pick the sharpest bend of the SSE curve.
 
     Each k runs three seeded ``kmeans_fit`` attempts of a few restarts each.
-    For k >= 2 it also runs Lloyd from a warm start: the k - 1 winner's
-    centroids plus the point farthest from its assigned centroid. Adding a
-    centroid cannot raise the assignment SSE and Lloyd never raises it
-    either, so with the warm candidate in the running the curve is
-    non-increasing by construction. The lowest final SSE wins each k, and
-    the report keeps the selected k's winning fit. ``violations`` lists any
-    k whose SSE still rose, which only a broken invariant can cause.
+    Attempt a's seed is ``substream_seed(seed, "elbow", a)`` for every k,
+    and each of its restarts draws k_max k-means++ centres once for the
+    whole sweep: the fit for k starts from the first k rows, which is the
+    draw ``kmeans_fit`` would make itself, so the attempt's seed still
+    reproduces its fit. For k >= 2 it also runs Lloyd from a warm start:
+    the k - 1 winner's centroids plus the point farthest from its assigned
+    centroid. Adding a centroid cannot raise the assignment SSE and Lloyd
+    never raises it either, so with the warm candidate in the running the
+    curve is non-increasing by construction. The lowest final SSE wins each
+    k, and the report keeps the selected k's winning fit. ``violations``
+    lists any k whose SSE still rose, which only a broken invariant can
+    cause.
     """
     points = _points(embeddings)
     if k_max < 3:
@@ -299,11 +322,13 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
     if points.shape[0] < k_max:
         raise ContractError(f"need at least k_max={k_max} points, got {points.shape[0]}")
 
+    seeds = [substream_seed(seed, "elbow", attempt) for attempt in range(3)]
+    draws = [[_kmeanspp_init(points, k_max, substream(attempt_seed, "kmeans-init", restart))
+              for restart in range(_ELBOW_RESTARTS)] for attempt_seed in seeds]
     fits = []
     for k in range(1, k_max + 1):
-        candidates = [kmeans_fit(points, k, seed=substream_seed(seed, "elbow", k, attempt),
-                                 n_init=_ELBOW_RESTARTS)
-                      for attempt in range(3)]
+        candidates = [kmeans_fit(points, k, seed=attempt_seed, n_init=_ELBOW_RESTARTS, starts=starts)
+                      for attempt_seed, starts in zip(seeds, draws)]
         if fits:
             candidates.append(_warm_fit(points, fits[-1], seed))
         # min() keeps the first minimiser: a later candidate wins only when

@@ -46,6 +46,7 @@ from .tensor import (
     attention_block,
     embed_tokens,
     from_checked,
+    integers,
     masked_cross_entropy,
     no_grad,
     output_head,
@@ -152,28 +153,11 @@ class KVCache:
         self.blocks = [(np.zeros(shape), np.zeros(shape)) for _ in range(cfg.n_layers)]
 
 
-_BOOLS = frozenset((bool, np.bool_))
-
-
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an integer array. Floats would be truncated and
-    booleans read as 0 and 1, so a dtype that is not an integer kind is
-    rejected, and so is a list that holds a boolean among integers, which
-    numpy reads as an integer array. An array costs one dtype test and no
-    per-element work; an empty one passes, for the caller to reject."""
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ContractError(f"{what} must be integers, got dtype {arr.dtype}")
-    if arr.ndim and not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
-        raise ContractError(f"{what} must be integers, got a boolean among them")
-    return arr
-
-
 def _row_groups(group_id, lengths: np.ndarray) -> np.ndarray:
     """Each row's expert group, from one group for every sequence of
     ``lengths`` or one group per sequence. One group for every row stays a
     scalar, so no layer searches the rows for groups."""
-    groups = _integers(group_id, "group ids")
+    groups = integers(group_id, "group ids must be integers")
     if groups.ndim != 0 and groups.shape != lengths.shape:
         raise ContractError(f"need one group id per sequence, got {groups.shape[0]} "
                             f"for {lengths.size} sequences")
@@ -194,7 +178,7 @@ class _Packed:
             token_ids = [token_ids]
         if len(token_ids) == 0:
             raise ContractError("token_ids must hold at least one sequence")
-        seqs = [_integers(s, "token ids") for s in token_ids]
+        seqs = [integers(s, "token ids must be integers") for s in token_ids]
         if any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
             raise ContractError("every sequence of token ids must be non-empty and 1-D")
         lengths = [ids.size for ids in seqs]
@@ -419,12 +403,12 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
     ``max_seq_len`` and a negative ``max_new_tokens`` raise ContractError
     before any forward.
     """
-    prompt = _integers(prompt_ids, "token ids")
+    prompt = integers(prompt_ids, "token ids must be integers")
     if prompt.size == 0:
         raise ContractError("cannot decode from an empty prompt")
     if prompt.ndim != 1:
         raise ContractError(f"a prompt is one 1-D sequence of token ids, got shape {prompt.shape}")
-    _integers(group_id, "group ids")
+    integers(group_id, "group ids must be integers")
     if prompt.size > model.cfg.max_seq_len:
         raise ContractError(f"prompt length {prompt.size} exceeds max_seq_len {model.cfg.max_seq_len}")
     if max_new_tokens < 0:

@@ -270,21 +270,43 @@ def _rmsnorm_grads(g: np.ndarray, x: np.ndarray, gain: np.ndarray, r: np.ndarray
 
 # -- embedding, head and loss ------------------------------------------
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def integers(values, what: str) -> np.ndarray:
+    """``values`` as an integer array, or ContractError("{what}, got ...").
+
+    Floats would be truncated and booleans read as 0 and 1, so a dtype that
+    is not an integer kind is rejected, and so is a list, nested or not,
+    that holds a boolean among integers, which numpy reads as an integer
+    array. An ndarray costs one dtype test and no per-element work. An empty
+    input comes back as an empty integer array, for the caller to judge.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        if arr.size:
+            raise ContractError(f"{what}, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
+    elif arr.ndim and not isinstance(values, np.ndarray):
+        items = values if arr.ndim == 1 else np.asarray(values, dtype=object).flat
+        if not _BOOLS.isdisjoint(map(type, items)):
+            raise ContractError(f"{what}, got a boolean among them")
+    return arr
+
+
 def embed_tokens(tok_emb: Tensor, pos_emb: Tensor, ids, positions) -> Tensor:
     """A block's input rows in one op: tok_emb[ids] + pos_emb[positions].
 
     ``ids`` and ``positions`` are equal-length 1-D integer arrays; the
     gradient scatter-adds back into the rows they read, repeats included.
     """
-    idx, pos = np.asarray(ids), np.asarray(positions)
+    idx = integers(ids, "embed_tokens needs integer ids")
+    pos = integers(positions, "embed_tokens needs integer positions")
     table = tok_emb.data.shape
     if (len(table) != 2 or pos_emb.data.ndim != 2 or pos_emb.data.shape[1:] != table[1:]
             or idx.ndim != 1 or pos.shape != idx.shape):
         raise ShapeError(f"embed_tokens needs (V, d) and (P, d) tables and equal 1-D ids and "
                          f"positions, got {table}, {pos_emb.data.shape}, {idx.shape}, {pos.shape}")
-    if idx.dtype.kind not in "iu" or pos.dtype.kind not in "iu":
-        raise ContractError(f"embed_tokens needs integer ids and positions, got {idx.dtype} "
-                            f"and {pos.dtype}")
     if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table[0]):
         raise ContractError(f"token id out of range for vocab size {table[0]}")
     if pos.size and (np.minimum.reduce(pos) < 0 or np.maximum.reduce(pos) >= pos_emb.data.shape[0]):
@@ -331,15 +353,13 @@ def masked_cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"masked_cross_entropy needs (T,V) logits, got {logits.data.shape}")
-    t = np.asarray(targets)
+    t = integers(targets, "masked_cross_entropy needs integer targets")
     m = np.asarray(weights, dtype=np.float64)
     rows, vocab = logits.data.shape
     if t.shape != (rows,) or m.shape != (rows,):
         raise ShapeError(
             f"targets/weights must have shape ({rows},), got {t.shape} and {m.shape}"
         )
-    if t.dtype.kind not in "iu":
-        raise ContractError(f"masked_cross_entropy needs integer targets, got {t.dtype}")
     if rows and (np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= vocab):
         raise ContractError(f"target index out of range for vocab size {vocab}")
     if np.logical_or.reduce(m < 0.0) or not np.logical_and.reduce(np.isfinite(m)):
@@ -547,12 +567,9 @@ def router_gates(x: Tensor, routers: Sequence[Tensor], rows: Sequence) -> Tensor
     else:
         if any(r is None for r in rows):
             raise ContractError("router_gates takes None rows only for a lone router")
-        idx = [np.asarray(r) for r in rows]
+        idx = [integers(r, "router_gates needs integer row lists") for r in rows]
         if any(i.ndim != 1 for i in idx):
             raise ShapeError("router_gates needs 1-D row lists")
-        if any(i.dtype.kind not in "iu" for i in idx):
-            raise ContractError(f"router_gates needs integer row lists, got "
-                                f"{[str(i.dtype) for i in idx]}")
         idx = [i.astype(np.int64, copy=False) for i in idx]
         flat = np.concatenate(idx)
         if flat.size and (np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= n_rows):
@@ -633,15 +650,15 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     its weights get no gradient: None, not zeros. The experts share one
     rank r.
     """
-    ids = np.asarray(chosen)
+    ids = integers(chosen, "adapter_mixture needs integer expert ids")
     n, shape = len(w_downs), base.data.shape
     width = gates.data.shape[1] if gates.data.ndim == 2 else 0
     if (len(shape) != 2 or gates.data.shape != (shape[0], width) or width == 0 or n % width):
         raise ShapeError(f"adapter_mixture needs a (T, d) base and (T, N) gates with N dividing "
                          f"the {n} experts, got {shape} and {gates.data.shape}")
-    if ids.ndim != 2 or ids.shape[0] != shape[0] or ids.shape[1] == 0 or ids.dtype.kind not in "iu":
+    if ids.ndim != 2 or ids.shape[0] != shape[0] or ids.shape[1] == 0:
         raise ShapeError(f"adapter_mixture needs ({shape[0]}, k) integer expert ids, got "
-                         f"{ids.shape} of {ids.dtype}")
+                         f"shape {ids.shape}")
     if n == 0 or len(w_ups) != n:
         raise ContractError(f"adapter_mixture needs one up per down projection, got {n} and {len(w_ups)}")
     if ids.size and (np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= n):

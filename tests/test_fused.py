@@ -27,6 +27,7 @@ from moce.tensor import (
     embed_tokens,
     feed_forward,
     gate_balance,
+    masked_cross_entropy,
     mul,
     no_grad,
     output_head,
@@ -565,6 +566,44 @@ def test_router_gates_rejects_float_and_boolean_row_lists():
     assert unsigned.data.tobytes() == router_gates(x, r, [[0, 1], [2, 3]]).data.tobytes()
 
 
+def _mixed_integer_calls(flag):
+    """One call of each op that takes integer lists, with ``flag`` in a
+    list, or in a nested list, where the integer 1 would run."""
+    rng = np.random.default_rng(0)
+    x, logits = Tensor(rng.standard_normal((3, 4))), Tensor(np.zeros((2, 4)))
+    routers = [Tensor(rng.standard_normal((4, 2))) for _ in range(2)]
+    tok, pos = Tensor(np.ones((5, 4))), Tensor(np.ones((3, 4)))
+    gates = Tensor(rng.random((2, 2)) + 0.5)
+    downs = [Tensor(rng.standard_normal((4, 2))) for _ in range(2)]
+    ups = [Tensor(rng.standard_normal((2, 4))) for _ in range(2)]
+    return {
+        "masked_cross_entropy": [
+            (lambda: masked_cross_entropy(logits, [2, flag], [1.0, 1.0]), "integer targets")],
+        "router_gates": [
+            (lambda: router_gates(x, routers, [[2, flag], [0]]), "integer row lists")],
+        "embed_tokens": [
+            (lambda: embed_tokens(tok, pos, [2, flag], [0, 1]), "integer ids"),
+            (lambda: embed_tokens(tok, pos, [0, 1], [2, flag]), "integer positions")],
+        "adapter_mixture": [
+            (lambda: adapter_mixture(Tensor(x.data[:2]), gates, [[0], [flag]], downs, ups,
+                                     "gelu"), "integer expert ids")],
+    }
+
+
+@pytest.mark.parametrize("op", ["masked_cross_entropy", "router_gates", "embed_tokens",
+                                "adapter_mixture"])
+def test_a_boolean_among_integers_raises(op):
+    """numpy reads [2, True] as an int64 array, so a dtype test alone ran
+    it as [2, 1]. Each op now raises ContractError before any arithmetic,
+    and the same call with the integer 1 runs."""
+    for flag in (True, np.bool_(True)):
+        for call, what in _mixed_integer_calls(flag)[op]:
+            with pytest.raises(ContractError, match=f"{what}, got a boolean among them"):
+                call()
+    for call, _ in _mixed_integer_calls(1)[op]:
+        call()
+
+
 def test_router_gates_and_gate_balance_check_their_inputs():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((4, 3)))
@@ -660,7 +699,7 @@ def test_adapter_bank_checks_its_inputs():
         mixture(chosen=[[0, 1], [1, 0]])
     with pytest.raises(ShapeError, match="integer expert ids"):
         mixture(chosen=[0, 1, 0])
-    with pytest.raises(ShapeError, match="integer expert ids"):
+    with pytest.raises(ContractError, match="integer expert ids"):
         mixture(chosen=[[0.0], [1.0], [1.0]])
     with pytest.raises(ShapeError, match="integer expert ids"):
         mixture(chosen=np.zeros((3, 0), dtype=np.int64))
