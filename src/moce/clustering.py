@@ -19,6 +19,7 @@ any fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -236,7 +237,8 @@ def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10, starts=None) -> 
     finds local optima, so ``n_init`` seeded restarts run and the lowest
     final objective wins, the first on ties. Restart r starts from the
     k-means++ draw of ``substream(seed, "kmeans-init", r)``, so ``seed``
-    reproduces the fit.
+    reproduces the fit. k = 1 runs restart 0 alone: every restart ends at
+    the mean of the points with the same SSE bits, and the first wins.
 
     ``starts``, when given, holds one (m, d) k-means++ draw per restart,
     m >= k, each made by ``_kmeanspp_init`` from restart r's stream, and
@@ -263,7 +265,8 @@ def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10, starts=None) -> 
             raise ContractError(f"starts must be {n_init} arrays of at least {k} rows of width "
                                 f"{points.shape[1]}, got shapes {[draw.shape for draw in starts]}")
         starts = [draw[:k] for draw in starts]
-    return min((_fit(points, start, seed) for start in starts), key=lambda fit: fit.final_sse)
+    return min((_fit(points, start, seed) for start in islice(starts, 1 if k == 1 else None)),
+               key=lambda fit: fit.final_sse)
 
 
 def kmeans_predict(model: KMeansModel, vectors) -> ClusterAssignment:

@@ -294,7 +294,9 @@ def _train(cfg: RunConfig, phase: str, model: DenseBaseModel | MoCEModel, steps:
     return losses
 
 
-def _load_run(run_dir: str) -> tuple[MoCEModel, KMeansModel, int]:
+def _open_run(run_dir: str, records: list[InstructionRecord]) -> tuple[MoCEModel, KMeansModel, int]:
+    """A run's model, k-means fit and seed, once the fit's k matches the
+    checkpoint and every one of ``records`` fits its context."""
     ckpt_dir = os.path.join(run_dir, CHECKPOINT_DIR)
     model, entries = load_checkpoint(ckpt_dir)
     if not entries["kmeans_path"]:
@@ -304,6 +306,7 @@ def _load_run(run_dir: str) -> tuple[MoCEModel, KMeansModel, int]:
     if km.k != model.cfg.n_groups:
         raise ConfigError(f"{km_path}: k-means fit has {km.k} clusters, but the checkpoint "
                           f"{ckpt_dir} has {model.cfg.n_groups} expert groups")
+    _check_lengths(records, model.cfg.max_seq_len)
     return model, km, entries["seed"]
 
 
@@ -312,58 +315,56 @@ def assign_group(km: KMeansModel, instruction: str, d_embed: int, seed: int) -> 
     return int(kmeans_predict(km, vec).labels[0])
 
 
+def _score_packed(model: MoCEModel, records: list[InstructionRecord], groups: list[int],
+                  record: RoutingRecord | None = None) -> tuple[float, int]:
+    """Teacher-forced NLL sum and token count of ``records`` under ``groups``,
+    forwarded without a tape in ``_pack_chunks`` blocks and routed into
+    ``record`` when given. Each block adds its mean NLL times its token
+    count, in block order."""
+    pairs = [training_pair(encode_example(r)) for r in records]
+    nll_sum, n_tokens = 0.0, 0
+    with no_grad():
+        for chunk in _pack_chunks([len(inputs) for inputs, _, _ in pairs]):
+            mask = np.concatenate([pairs[i][2] for i in chunk])
+            logits = model.forward([pairs[i][0] for i in chunk], [groups[i] for i in chunk], record)
+            targets = np.concatenate([pairs[i][1] for i in chunk])
+            nll_sum += lm_loss(logits, targets, mask).item() * mask.sum()
+            n_tokens += int(mask.sum())
+    return nll_sum, n_tokens
+
+
 def evaluate_records(model: MoCEModel, km: KMeansModel, seed: int,
                      records: list[InstructionRecord]) -> dict:
     """Greedy-decode every record with its cluster-chosen group.
 
-    Reports exact match, teacher-forced NLL (over packed blocks of records)
-    and perplexity, and exact match broken out per source tag. No records
+    Reports exact match, teacher-forced NLL (``_score_packed``) and
+    perplexity, and exact match broken out per source tag. No records
     raise ContractError: none of these means is defined.
     """
     if not records:
         raise ContractError("evaluation needs at least one record")
     groups = [assign_group(km, r.instruction, km.dimension, seed) for r in records]
-    n_match = 0
-    by_source: dict[str, list[int]] = {}
+    nll_sum, n_tokens = _score_packed(model, records, groups)
+    by_source: dict[str, list[bool]] = {}
     for r, group in zip(records, groups):
         prompt = prompt_ids(r)
-        decoded = greedy_decode(
-            model, prompt, group,
-            max_new_tokens=model.cfg.max_seq_len - len(prompt), eos_id=EOS_ID,
-        )
-        match = completed_response(decoded[len(prompt):]) == r.response
-        n_match += int(match)
-        tally = by_source.setdefault(r.source or "unknown", [0, 0])
-        tally[0] += int(match)
-        tally[1] += 1
-    pairs = [training_pair(encode_example(r)) for r in records]
-    nll_sum = 0.0
-    nll_tokens = 0
-    with no_grad():
-        for chunk in _pack_chunks([len(inputs) for inputs, _, _ in pairs]):
-            mask = np.concatenate([pairs[i][2] for i in chunk])
-            logits = model.forward([pairs[i][0] for i in chunk], [groups[i] for i in chunk])
-            targets = np.concatenate([pairs[i][1] for i in chunk])
-            nll_sum += lm_loss(logits, targets, mask).item() * mask.sum()
-            nll_tokens += int(mask.sum())
-    mean_nll = nll_sum / nll_tokens
+        decoded = greedy_decode(model, prompt, group, model.cfg.max_seq_len - len(prompt), EOS_ID)
+        by_source.setdefault(r.source or "unknown", []).append(
+            completed_response(decoded[len(prompt):]) == r.response)
+    mean_nll = nll_sum / n_tokens
     return {
         "n_records": len(records),
-        "exact_match": n_match / len(records),
+        "exact_match": sum(map(sum, by_source.values())) / len(records),
         "mean_nll": mean_nll,
         "perplexity": float(np.exp(mean_nll)),
-        "by_source": {
-            src: {"exact_match": good / total, "n_records": total}
-            for src, (good, total) in sorted(by_source.items())
-        },
+        "by_source": {src: {"exact_match": sum(matches) / len(matches), "n_records": len(matches)}
+                      for src, matches in sorted(by_source.items())},
     }
 
 
 def pipeline_eval(run_dir: str, records: list[InstructionRecord],
                   output_path: str | None = None) -> dict:
-    model, km, seed = _load_run(run_dir)
-    _check_lengths(records, model.cfg.max_seq_len)
-    result = evaluate_records(model, km, seed, records)
+    result = evaluate_records(*_open_run(run_dir, records), records)
     if output_path:
         write_json(output_path, result)
     return result
@@ -371,36 +372,26 @@ def pipeline_eval(run_dir: str, records: list[InstructionRecord],
 
 def route_statistics(run_dir: str, records: list[InstructionRecord],
                      out_dir: str) -> dict:
-    """Forward the corpus once and export routing histograms.
+    """Score the corpus once with ``_score_packed`` and export routing histograms.
 
     Writes groups.csv (sequences per expert group), routers.csv (per
     router and expert: top-1 load fraction, mean gate probability,
     selection count), routes.csv (every token-level assignment), and
     stats.json with the aggregate balance loss.
     """
-    model, km, seed = _load_run(run_dir)
-    _check_lengths(records, model.cfg.max_seq_len)
+    model, km, seed = _open_run(run_dir, records)
     os.makedirs(out_dir, exist_ok=True)
     record = RoutingRecord()
     groups = [assign_group(km, r.instruction, km.dimension, seed) for r in records]
-    group_counts: dict[int, int] = {}
-    for group in groups:
-        group_counts[group] = group_counts.get(group, 0) + 1
-    inputs = [training_pair(encode_example(r))[0] for r in records]
-    with no_grad():
-        for chunk in _pack_chunks([len(ids) for ids in inputs]):
-            model.forward([inputs[i] for i in chunk], [groups[i] for i in chunk], record)
-
+    _score_packed(model, records, groups, record)
+    group_counts = np.bincount(np.array(groups, dtype=np.int64), minlength=km.k).tolist()
     write_csv(os.path.join(out_dir, "groups.csv"), ["group", "sequences"],
-              [[g, group_counts.get(g, 0)] for g in range(km.k)])
+              list(enumerate(group_counts)))
 
     router_rows = []
     for key in sorted(record.routers):
-        loads = record.load_fractions(key)
-        probs = record.mean_gate_probs(key)
-        selected = record.selections(key)
-        for i in range(len(loads)):
-            router_rows.append([key, i, loads[i], probs[i], int(selected[i])])
+        experts = zip(record.load_fractions(key), record.mean_gate_probs(key), record.selections(key))
+        router_rows += [[key, i, load, prob, int(n)] for i, (load, prob, n) in enumerate(experts)]
     write_csv(os.path.join(out_dir, "routers.csv"),
               ["router", "expert", "load_fraction", "mean_gate_prob", "selections"], router_rows)
 
@@ -409,12 +400,9 @@ def route_statistics(run_dir: str, records: list[InstructionRecord],
     stats = {
         "n_records": len(records),
         "tokens_seen": record.tokens_seen,
-        "group_counts": {str(g): c for g, c in sorted(group_counts.items())},
+        "group_counts": {str(g): c for g, c in enumerate(group_counts) if c},
         "balance_loss": load_balance_loss(record).item(),
-        "max_load_fraction": max(
-            (float(np.max(record.load_fractions(k))) for k in record.routers),
-            default=0.0,
-        ),
+        "max_load_fraction": float(max((row[2] for row in router_rows), default=0.0)),
     }
     write_json(os.path.join(out_dir, "stats.json"), stats)
     return stats

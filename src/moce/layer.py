@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .fileio import write_csv
-from .tensor import Tensor, adapter_mixture, add, feed_forward, gate_balance, router_gates
+from .tensor import Tensor, adapter_mixture, add, feed_forward, gate_balance, integers, router_gates
 
 log = logging.getLogger(__name__)
 
@@ -259,7 +259,9 @@ class MoCELayer:
     ``forward`` runs the group whose index the sequence-level clustering
     chose; all other groups stay untouched, so their parameters receive
     no gradient. The optional general group (the two-path variant) routes
-    every sequence regardless of cluster.
+    every sequence regardless of cluster. Construction settles the rule
+    of both paths: soft mode is top-N (``k`` becomes N), and only top-k
+    mode renormalises the kept weights.
     """
 
     def __init__(self, groups: list[ExpertGroup], base_ffn: FeedForward, k: int,
@@ -268,7 +270,7 @@ class MoCELayer:
         if not groups:
             raise ContractError("a mixture layer needs at least one expert group")
         n = groups[0].n_experts
-        for g in groups:
+        for g in groups if general_group is None else [*groups, general_group]:
             if g.n_experts != n:
                 raise ContractError("all expert groups must hold the same number of experts")
         if mode not in ROUTING_MODES:
@@ -277,9 +279,9 @@ class MoCELayer:
             raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
         self.groups = groups
         self.base_ffn = base_ffn
-        self.k = k
+        self.k = n if mode == "soft" else k
         self.mode = mode
-        self.renormalize = renormalize
+        self.renormalize = renormalize and mode == "topk"
         self.moe_scale = moe_scale
         self.general_group = general_group
         # Set by the owning model so stacked layers report their routers
@@ -291,7 +293,7 @@ class MoCELayer:
             return group_id
         return f"L{self.layer_key}.{group_id}"
 
-    def _dispatch(self, x: Tensor, base_out: Tensor, routes: list, k: int,
+    def _dispatch(self, x: Tensor, base_out: Tensor, routes: list,
                   record: RoutingRecord | None, residual: Tensor | None = None,
                   skip: Tensor | None = None) -> Tensor:
         """Route tokens and combine the selected experts' outputs, in one call.
@@ -299,19 +301,21 @@ class MoCELayer:
         ``routes`` lists (record key, group, rows) for each group present,
         in ascending group id; ``rows`` are the block rows the group owns,
         or None for all rows of a lone group. One ``router_gates`` op
-        scores each row with its group's router. A selection's global
-        expert id is its group's slot in ``routes`` times N plus the gate
-        column, and one ``adapter_mixture`` runs each selected expert once,
-        on exactly the rows that selected it, adds ``residual`` to each
-        expert's output when given, and returns ``skip`` plus the weighted
-        sum. The 0/1 mask is built only for a record or the renormalisation.
+        scores each row with its group's router, and the row keeps its top
+        ``self.k``. A selection's global expert id is its group's slot in
+        ``routes`` times N plus the gate column, and one ``adapter_mixture``
+        runs each selected expert once, on exactly the rows that selected
+        it, adds ``residual`` to each expert's output when given, and
+        returns ``skip`` plus the weighted sum. An empty block raises
+        ContractError.
         """
-        renormalize = self.renormalize and self.mode == "topk"
+        if x.shape[0] == 0:
+            raise ContractError("cannot route an empty token block")
         groups = [group for _, group, _ in routes]
         gates = router_gates(x, [g.router for g in groups], [rows for _, _, rows in routes])
-        chosen = _top_k_order(gates.data, k)
+        chosen = _top_k_order(gates.data, self.k)
         mask = None
-        if record is not None or renormalize:
+        if record is not None or self.renormalize:
             mask = np.zeros_like(gates.data)
             np.put_along_axis(mask, chosen, 1.0, axis=1)
         if record is not None:
@@ -330,14 +334,12 @@ class MoCELayer:
                 expert.rows_processed += count
         return adapter_mixture(base_out, gates, chosen, [e.w_down for e in experts],
                                [e.w_up for e in experts], self.base_ffn.act,
-                               mask if renormalize else None, self.moe_scale, residual, skip)
+                               mask if self.renormalize else None, self.moe_scale, residual, skip)
 
     def _group_path(self, x: Tensor, base_out: Tensor, group_id,
                     record: RoutingRecord | None) -> Tensor:
         """x plus the group path's mixture, in one ``adapter_mixture`` op."""
-        if x.shape[0] == 0:
-            raise ContractError("cannot route an empty token block")
-        row_groups = np.asarray(group_id, dtype=np.int64)
+        row_groups = integers(group_id, "group ids must be integers")
         if row_groups.ndim == 0:
             present, rows = row_groups.reshape(1), [None]
         elif row_groups.shape != (x.shape[0],):
@@ -345,21 +347,17 @@ class MoCELayer:
         else:
             present = np.unique(row_groups)
             rows = [None] if present.size == 1 else [np.nonzero(row_groups == g)[0] for g in present]
-        if present[0] < 0 or present[-1] >= len(self.groups):
+        # An empty block has no group present, and ``_dispatch`` rejects it.
+        if present.size and (present[0] < 0 or present[-1] >= len(self.groups)):
             raise ContractError(f"group id out of range for {len(self.groups)} groups")
         routes = [(self._record_key(int(g)), self.groups[g], r) for g, r in zip(present, rows)]
-        k = self.groups[0].n_experts if self.mode == "soft" else self.k
-        return self._dispatch(x, base_out, routes, k, record, skip=x)
+        return self._dispatch(x, base_out, routes, record, skip=x)
 
     def _general_path(self, x: Tensor, base_out: Tensor, record: RoutingRecord | None) -> Tensor:
         """The general group's mixture of full expert outputs (update plus x)."""
         if self.general_group is None:
             raise ContractError("this layer was built without a general group")
-        if x.shape[0] == 0:
-            raise ContractError("cannot route an empty token block")
-        group = self.general_group
-        k = group.n_experts if self.mode == "soft" else self.k
-        return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), group, None)], k,
+        return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), self.general_group, None)],
                               record, residual=x)
 
     def _base(self, x: Tensor, base_out: Tensor | None) -> Tensor:

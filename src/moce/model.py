@@ -299,10 +299,8 @@ class MoCEModel:
             raise ContractError("a K/V cache cannot be combined with a routing record")
         batch = _Packed(token_ids, self.cfg, 0 if cache is None else cache.length)
         row_groups = _row_groups(group_id, batch.lengths)
-        caches = ([None] * len(self.layers) if cache is None
-                  else [(keys, values, cache.length) for keys, values in cache.blocks])
-        x, base = self._block_rows(0, self.backbone.embed(batch), batch.lengths, caches[0])
-        logits = self._mixture(x, base, batch.lengths, row_groups, record, caches)
+        x, base = self._block_rows(0, self.backbone.embed(batch), batch.lengths, cache)
+        logits = self._mixture(x, base, batch.lengths, row_groups, record, cache)
         if cache is not None:
             cache.length += int(batch.lengths[0])
         return logits
@@ -328,15 +326,14 @@ class MoCEModel:
         self._check_first_block_frozen()
         lengths = np.array([x.shape[0] for x, _ in rows])
         x, base = (from_checked(np.concatenate(part)) for part in zip(*rows))
-        return self._mixture(x, base, lengths, _row_groups(group_id, lengths), record,
-                             [None] * len(self.layers))
+        return self._mixture(x, base, lengths, _row_groups(group_id, lengths), record)
 
-    def _block_rows(self, i: int, x: Tensor, lengths, cache: tuple | None = None
+    def _block_rows(self, i: int, x: Tensor, lengths, cache: KVCache | None = None
                     ) -> tuple[Tensor, Tensor]:
         """Block i's attention output rows over ``x`` and its frozen
-        feed-forward's rows over them."""
+        feed-forward's rows over them, attending over ``cache`` when given."""
         block = self.backbone.blocks[i]
-        x = block.attend(x, lengths, cache)
+        x = block.attend(x, lengths, None if cache is None else (*cache.blocks[i], cache.length))
         return x, block.base_ffn.forward(x)
 
     def _check_first_block_frozen(self) -> None:
@@ -347,12 +344,12 @@ class MoCEModel:
                              "are frozen, but one of their tensors requires a gradient")
 
     def _mixture(self, x: Tensor, base: Tensor, lengths: np.ndarray, row_groups: np.ndarray,
-                 record: RoutingRecord | None, caches: list) -> Tensor:
+                 record: RoutingRecord | None, cache: KVCache | None = None) -> Tensor:
         """Logits from layer 0's mixture on, given block 0's output rows ``x``
         and its frozen feed-forward's rows ``base`` over them."""
         for i, layer in enumerate(self.layers):
             if i:
-                x, base = self._block_rows(i, x, lengths, caches[i])
+                x, base = self._block_rows(i, x, lengths, cache)
             if self.cfg.variant:
                 x = layer.variant_forward(x, row_groups, record, base)
             else:
@@ -400,8 +397,8 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
     One forward reads the prompt into a K/V cache; each new token is then
     one forward over its own row. Nothing is recorded for a backward pass.
     Non-integer or boolean token or group ids, a prompt longer than
-    ``max_seq_len`` and a negative ``max_new_tokens`` raise ContractError
-    before any forward.
+    ``max_seq_len`` and a ``max_new_tokens`` that is negative, boolean or
+    not an integer raise ContractError before any forward.
     """
     prompt = integers(prompt_ids, "token ids must be integers")
     if prompt.size == 0:
@@ -411,6 +408,8 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
     integers(group_id, "group ids must be integers")
     if prompt.size > model.cfg.max_seq_len:
         raise ContractError(f"prompt length {prompt.size} exceeds max_seq_len {model.cfg.max_seq_len}")
+    if isinstance(max_new_tokens, bool) or not isinstance(max_new_tokens, (int, np.integer)):
+        raise ContractError(f"max_new_tokens must be an integer, got {max_new_tokens!r}")
     if max_new_tokens < 0:
         raise ContractError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
     ids = prompt.tolist()

@@ -27,8 +27,8 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: list[Tensor], lr: float):
-        if lr <= 0:
-            raise ContractError(f"learning rate must be positive, got {lr}")
+        if not np.isfinite(lr) or lr <= 0:
+            raise ContractError(f"learning rate must be positive and finite, got {lr}")
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("the same parameter was registered twice")

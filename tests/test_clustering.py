@@ -536,3 +536,33 @@ def test_malformed_starts_raise_before_any_fit(monkeypatch):
                    [good, good, good[0]]):
         with pytest.raises(ContractError, match="starts must be 3 arrays of at least 4 rows of width 2"):
             kmeans_fit(points, 4, seed=0, n_init=3, starts=starts)
+
+
+def test_k_one_runs_restart_zero_alone(monkeypatch):
+    """Every k = 1 restart assigns all points to one centroid and moves it
+    to their mean, so every restart ends with the same SSE bits and
+    restart 0 wins. ``kmeans_fit`` runs restart 0 alone, with or without
+    ``starts``, and its fit equals the best of all ten restarts run one by
+    one, on corpora 0-59."""
+    fits = []
+    fit = clustering._fit
+
+    def spy(points, start, seed):
+        fits.append(start.shape[0])
+        return fit(points, start, seed)
+
+    monkeypatch.setattr(clustering, "_fit", spy)
+    for seed in range(60):
+        points = bench_embeddings(seed)
+        starts = [_kmeanspp_init(points, 3, clustering.substream(seed, "kmeans-init", r))
+                  for r in range(10)]
+        best = min((fit(points, draw[:1], seed) for draw in starts), key=lambda f: f.final_sse)
+        fits.clear()
+        for got in (kmeans_fit(points, 1, seed=seed), kmeans_fit(points, 1, seed=seed, starts=starts),
+                    kmeans_fit(points, 1, seed=seed, n_init=1)):
+            assert got.centroids.tobytes() == best.centroids.tobytes(), seed
+            assert (got.final_sse, got.sse_history, got.seed) == \
+                (best.final_sse, best.sse_history, best.seed), seed
+        assert fits == [1, 1, 1]
+    kmeans_fit(bench_embeddings(0), 2, seed=0)
+    assert fits[3:] == [2] * 10

@@ -254,6 +254,20 @@ def test_decode_rejects_negative_max_new_tokens():
     assert calls == []
 
 
+@pytest.mark.parametrize("budget", [2.5, 2.0, True, np.bool_(True), "2", None],
+                         ids=["fraction", "float", "bool", "numpy-bool", "str", "none"])
+def test_decode_rejects_a_budget_that_is_not_an_integer(budget):
+    """A fractional, float, boolean or other non-integer token budget
+    raises before any forward, where 2.5 raised a bare TypeError and True
+    decoded one token; numpy integers are budgets like ints."""
+    model, calls = unforwarded(micro_cfg())
+    with pytest.raises(ContractError, match="max_new_tokens must be an integer"):
+        greedy_decode(model, [1, 2], 0, budget, 99)
+    assert calls == []
+    for n in (2, np.int64(2), np.uint8(2)):
+        assert len(greedy_decode(model, [1, 2], 0, n, 99)) == 4
+
+
 @pytest.mark.parametrize("top_k", [1, 2])
 def test_no_prefix_is_recomputed(top_k):
     """Each layer's adapters see the prompt once and every generated token

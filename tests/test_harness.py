@@ -291,6 +291,32 @@ class TestPipeline:
         monkeypatch.setattr(moce.model, "no_grad", contextlib.nullcontext)
         assert run("taped") == untaped
 
+    def test_eval_and_route_stats_forward_the_same_blocks(self, trained_run, corpus, tmp_path,
+                                                          monkeypatch):
+        """Both commands score through one packed pass: the same blocks of
+        the same lengths with the same groups, in order; route-stats routes
+        each block into its record, evaluation into none."""
+        out, _ = trained_run
+        records = corpus[:12] + corpus[-12:]  # both dialects
+        forward = moce.model.MoCEModel.forward
+        blocks = []
+
+        def spy(self, token_ids, group_id, record=None, cache=None):
+            if cache is None:  # the decodes' forwards fill a K/V cache
+                blocks.append(([len(ids) for ids in token_ids], [int(g) for g in group_id],
+                               record is not None))
+            return forward(self, token_ids, group_id, record, cache)
+
+        monkeypatch.setattr(moce.model.MoCEModel, "forward", spy)
+        pipeline_eval(out, records)
+        evaluated = blocks[:]
+        blocks.clear()
+        route_statistics(out, records, str(tmp_path / "stats"))
+        assert [b[:2] for b in blocks] == [b[:2] for b in evaluated]
+        assert len(evaluated) > 1 and sum(len(lengths) for lengths, _, _ in evaluated) == 24
+        assert {g for _, groups, _ in evaluated for g in groups} == {0, 1}
+        assert not any(b[2] for b in evaluated) and all(b[2] for b in blocks)
+
     def test_check_finite(self):
         _check_finite(1.0, "train", 3)
         with pytest.raises(NumericError, match="step 3"):
@@ -342,7 +368,7 @@ class TestOverLongRecords:
         assert not out.exists()
 
     def test_evaluating_no_records_rejected(self, trained_run):
-        model, km, seed = moce.harness._load_run(trained_run[0])
+        model, km, seed = moce.harness._open_run(trained_run[0], [])
         with pytest.raises(ContractError, match="at least one record"):
             moce.harness.evaluate_records(model, km, seed, [])
 

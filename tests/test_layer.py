@@ -320,6 +320,53 @@ class TestVariant:
         assert per_token == 2 * layer.k
 
 
+class TestRoutingInputs:
+    @pytest.mark.parametrize("method", ["forward", "variant_forward"])
+    @pytest.mark.parametrize("group_id", [1.5, True, np.bool_(True), [0.2, 1.7, 1.0],
+                                          [True, False, True], np.array([True, False, True])],
+                             ids=["fraction", "bool", "numpy-bool", "fractions", "bools",
+                                  "bool-array"])
+    def test_group_ids_must_be_integers(self, method, group_id):
+        """Floats and booleans were truncated to integer groups (1.5 and
+        True routed to group 1); now both paths reject them, as the model does."""
+        rng = np.random.default_rng(18)
+        layer = build_layer(rng, general=True)
+        x = Tensor(rng.standard_normal((3, 6)))
+        with pytest.raises(ContractError, match="group ids must be integers"):
+            getattr(layer, method)(x, group_id)
+        for integral in (1, np.int64(1), [0, 1, 1], np.array([0, 1, 1], dtype=np.uint8)):
+            assert getattr(layer, method)(x, integral).shape == (3, 6)
+
+    @pytest.mark.parametrize("method", ["forward", "variant_forward"])
+    @pytest.mark.parametrize("group_id", [0, [], np.array([], dtype=np.int64)],
+                             ids=["scalar", "empty-list", "empty-array"])
+    def test_an_empty_block_raises_before_any_group_lookup(self, method, group_id):
+        """An empty block is a ContractError whatever its groups, never an
+        IndexError from looking up the groups of no rows."""
+        layer = build_layer(np.random.default_rng(19), general=True)
+        with pytest.raises(ContractError, match="cannot route an empty token block"):
+            getattr(layer, method)(Tensor(np.zeros((0, 6))), group_id)
+
+    def test_soft_mode_is_top_n_for_both_paths(self):
+        """Construction settles the rule: soft mode keeps every expert
+        whatever k it is given, and only top-k mode renormalises."""
+        rng = np.random.default_rng(20)
+        layer = build_layer(rng, n_experts=3, k=1, general=True)
+        soft = MoCELayer(layer.groups, layer.base_ffn, k=1, mode="soft", renormalize=True,
+                         general_group=layer.general_group)
+        assert (soft.k, soft.renormalize) == (3, False)
+        record = RoutingRecord()
+        soft.variant_forward(Tensor(rng.standard_normal((4, 6))), 0, record)
+        assert len(record.rows) == 2 * 4 * 3
+
+    def test_general_group_must_hold_n_experts(self):
+        rng = np.random.default_rng(21)
+        layer = build_layer(rng, n_experts=3)
+        with pytest.raises(ContractError, match="same number of experts"):
+            MoCELayer(layer.groups, layer.base_ffn, k=2,
+                      general_group=build_layer(rng, n_experts=2).groups[0])
+
+
 class TestSparsity:
     def test_unselected_experts_do_no_work(self):
         """Experts that win no tokens are never invoked (call-count check)."""

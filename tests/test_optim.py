@@ -4,7 +4,7 @@ per-tensor reference, and never aliased by what copies the parameters."""
 import numpy as np
 import pytest
 
-from moce.errors import StateError
+from moce.errors import ContractError, StateError
 from moce.layer import RoutingRecord, load_balance_loss
 from moce.model import (DenseBaseModel, KVCache, ModelConfig, lm_loss, load_checkpoint,
                         save_checkpoint, upcycle_init)
@@ -64,6 +64,19 @@ def test_flat_adam_is_bit_exact_against_per_tensor_reference():
     assert not opt.m[lo:hi].any() and not opt.v[lo:hi].any()
     assert not any(np.shares_memory(p.data, opt.m) or np.shares_memory(p.data, opt.v)
                    for p in params)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
+def test_a_learning_rate_that_is_not_positive_and_finite_raises(lr):
+    """NaN and inf passed the old ``lr <= 0`` test, and one step then wrote
+    NaN or -inf into every parameter. Now the optimiser refuses them before
+    it moves any parameter into its flat buffer."""
+    p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    original = p.data
+    with pytest.raises(ContractError, match="learning rate must be positive and finite"):
+        Adam([p], lr=lr)
+    assert p.data is original
+    assert np.array_equal(original, np.arange(6.0).reshape(2, 3))
 
 
 def test_empty_parameter_list_steps():
