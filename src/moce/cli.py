@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration or contract violations, 3 malformed
-files, 4 numeric failures.
+Exit codes: 0 success, 2 configuration or contract violations (a model
+too large to allocate among them), 3 malformed files, 4 numeric failures.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MoceError, OSError) as exc:
+    except (MoceError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, FormatError):
             return EXIT_FORMAT

@@ -91,10 +91,13 @@ def _parse(text: str, hint, fmt: KeyValueFormat, where: str):
         if text not in fmt.false_true:
             raise fmt.error(f"{where}: expected {' or '.join(fmt.false_true)}, got {text!r}")
         return text == fmt.false_true[1]
-    try:
-        return kind(text)
-    except ValueError:
-        raise fmt.error(f"{where}: expected {_KIND_NAMES[kind]}, got {text!r}") from None
+    # int() and float() also read '3_2' and non-ASCII digits; the format does not.
+    if kind is str or (text.isascii() and "_" not in text):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise fmt.error(f"{where}: expected {_KIND_NAMES[kind]}, got {text!r}")
 
 
 def read_values(path, keys: dict, fmt: KeyValueFormat, header: str | None = None) -> dict:

@@ -147,11 +147,6 @@ def _loss_rows(examples, indices) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([examples[i][2] for i in indices]))
 
 
-def _packed_batch(examples, indices) -> tuple[list, np.ndarray, np.ndarray]:
-    """Inputs, targets and per-row loss weights of the examples at ``indices``."""
-    return [examples[i][0] for i in indices], *_loss_rows(examples, indices)
-
-
 def _pack_chunks(lengths: list[int]) -> list[list[int]]:
     """Consecutive index runs whose lengths sum to at most ``PACK_TOKENS`` (at least one each)."""
     chunks: list[list[int]] = []
@@ -224,8 +219,8 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     first_rows: list = [None] * len(examples)
 
     def dense_loss(indices):
-        inputs, targets, weights = _packed_batch(examples, indices)
-        loss = lm_loss(dense.forward(inputs), targets, weights)
+        logits = dense.forward([examples[i][0] for i in indices])
+        loss = lm_loss(logits, *_loss_rows(examples, indices))
         return loss, {"lm_loss": loss.item()}
 
     def adapter_loss(indices):

@@ -12,11 +12,14 @@ activation, and contributes a residual update. Per layer and path one
 group over its own rows, and one ``adapter_mixture`` op takes each row's
 chosen experts, runs every selected expert once, with one activation call
 over all of their rows, and adds the residual x; experts that win no
-tokens do no work at all. A routed layer is two engine ops beside its
-frozen feed-forward, and the two-path variant adds one more call and one
-``add``. ``RoutingRecord`` keeps only its router calls; the load
+tokens do no work at all. ``MoCELayer.forward`` is the one routed
+forward: the group path is two engine ops beside the frozen
+feed-forward, and a layer that holds a general group (the two-path
+variant) adds one more call over the same feed-forward rows and one
+``add``. ``RoutingRecord`` files each router call under its router when
+observed, with the (T, k) expert columns the call chose; the load
 fractions, gate means, selection counts and token-level routes are
-computed from them when read, and the balance loss is one
+computed from those calls when read, and the balance loss is one
 ``gate_balance`` op over them.
 """
 
@@ -140,15 +143,17 @@ def _picked(array: np.ndarray, rows) -> np.ndarray:
 class RoutingRecord:
     """Everything observed about routing during one or more forward passes.
 
-    Keeps, per router call, the live gate tensor with the router's rows of
-    it (so the balance loss can backpropagate), the selection mask and the
-    token offset. Everything else, from the load fractions to the
-    token-level ``rows``, is computed from those calls when read, adding
-    each call's terms in call order.
+    Files each router call under its router when observed: the live gate
+    tensor (so the balance loss can backpropagate), the router's rows of
+    it, the (T, k) expert columns its rows chose, the token offset and the
+    call's place among all calls. Everything else, from the load fractions
+    to the token-level ``rows``, is computed from those calls when read,
+    adding each call's terms in call order.
     """
 
     tokens_seen: int = 0
-    _calls: list = field(default_factory=list, repr=False)   # (key, gates, mask, rows, offset)
+    _routers: dict = field(default_factory=dict, repr=False)  # key -> [(gates, chosen, rows, offset, call)]
+    _n_calls: int = field(default=0, repr=False)
     _starts: list = field(default_factory=list, repr=False)  # first token index of each sequence
 
     def advance(self, n_tokens: int) -> None:
@@ -156,57 +161,54 @@ class RoutingRecord:
         self._starts.append(self.tokens_seen)
         self.tokens_seen += n_tokens
 
-    def observe(self, key, gates: Tensor, mask: np.ndarray, token_offset: int,
-                rows: np.ndarray | None = None) -> None:
+    def observe(self, key, gates: Tensor, chosen: np.ndarray, rows: np.ndarray | None = None) -> None:
         """Record one router's share of a router call over a block of tokens.
 
         ``rows`` selects this router's rows of the block's ``gates`` and
-        ``mask`` (None: every row), and block row r is token
-        ``token_offset + r``. ``mask`` marks the selected experts. Records
-        no engine op, computes nothing and copies nothing.
+        ``chosen`` (None: every row), ``chosen`` holds each row's selected
+        gate columns, and block row r is token ``tokens_seen + r``. A key
+        whose gates change width raises ContractError. Records no engine
+        op, computes nothing and copies nothing.
         """
-        self._calls.append((key, gates, mask, rows, token_offset))
-
-    def _by_router(self) -> dict:
-        """Each router's (gates, mask, rows) calls in call order, keyed in the
-        order of each router's first call."""
-        out: dict = {}
-        for key, gates, mask, rows, _ in self._calls:
-            calls = out.setdefault(key, [])
-            if calls and calls[0][0].shape[1] != gates.shape[1]:
-                raise ContractError(f"router '{key}' changed expert count mid-record")
-            calls.append((gates, mask, rows))
-        return out
+        calls = self._routers.setdefault(key, [])
+        if calls and calls[0][0].shape[1] != gates.shape[1]:
+            raise ContractError(f"router '{key}' changed expert count mid-record")
+        calls.append((gates, chosen, rows, self.tokens_seen, self._n_calls))
+        self._n_calls += 1
 
     @property
     def routers(self) -> dict:
         """Each router's calls as (block gate tensor, its rows or None for all)."""
-        return {key: [(gates, rows) for gates, _, rows in calls]
-                for key, calls in self._by_router().items()}
+        return {key: [(gates, rows) for gates, _, rows, _, _ in calls]
+                for key, calls in self._routers.items()}
 
     def _gate_values(self, key) -> list[np.ndarray]:
-        return [_picked(gates.data, rows) for gates, _, rows in self._by_router()[key]]
+        return [_picked(gates.data, rows) for gates, _, rows, _, _ in self._routers[key]]
 
     @property
     def rows(self) -> list:
         """Every selection as (token_idx, group, expert, weight).
 
-        Ordered by sequence, then router call, then token, then expert: the
-        order in which routing one sequence at a time would record them.
+        Ordered by sequence, then router call, then token, then expert
+        (ascending): the order in which routing one sequence at a time
+        would record them.
         """
-        if not self._calls:
+        if not self._routers:
             return []
+        keys = [None] * self._n_calls
         calls, tokens, experts, weights = [], [], [], []
-        for i, (_, gates, mask, rows, offset) in enumerate(self._calls):
-            t, e = np.nonzero(_picked(mask, rows))
-            calls.append(np.full(t.size, i))
-            tokens.append(offset + (t if rows is None else np.asarray(rows, dtype=np.int64)[t]))
-            experts.append(e)
-            weights.append(_picked(gates.data, rows)[t, e])
+        for key, entries in self._routers.items():
+            for gates, chosen, rows, offset, call in entries:
+                keys[call] = key
+                picked = _picked(chosen, rows)
+                t = np.repeat(np.arange(picked.shape[0]), picked.shape[1])
+                calls.append(np.full(t.size, call))
+                tokens.append(offset + (t if rows is None else np.asarray(rows, dtype=np.int64)[t]))
+                experts.append(picked.ravel())
+                weights.append(np.take_along_axis(_picked(gates.data, rows), picked, axis=1).ravel())
         call, token, expert, weight = (np.concatenate(a) for a in (calls, tokens, experts, weights))
         sequence = np.searchsorted(np.asarray(self._starts, dtype=np.int64), token, side="right")
         order = np.lexsort((expert, token, call, sequence))
-        keys = [c[0] for c in self._calls]
         return [(int(token[j]), keys[call[j]], int(expert[j]), float(weight[j])) for j in order]
 
     def load_fractions(self, key) -> np.ndarray:
@@ -225,9 +227,10 @@ class RoutingRecord:
 
     def selections(self, key) -> np.ndarray:
         """How many of this router's tokens selected each expert."""
-        counts = [np.add.reduce(_picked(mask, rows), axis=0).astype(np.int64)
-                  for _, mask, rows in self._by_router()[key]]
-        return sum(counts[1:], counts[0])
+        calls = self._routers[key]
+        width = calls[0][0].shape[1]
+        return sum(np.bincount(_picked(chosen, rows).ravel(), minlength=width)
+                   for _, chosen, rows, _, _ in calls)
 
     def write_csv(self, path: str) -> None:
         write_csv(path, ["token_idx", "group", "expert", "weight"], self.rows)
@@ -314,13 +317,13 @@ class MoCELayer:
         groups = [group for _, group, _ in routes]
         gates = router_gates(x, [g.router for g in groups], [rows for _, _, rows in routes])
         chosen = _top_k_order(gates.data, self.k)
-        mask = None
-        if record is not None or self.renormalize:
-            mask = np.zeros_like(gates.data)
-            np.put_along_axis(mask, chosen, 1.0, axis=1)
         if record is not None:
             for key, _, rows in routes:
-                record.observe(key, gates, mask, record.tokens_seen, rows)
+                record.observe(key, gates, chosen, rows)
+        mask = None
+        if self.renormalize:
+            mask = np.zeros_like(gates.data)
+            np.put_along_axis(mask, chosen, 1.0, axis=1)
         if len(routes) > 1:
             first = np.empty(x.shape[0], dtype=np.int64)  # each row's first global expert id
             for slot, (_, group, rows) in enumerate(routes):
@@ -334,11 +337,28 @@ class MoCELayer:
                 expert.rows_processed += count
         return adapter_mixture(base_out, gates, chosen, [e.w_down for e in experts],
                                [e.w_up for e in experts], self.base_ffn.act,
-                               mask if self.renormalize else None, self.moe_scale, residual, skip)
+                               mask, self.moe_scale, residual, skip)
 
-    def _group_path(self, x: Tensor, base_out: Tensor, group_id,
-                    record: RoutingRecord | None) -> Tensor:
-        """x plus the group path's mixture, in one ``adapter_mixture`` op."""
+    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
+                base_out: Tensor | None = None) -> Tensor:
+        """x plus the gated sum of the selected adapter updates of the group
+        path, plus, when the layer holds a general group, the general path.
+
+        ``group_id`` is one group for every row, or one group id per row of
+        a packed block; one router call scores each group present over its
+        own rows. ``base_out`` is the frozen feed-forward's rows over x when
+        the caller has them already; both paths read the same rows. The
+        general path routes every row and adds x to each selected expert's
+        output. With every W_up at zero the group path alone is exactly the
+        identity on x, for any k, the property upcycled initialisation
+        relies on; the general path then still adds x times the sum of its
+        kept gates.
+
+        The two paths meet in an ``add`` rather than in the general path's
+        ``skip``: with the skip, a backward over three or more layers sums
+        x's gradient terms in another order, and the gradients change in
+        their last bits.
+        """
         row_groups = integers(group_id, "group ids must be integers")
         if row_groups.ndim == 0:
             present, rows = row_groups.reshape(1), [None]
@@ -351,46 +371,12 @@ class MoCELayer:
         if present.size and (present[0] < 0 or present[-1] >= len(self.groups)):
             raise ContractError(f"group id out of range for {len(self.groups)} groups")
         routes = [(self._record_key(int(g)), self.groups[g], r) for g, r in zip(present, rows)]
-        return self._dispatch(x, base_out, routes, record, skip=x)
-
-    def _general_path(self, x: Tensor, base_out: Tensor, record: RoutingRecord | None) -> Tensor:
-        """The general group's mixture of full expert outputs (update plus x)."""
+        base_out = self.base_ffn.forward(x) if base_out is None else base_out
+        out = self._dispatch(x, base_out, routes, record, skip=x)
         if self.general_group is None:
-            raise ContractError("this layer was built without a general group")
-        return self._dispatch(x, base_out, [(self._record_key(GENERAL_KEY), self.general_group, None)],
-                              record, residual=x)
-
-    def _base(self, x: Tensor, base_out: Tensor | None) -> Tensor:
-        """``base_out``, or the frozen feed-forward's rows over x when the
-        caller passes none."""
-        return self.base_ffn.forward(x) if base_out is None else base_out
-
-    def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
-                base_out: Tensor | None = None) -> Tensor:
-        """Group-path output: x plus the gated sum of selected adapter updates.
-
-        ``group_id`` is one group for every row, or one group id per row of
-        a packed block; one router call scores each group present over its
-        own rows. ``base_out`` is the frozen feed-forward's rows over x when
-        the caller has them already. With every W_up at zero this is
-        exactly the identity on x, for any k, the property upcycled
-        initialisation relies on.
-        """
-        return self._group_path(x, self._base(x, base_out), group_id, record)
-
-    def variant_forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
-                        base_out: Tensor | None = None) -> Tensor:
-        """Two-path output: the group path plus the general path, over one base
-        FFN pass (``base_out``, as in ``forward``).
-
-        The two paths meet in an ``add`` rather than in the general path's
-        ``skip``: with the skip, a backward over three or more layers sums
-        x's gradient terms in another order, and the gradients change in
-        their last bits.
-        """
-        base_out = self._base(x, base_out)
-        return add(self._group_path(x, base_out, group_id, record),
-                   self._general_path(x, base_out, record))
+            return out
+        general = [(self._record_key(GENERAL_KEY), self.general_group, None)]
+        return add(out, self._dispatch(x, base_out, general, record, residual=x))
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = [p for g, group in enumerate(self.groups)

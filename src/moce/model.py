@@ -6,7 +6,9 @@ solely to feed adapter bottlenecks after upcycling. The mixture model's
 backbone is a frozen ``DenseBaseModel``: upcycling freezes a copy of the
 dense base and puts a fresh mixture layer (zero-init adapters) over every
 block, so the upcycled model computes bit-for-bit the dense base's
-function until training moves the adapters.
+function until training moves the adapters. That holds for the group
+path alone: with ``variant`` on, each layer's general path still adds x
+times the sum of its kept gates.
 
 A packed block carries its sequences' lengths, and the attention op
 keeps each sequence to its own rows; no block builds a mask. The
@@ -89,6 +91,9 @@ class ModelConfig:
             raise ConfigError(f"d_model={self.d_model} is not divisible by n_heads={self.n_heads}")
         if self.top_k > self.n_experts:
             raise ConfigError(f"top_k={self.top_k} exceeds n_experts={self.n_experts}")
+        if _parameter_count(self) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"the config describes {_parameter_count(self)} parameter values, "
+                              f"more than one float64 array can address")
 
 
 # The fields a dense base and the mixture model upcycled from it must share.
@@ -350,10 +355,7 @@ class MoCEModel:
         for i, layer in enumerate(self.layers):
             if i:
                 x, base = self._block_rows(i, x, lengths, cache)
-            if self.cfg.variant:
-                x = layer.variant_forward(x, row_groups, record, base)
-            else:
-                x = layer.forward(x, row_groups, record, base)
+            x = layer.forward(x, row_groups, record, base)
         if record is not None:
             for n in lengths:
                 record.advance(int(n))
@@ -374,8 +376,9 @@ def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoC
     The backbone is a frozen copy of ``dense_base`` under ``cfg``: new
     tensors holding copies of its arrays, so later writes to the dense
     base leave the mixture model as it was. Adapters start with W_up = 0
-    and routers small random, so the new model's function equals the
-    dense base's exactly.
+    and routers small random, so without ``cfg.variant`` the new model's
+    function equals the dense base's exactly; with it, each layer's
+    general path adds x times the sum of its kept gates.
     """
     differ = [f"{name} {getattr(dense_base.cfg, name)} vs {getattr(cfg, name)}"
               for name in _BACKBONE_FIELDS if getattr(dense_base.cfg, name) != getattr(cfg, name)]

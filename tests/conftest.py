@@ -8,8 +8,8 @@ path runs), the op chains the fused ``attention_block`` and
 it took each row's chosen experts, with ``np.add.at``, ``top_k_mask`` and
 ``general_path``, which no model path calls either,
 ``reset_instrumentation`` for the adapters' work counters,
-``write_run_config``, the broadcast nearest-centroid reference, and
-synthetic cluster geometry."""
+``write_run_config``, ``packed_batch``, the broadcast nearest-centroid
+reference, and synthetic cluster geometry."""
 
 import itertools
 
@@ -19,8 +19,8 @@ from moce import tensor
 from moce.config import format_lines
 from moce.errors import ContractError, NumericError, ShapeError
 from moce.fileio import write_atomic
-from moce.harness import RUN_FILE
-from moce.layer import _top_k_order
+from moce.harness import RUN_FILE, _loss_rows
+from moce.layer import GENERAL_KEY, _top_k_order
 from moce.tensor import Tensor, add, backward
 
 
@@ -62,9 +62,9 @@ def top_k_mask(gates, k):
 
 def general_path(layer, x, record=None):
     """``layer``'s always-on second path alone: the gated sum of full
-    general-expert outputs, the half of ``variant_forward`` past the group
-    path."""
-    return layer._general_path(x, layer.base_ffn.forward(x), record)
+    general-expert outputs, which ``forward`` adds to the group path."""
+    routes = [(layer._record_key(GENERAL_KEY), layer.general_group, None)]
+    return layer._dispatch(x, layer.base_ffn.forward(x), routes, record, residual=x)
 
 
 def reset_instrumentation(model):
@@ -80,6 +80,12 @@ def reset_instrumentation(model):
 def write_run_config(path, cfg):
     """Write ``cfg`` as the run file ``parse_run_config`` reads, every key set."""
     write_atomic(path, "".join(line + "\n" for line in format_lines(cfg, RUN_FILE)))
+
+
+def packed_batch(examples, indices):
+    """Inputs, targets and per-row loss weights of the training examples at
+    ``indices``, packed as the pretraining step packs them."""
+    return [examples[i][0] for i in indices], *_loss_rows(examples, indices)
 
 
 def matmul(a, b):

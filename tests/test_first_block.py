@@ -8,10 +8,10 @@ import pytest
 import moce.harness
 import moce.layer
 import moce.model
+from conftest import packed_batch
 from moce.data import make_two_dialect_corpus, split_dataset
 from moce.errors import StateError
-from moce.harness import (RunConfig, _batch_indices, _packed_batch, _training_example,
-                          model_config_from)
+from moce.harness import RunConfig, _batch_indices, _training_example, model_config_from
 from moce.layer import RoutingRecord, load_balance_loss
 from moce.model import DenseBaseModel, lm_loss, upcycle_init
 from moce.optim import Adam
@@ -63,7 +63,7 @@ def test_cached_rows_are_bit_equal_on_one_length_blocks(variant):
     examples = [_training_example(r) for r in make_two_dialect_corpus(100, seed=0)]
     for start in range(3):
         indices = list(range(start, 200, 25))
-        inputs, targets, weights = _packed_batch(examples, indices)
+        inputs, targets, weights = packed_batch(examples, indices)
         assert len({ids.size for ids in inputs}) == 1
         groups = [i % 2 for i in indices]
         (logits, loss, grads), (c_logits, c_loss, c_grads) = both_paths(

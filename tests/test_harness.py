@@ -110,6 +110,7 @@ class TestRunConfig:
         "moe_scale=inf",
         "lr=nan",
         "balance_weight=nan",
+        "max_seq_len=1000000000000000000",
     ], ids=lambda fault: fault.replace("\n", "+"))
     def test_fault_fails_before_any_stage(self, tmp_path, fault, capsys):
         """Every field and cross-field rule is checked when the file is read:
@@ -124,6 +125,18 @@ class TestRunConfig:
         assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "run.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["d_model=3_2", "train_steps=\uff11\uff10", "lr=1_0e-3"],
+                             ids=["underscore-int", "full-width-int", "underscore-float"])
+    def test_numerals_are_plain_ascii(self, tmp_path, line):
+        """int() and float() read '3_2' as 32 and full-width digits as ASCII
+        ones; a run file holds neither, and the error names the file, the
+        line and the key."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n_groups=2\n{line}\n", encoding="utf-8")
+        key = line.partition("=")[0]
+        with pytest.raises(ConfigError, match=f"run.cfg:2: {key}: expected"):
+            parse_run_config(str(path))
 
     def test_value_validation(self):
         with pytest.raises(ConfigError):
@@ -328,6 +341,27 @@ class TestPipeline:
 def over_long(n):
     """Records whose encoded examples need more than the default 64 tokens."""
     return [InstructionRecord(f"long-{i}", "F " + "1" * 80, "1", "digits") for i in range(n)]
+
+
+def test_unallocatable_model_exits_2(tmp_path, monkeypatch, capsys):
+    """A model that passes every config rule but cannot be allocated exits
+    2, not with a traceback. The first run's position table needs 2.56e17
+    bytes, past any 64-bit address space, so numpy refuses it without
+    allocating anything; the second run's build raises MemoryError."""
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(data, make_two_dialect_corpus(10, seed=0))
+    path = tmp_path / "run.cfg"
+    path.write_text("n_groups=2\nmax_seq_len=1000000000000000\n")
+    assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(tmp_path / "a")]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+    def refuse(cfg, seed):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(moce.model.DenseBaseModel, "build", refuse)
+    path.write_text("n_groups=2\n")
+    assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(tmp_path / "b")]) == 2
+    assert "error: no room" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("groups", ["n_groups=9", "k_max=9"])

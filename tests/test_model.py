@@ -209,6 +209,22 @@ class TestForwardContracts:
             tokens = [token for token, group, _, _ in record.rows if group == key]
             assert sorted(tokens) == [t for t in range(3) for _ in range(cfg.top_k)]
 
+    def test_selections_count_each_routers_rows(self):
+        """One packed block of two groups in a variant model: each router's
+        selection counts are the per-expert counts of its entries in
+        ``record.rows``, and sum to top_k times the router's tokens."""
+        cfg = micro_cfg(n_experts=3, top_k=2, variant=True)
+        moce = upcycle_init(DenseBaseModel.build(cfg, seed=9), cfg, seed=9)
+        record = RoutingRecord()
+        moce.forward([[1, 2, 3], [4, 5], [6, 7, 8, 9]], [0, 1, 0], record)
+        tokens = {"0": 7, "1": 2, "general": 9}
+        assert sorted(record.routers) == [f"L{i}.{g}" for i in range(2) for g in sorted(tokens)]
+        for key in record.routers:
+            experts = [expert for _, group, expert, _ in record.rows if group == key]
+            counts = record.selections(key)
+            assert counts.tolist() == np.bincount(experts, minlength=3).tolist()
+            assert counts.sum() == cfg.top_k * tokens[key.partition(".")[2]]
+
     def test_frozen_backbone_receives_no_gradient(self):
         cfg = micro_cfg()
         moce = upcycle_init(DenseBaseModel.build(cfg, seed=12), cfg, seed=12)
@@ -374,6 +390,10 @@ MANIFEST_FAULTS = {
     "seed-x1": (_set("seed", "x1"), FormatError, 3),
     "n_heads-0": (_set("config.n_heads", "0"), ConfigError, 2),
     "duplicate-top_k": (lambda lines: lines + ["config.top_k=2"], FormatError, 3),
+    # Numerals that int() and float() would read as the saved values.
+    "d_model-underscore": (_set("config.d_model", "0_8"), FormatError, 3),
+    "seed-full-width": (_set("seed", "\uff11\uff18"), FormatError, 3),
+    "moe_scale-underscore": (_set("config.moe_scale", "1_0e-1"), FormatError, 3),
     # Sizes that pass their rules but describe a model far larger than the blob.
     "vocab_size-huge": (_set("config.vocab_size", "99999999999999999999"), ConfigError, 2),
     "d_model-huge": (_set("config.d_model", "100000000"), ConfigError, 2),

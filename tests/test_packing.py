@@ -4,11 +4,11 @@ sequences compute one at a time, and one packed step must stay small."""
 import numpy as np
 import pytest
 
-from conftest import reset_instrumentation
+from conftest import packed_batch, reset_instrumentation
 from moce import tensor
 from moce.data import make_two_dialect_corpus, prompt_ids
 from moce.errors import ContractError
-from moce.harness import RunConfig, _packed_batch, _training_example, model_config_from
+from moce.harness import RunConfig, _training_example, model_config_from
 from moce.layer import RoutingRecord, load_balance_loss
 from moce.model import DenseBaseModel, ModelConfig, greedy_decode, lm_loss, upcycle_init
 from moce.tensor import add, backward, mul
@@ -221,7 +221,7 @@ def test_adapter_step_stays_small():
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     examples = [_training_example(r) for r in make_two_dialect_corpus(100, seed=0)]
     indices = list(range(0, 200, 25))
-    inputs, targets, weights = _packed_batch(examples, indices)
+    inputs, targets, weights = packed_batch(examples, indices)
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
     loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
@@ -244,7 +244,7 @@ def test_fused_ops_keep_decode_and_step_small(monkeypatch):
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
     examples = [_training_example(r) for r in records]
-    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    inputs, targets, weights = packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
     loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
@@ -277,7 +277,7 @@ def test_one_mixture_op_per_router_call(monkeypatch):
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
     examples = [_training_example(r) for r in records]
-    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    inputs, targets, weights = packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
     loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
@@ -311,7 +311,7 @@ def test_one_router_call_per_layer(monkeypatch):
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
     examples = [_training_example(r) for r in records]
-    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    inputs, targets, weights = packed_batch(examples, list(range(0, 200, 25)))
     ops = []
     result = tensor._result
 
@@ -349,7 +349,7 @@ def test_one_op_per_sublayer(monkeypatch):
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
     examples = [_training_example(r) for r in records]
-    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    inputs, targets, weights = packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
     loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
@@ -385,7 +385,7 @@ def test_ten_ops_per_decoded_token(monkeypatch):
     model = upcycle_init(DenseBaseModel.build(mcfg, seed=0), mcfg, seed=0)
     records = make_two_dialect_corpus(100, seed=0)
     examples = [_training_example(r) for r in records]
-    inputs, targets, weights = _packed_batch(examples, list(range(0, 200, 25)))
+    inputs, targets, weights = packed_batch(examples, list(range(0, 200, 25)))
     record = RoutingRecord()
     logits = model.forward(inputs, [i % 2 for i in range(8)], record)
     loss = add(lm_loss(logits, targets, weights), mul(load_balance_loss(record), 0.01))
