@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ContractError, FormatError, NumericError
+from .errors import ContractError, FormatError, NumericError, integer
 from .fileio import read_table, write_csv, write_table
 from .seeding import substream, substream_seed
 
@@ -247,14 +247,12 @@ def kmeans_fit(embeddings, k: int, seed: int, n_init: int = 10, starts=None) -> 
     call without ``starts``; a caller fitting several k on the same seed
     draws once for the largest.
     """
+    k, n_init = integer(k, "cluster count", 1), integer(n_init, "n_init", 1)
+    seed = integer(seed, "seed")
     points = _points(embeddings)
     n = points.shape[0]
-    if k < 1:
-        raise ContractError(f"cluster count must be positive, got {k}")
     if k > n:
         raise ContractError(f"cannot fit {k} clusters to {n} points")
-    if n_init < 1:
-        raise ContractError(f"n_init must be positive, got {n_init}")
     if starts is None:
         starts = (_kmeanspp_init(points, k, substream(seed, "kmeans-init", restart))
                   for restart in range(n_init))
@@ -319,9 +317,8 @@ def elbow_select(embeddings, k_max: int = 10, seed: int = 0) -> ElbowReport:
     lists any k whose SSE still rose, which only a broken invariant can
     cause.
     """
+    k_max = integer(k_max, "k_max", 3)
     points = _points(embeddings)
-    if k_max < 3:
-        raise ContractError(f"elbow selection needs k_max >= 3, got {k_max}")
     if points.shape[0] < k_max:
         raise ContractError(f"need at least k_max={k_max} points, got {points.shape[0]}")
 

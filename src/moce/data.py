@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, integer
 from .fileio import read_lines, write_atomic
 from .seeding import substream
 
@@ -191,8 +191,7 @@ def make_two_dialect_corpus(n_per_dialect: int, seed: int) -> list[InstructionRe
     sequence embeddings separate them; the markers vary per example, so
     token-level routing has something left to specialise on.
     """
-    if n_per_dialect < 2:
-        raise ContractError(f"need at least 2 records per dialect, got {n_per_dialect}")
+    integer(n_per_dialect, "records per dialect", 2)
     rng = substream(seed, "data_order", "corpus")
     records: list[InstructionRecord] = []
     specs = [

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, integer
 from .fileio import read_table, write_table
 
 EMB_MAGIC = "MOCE-EMB"
@@ -56,10 +56,11 @@ def embed_sequence(tokens: Sequence[int | str], d_e: int = 64, seed: int = 0) ->
     """Hash token unigrams and bigrams into a unit vector of size ``d_e``.
 
     Pure in (tokens, d_e, seed): the hash is keyed, never Python's salted
-    ``hash``. Bigrams make the result order-sensitive.
+    ``hash``. Bigrams make the result order-sensitive. n tokens give 2n - 1
+    features, an odd number of +-1 terms, so some bucket is non-zero and
+    the norm is at least 1 / (2n - 1): the vector always has unit length.
     """
-    if d_e < 1:
-        raise ContractError(f"embedding dimension must be positive, got {d_e}")
+    d_e, seed = integer(d_e, "embedding dimension", 1), integer(seed, "seed")
     toks = [str(t) for t in tokens]
     if not toks:
         raise ContractError("cannot embed an empty token sequence")
@@ -72,15 +73,7 @@ def embed_sequence(tokens: Sequence[int | str], d_e: int = 64, seed: int = 0) ->
         sign = 1.0 if (h >> 32) & 1 else -1.0
         v[bucket] += sign
     v /= len(features)
-
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        # Total sign cancellation across buckets; fall back to a
-        # deterministic unit vector so the norm contract always holds.
-        v[:] = 0.0
-        v[_hash_feature(seed, "z", "\x1f".join(toks)) % d_e] = 1.0
-        return v
-    return v / norm
+    return v / float(np.linalg.norm(v))
 
 
 def embed_dataset(sequences: list[tuple[str, Sequence[int | str]]], d_e: int = 64, seed: int = 0) -> EmbeddingSet:

@@ -194,6 +194,9 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         value = getattr(cfg, name)
         if value is not None and value > len(train):
             raise ConfigError(f"{name}={value} exceeds the {len(train)} training records")
+    # Built before anything is written, so a model too large to allocate
+    # leaves no files; its arrays read no mixture field.
+    dense = DenseBaseModel.build(model_config_from(cfg, cfg.n_groups or 1), cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
 
     emb = embed_dataset(
@@ -244,7 +247,6 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
 
     metrics_path = os.path.join(out_dir, METRICS_FILE)
     with open(metrics_path, "w", encoding="utf-8") as metrics:
-        dense = DenseBaseModel.build(mcfg, cfg.seed)
         _train(cfg, "pretrain", dense, cfg.pretrain_steps, len(examples), dense_loss, metrics)
         moce = upcycle_init(dense, mcfg, cfg.seed)
         losses = _train(cfg, "train", moce, cfg.train_steps, len(examples), adapter_loss, metrics)

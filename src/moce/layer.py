@@ -7,16 +7,18 @@ softmax router scores the group's adapter experts per token and the top-k
 keep their original softmax weights with no renormalisation, so the weights
 of unselected experts are simply zero. Each expert is a bottleneck
 adapter over one shared frozen feed-forward block, with that block's
-activation, and contributes a residual update. Per layer and path one
-``router_gates`` op scores a packed block for every group present, each
-group over its own rows, and one ``adapter_mixture`` op takes each row's
-chosen experts, runs every selected expert once, with one activation call
-over all of their rows, and adds the residual x; experts that win no
+activation, and contributes an update; the residual x is added once per
+layer. Per layer and path one ``router_gates`` op scores a packed block
+for every group present, each group over its own rows, and one
+``adapter_mixture`` op takes each row's chosen experts, runs every
+selected expert once, with one activation call over all of their rows,
+and adds the weighted updates onto its ``skip``; experts that win no
 tokens do no work at all. ``MoCELayer.forward`` is the one routed
 forward: the group path is two engine ops beside the frozen
-feed-forward, and a layer that holds a general group (the two-path
-variant) adds one more call over the same feed-forward rows and one
-``add``. ``RoutingRecord`` files each router call under its router when
+feed-forward, with x as its skip, and a layer that holds a general
+group (the two-path variant) adds one more call over the same
+feed-forward rows, with the group path's output as its skip.
+``RoutingRecord`` files each router call under its router when
 observed, with the (T, k) expert columns the call chose; the load
 fractions, gate means, selection counts and token-level routes are
 computed from those calls when read, and the balance loss is one
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .fileio import write_csv
-from .tensor import Tensor, adapter_mixture, add, feed_forward, gate_balance, integers, router_gates
+from .tensor import Tensor, adapter_mixture, feed_forward, gate_balance, integers, router_gates
 
 log = logging.getLogger(__name__)
 
@@ -67,10 +69,10 @@ class AdapterExpert:
 
     Its update is act(base_out @ W_down) @ W_up, with the base block's ``act``;
     ``adapter_mixture`` computes it for all of one router call's experts at
-    once, and the full output adds the residual input x. With W_up all
-    zero the update is exactly zero, which is what makes zero-initialised
-    upcycling function-preserving. ``forward_calls`` and ``rows_processed``
-    count actual work for the sparsity assertions.
+    once, and the expert adds nothing else: the layer adds the residual x
+    once. With W_up all zero the update is exactly zero, which is what makes
+    zero-initialised upcycling function-preserving. ``forward_calls`` and
+    ``rows_processed`` count actual work for the sparsity assertions.
     """
 
     def __init__(self, w_down: Tensor, w_up: Tensor):
@@ -297,9 +299,8 @@ class MoCELayer:
         return f"L{self.layer_key}.{group_id}"
 
     def _dispatch(self, x: Tensor, base_out: Tensor, routes: list,
-                  record: RoutingRecord | None, residual: Tensor | None = None,
-                  skip: Tensor | None = None) -> Tensor:
-        """Route tokens and combine the selected experts' outputs, in one call.
+                  record: RoutingRecord | None, skip: Tensor | None = None) -> Tensor:
+        """Route tokens and combine the selected experts' updates, in one call.
 
         ``routes`` lists (record key, group, rows) for each group present,
         in ascending group id; ``rows`` are the block rows the group owns,
@@ -308,9 +309,8 @@ class MoCELayer:
         ``self.k``. A selection's global expert id is its group's slot in
         ``routes`` times N plus the gate column, and one ``adapter_mixture``
         runs each selected expert once, on exactly the rows that selected
-        it, adds ``residual`` to each expert's output when given, and
-        returns ``skip`` plus the weighted sum. An empty block raises
-        ContractError.
+        it, and returns the weighted sum of the updates, plus ``skip`` when
+        given. An empty block raises ContractError.
         """
         if x.shape[0] == 0:
             raise ContractError("cannot route an empty token block")
@@ -337,27 +337,23 @@ class MoCELayer:
                 expert.rows_processed += count
         return adapter_mixture(base_out, gates, chosen, [e.w_down for e in experts],
                                [e.w_up for e in experts], self.base_ffn.act,
-                               mask, self.moe_scale, residual, skip)
+                               mask, self.moe_scale, skip)
 
     def forward(self, x: Tensor, group_id, record: RoutingRecord | None = None,
                 base_out: Tensor | None = None) -> Tensor:
         """x plus the gated sum of the selected adapter updates of the group
-        path, plus, when the layer holds a general group, the general path.
+        path, plus, when the layer holds a general group, that of the
+        general path.
 
         ``group_id`` is one group for every row, or one group id per row of
         a packed block; one router call scores each group present over its
         own rows. ``base_out`` is the frozen feed-forward's rows over x when
         the caller has them already; both paths read the same rows. The
-        general path routes every row and adds x to each selected expert's
-        output. With every W_up at zero the group path alone is exactly the
-        identity on x, for any k, the property upcycled initialisation
-        relies on; the general path then still adds x times the sum of its
-        kept gates.
-
-        The two paths meet in an ``add`` rather than in the general path's
-        ``skip``: with the skip, a backward over three or more layers sums
-        x's gradient terms in another order, and the gradients change in
-        their last bits.
+        general path routes every row, and its dispatch adds its updates
+        onto the group path's output. With every W_up at zero each update
+        is exactly zero, so the layer is exactly the identity on x, for any
+        k and with or without the general path, the property upcycled
+        initialisation relies on.
         """
         row_groups = integers(group_id, "group ids must be integers")
         if row_groups.ndim == 0:
@@ -376,7 +372,7 @@ class MoCELayer:
         if self.general_group is None:
             return out
         general = [(self._record_key(GENERAL_KEY), self.general_group, None)]
-        return add(out, self._dispatch(x, base_out, general, record, residual=x))
+        return self._dispatch(x, base_out, general, record, skip=out)
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         out = [p for g, group in enumerate(self.groups)

@@ -6,9 +6,8 @@ solely to feed adapter bottlenecks after upcycling. The mixture model's
 backbone is a frozen ``DenseBaseModel``: upcycling freezes a copy of the
 dense base and puts a fresh mixture layer (zero-init adapters) over every
 block, so the upcycled model computes bit-for-bit the dense base's
-function until training moves the adapters. That holds for the group
-path alone: with ``variant`` on, each layer's general path still adds x
-times the sum of its kept gates.
+function until training moves the adapters, with ``variant`` on or off:
+every expert of both paths contributes only its update.
 
 A packed block carries its sequences' lengths, and the attention op
 keeps each sequence to its own rows; no block builds a mask. The
@@ -38,7 +37,7 @@ import numpy as np
 
 from .config import (KeyValueFormat, build, check_fields, format_lines, read_values, schema,
                      setting)
-from .errors import ConfigError, ContractError, FormatError, NumericError, StateError
+from .errors import ConfigError, ContractError, FormatError, NumericError, StateError, integer
 from .fileio import write_atomic
 from .layer import ROUTING_MODES, ExpertGroup, FeedForward, MoCELayer, RoutingRecord
 from .seeding import substream
@@ -376,9 +375,9 @@ def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoC
     The backbone is a frozen copy of ``dense_base`` under ``cfg``: new
     tensors holding copies of its arrays, so later writes to the dense
     base leave the mixture model as it was. Adapters start with W_up = 0
-    and routers small random, so without ``cfg.variant`` the new model's
-    function equals the dense base's exactly; with it, each layer's
-    general path adds x times the sum of its kept gates.
+    and routers small random, so the new model's function equals the
+    dense base's exactly, for every routing setting and with or without
+    ``cfg.variant``.
     """
     differ = [f"{name} {getattr(dense_base.cfg, name)} vs {getattr(cfg, name)}"
               for name in _BACKBONE_FIELDS if getattr(dense_base.cfg, name) != getattr(cfg, name)]
@@ -411,10 +410,7 @@ def greedy_decode(model: MoCEModel, prompt_ids, group_id: int, max_new_tokens: i
     integers(group_id, "group ids must be integers")
     if prompt.size > model.cfg.max_seq_len:
         raise ContractError(f"prompt length {prompt.size} exceeds max_seq_len {model.cfg.max_seq_len}")
-    if isinstance(max_new_tokens, bool) or not isinstance(max_new_tokens, (int, np.integer)):
-        raise ContractError(f"max_new_tokens must be an integer, got {max_new_tokens!r}")
-    if max_new_tokens < 0:
-        raise ContractError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+    max_new_tokens = integer(max_new_tokens, "max_new_tokens", 0)
     ids = prompt.tolist()
     cache = KVCache(model.cfg)
     rows = list(ids)

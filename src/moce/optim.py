@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ContractError, StateError
@@ -27,6 +29,8 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: list[Tensor], lr: float):
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+            raise ContractError(f"learning rate must be a real number, got {lr!r}")
         if not np.isfinite(lr) or lr <= 0:
             raise ContractError(f"learning rate must be positive and finite, got {lr}")
         self.params = list(params)

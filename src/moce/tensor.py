@@ -632,7 +632,7 @@ def gate_balance(calls: Sequence[Sequence[tuple]], weights: Sequence) -> Tensor:
 
 def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tensor],
                     w_ups: Sequence[Tensor], act: str, renorm_mask=None, scale: float = 1.0,
-                    residual: Tensor | None = None, skip: Tensor | None = None) -> Tensor:
+                    skip: Tensor | None = None) -> Tensor:
     """The chosen adapters of one or more routers, weighted by their gates, in one op.
 
     Row t of the (T, d) ``base`` goes to the k experts ``chosen[t]``, a
@@ -641,14 +641,14 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     e % N: the pair (t, e) weighs ``gates[t, e % N]``, divided by row t's
     total gate over the 0/1 ``renorm_mask`` when given. The op sorts the
     pairs by expert, stably, so that expert e runs act(base[rows] @
-    w_downs[e]) @ w_ups[e] once over the rows that chose it, plus
-    ``residual[rows]`` when given; one activation call covers every pair.
-    Each row adds its weighted pairs in pair order onto zeros (one
-    ``np.bincount`` over the (row, column) cells, the bits of
-    ``np.add.at``), the sum is multiplied by ``scale``, and with ``skip``
-    the op returns skip + that. An expert no row chose does no work, and
-    its weights get no gradient: None, not zeros. The experts share one
-    rank r.
+    w_downs[e]) @ w_ups[e] once over the rows that chose it; one activation
+    call covers every pair. Each row adds its weighted pairs in pair order
+    onto zeros (one ``np.bincount`` over the (row, column) cells, the bits
+    of ``np.add.at``), the sum is multiplied by ``scale``, and with
+    ``skip`` the op returns skip + that: the mixture carries updates only,
+    and the caller's ``skip`` carries the residual. An expert no row chose
+    does no work, and its weights get no gradient: None, not zeros. The
+    experts share one rank r.
     """
     ids = integers(chosen, "adapter_mixture needs integer expert ids")
     n, shape = len(w_downs), base.data.shape
@@ -671,10 +671,8 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
                              f"rank, got {w_down.data.shape} and {w_up.data.shape}")
     if act not in ACTIVATIONS:
         raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
-    for name, extra in (("residual", residual), ("skip", skip)):
-        if extra is not None and extra.data.shape != shape:
-            raise ShapeError(f"adapter_mixture {name} must match the base {shape}, "
-                             f"got {extra.data.shape}")
+    if skip is not None and skip.data.shape != shape:
+        raise ShapeError(f"adapter_mixture skip must match the base {shape}, got {skip.data.shape}")
     flat = ids.ravel()
     order = flat.argsort(kind="stable")
     idx = order // ids.shape[1]  # each pair's row, pairs sorted by expert
@@ -690,7 +688,7 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
             raise NumericError("adapter_mixture cannot renormalise a (near-)zero gate total")
         inverse = 1.0 / totals
         weight = pair_gate * inverse[idx, 0]
-    parents = (base, gates, *w_downs, *w_ups, *(t for t in (residual, skip) if t is not None))
+    parents = (base, gates, *w_downs, *w_ups, *(() if skip is None else (skip,)))
     counts = np.bincount(flat, minlength=n)
     ends = counts.cumsum().tolist()
     spans = [(e, hi - c, hi) for e, (c, hi) in enumerate(zip(counts.tolist(), ends)) if c]
@@ -702,8 +700,6 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     out = np.empty((flat.size, d))
     for e, lo, hi in spans:
         out[lo:hi] = value[lo:hi] @ w_ups[e].data
-    if residual is not None:
-        out = out + residual.data[idx]
     # bincount adds each cell's values in pair order onto zero, as np.add.at does.
     cells = (idx[:, None] * d + np.arange(d)).ravel()
 
@@ -717,7 +713,7 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
     def grad_fn(g: np.ndarray):
         g_pairs = (g * scale if scale != 1.0 else g)[idx]
         d_out = g_pairs * weight[:, None]
-        d_gates = d_base = d_residual = None
+        d_gates = d_base = None
         if gates.requires_grad:
             # A row may read one gate column from two blocks: its cell adds both.
             d_weight = np.add.reduce(g_pairs * out, axis=1)
@@ -740,10 +736,7 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
                 d_rows[lo:hi] = d_pre[lo:hi] @ w_downs[e].data.T
         if d_rows is not None:
             d_base = to_rows(d_rows)
-        if residual is not None and residual.requires_grad:
-            d_residual = to_rows(d_out)
-        extras = (d for t, d in ((residual, d_residual), (skip, g)) if t is not None)
-        return (d_base, d_gates, *d_downs, *d_ups, *extras)
+        return (d_base, d_gates, *d_downs, *d_ups, *(() if skip is None else (g,)))
 
     return _result(data if skip is None else skip.data + data, parents, grad_fn,
                    f"adapter_mixture[{act}]")

@@ -61,10 +61,10 @@ def top_k_mask(gates, k):
 
 
 def general_path(layer, x, record=None):
-    """``layer``'s always-on second path alone: the gated sum of full
-    general-expert outputs, which ``forward`` adds to the group path."""
+    """``layer``'s always-on second path alone: the gated sum of the
+    general experts' updates, which ``forward`` adds to the group path."""
     routes = [(layer._record_key(GENERAL_KEY), layer.general_group, None)]
-    return layer._dispatch(x, layer.base_ffn.forward(x), routes, record, residual=x)
+    return layer._dispatch(x, layer.base_ffn.forward(x), routes, record)
 
 
 def reset_instrumentation(model):
@@ -138,13 +138,13 @@ def chosen_pairs(chosen, n_experts):
 
 
 def pair_mixture(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
-                 renorm_mask=None, scale=1.0, residual=None):
+                 renorm_mask=None, scale=1.0):
     """The adapter mixture on its pair contract, as a test-local op: pairs
     come sorted by expert, pair i in expert e's span ``bounds[e]:bounds[e +
     1]`` sends row ``rows[i]`` to e with gate ``gates[tokens[i], e % N]``
     (over the 0/1 ``renorm_mask`` total when given); expert e runs over its
-    span, plus ``residual[rows]``, and the weighted outputs are added in
-    pair order into zero (n_rows, d), then multiplied by ``scale``."""
+    span, and the weighted outputs are added in pair order into zero
+    (n_rows, d), then multiplied by ``scale``."""
     idx = np.asarray(rows, dtype=np.int64)
     tok = np.asarray(tokens, dtype=np.int64)
     ends = np.asarray(bounds, dtype=np.int64).tolist()
@@ -157,7 +157,7 @@ def pair_mixture(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
         totals = (gates.data * mask) @ np.ones((width, 1))
         inverse = 1.0 / totals
         weight = pair_gate * inverse[tok, 0]
-    parents = (base, gates, *w_downs, *w_ups) + ((residual,) if residual is not None else ())
+    parents = (base, gates, *w_downs, *w_ups)
     need = tensor._tracked(parents)
     spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip(ends, ends[1:])) if lo < hi]
     out = np.empty((idx.size, d))
@@ -167,15 +167,13 @@ def pair_mixture(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
         value, local = tensor._activate(x @ w_downs[e].data, act, need)
         out[lo:hi] = value @ w_ups[e].data
         saved[e] = (x, value, local)
-    if residual is not None:
-        out = out + residual.data[idx]
     data = np.zeros((n_rows, d))
     np.add.at(data, idx, out * weight[:, None])
 
     def grad_fn(g):
         g_pairs = (g * scale if scale != 1.0 else g)[idx]
         d_out = g_pairs * weight[:, None]
-        d_gates = d_base = d_residual = None
+        d_gates = d_base = None
         if gates.requires_grad:
             d_weight = np.sum(g_pairs * out, axis=1)
             d_gates = np.zeros_like(gates.data)
@@ -197,10 +195,7 @@ def pair_mixture(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
         if base.requires_grad:
             d_base = np.zeros_like(base.data)
             np.add.at(d_base, idx, d_rows)
-        if residual is not None and residual.requires_grad:
-            d_residual = np.zeros_like(residual.data)
-            np.add.at(d_residual, idx, d_out)
-        return (d_base, d_gates, *d_downs, *d_ups) + ((d_residual,) if residual is not None else ())
+        return (d_base, d_gates, *d_downs, *d_ups)
 
     return tensor._result(data * scale if scale != 1.0 else data, parents, grad_fn,
                           f"pair_mixture[{act}]")

@@ -87,11 +87,11 @@ def _ops_loss(params: list[Tensor]) -> Tensor:
     mixed = adapter_mixture(x, gates, chosen, downs + downs[1:] + downs[:1],
                             ups + ups[1:] + ups[:1], "silu", selected, 0.5, skip=emb)
     # The attention rows as the base of a second call, gated by rows 2 and
-    # 0 of the gates, with a feed-forward of x as the residual; adapters 1
+    # 0 of the gates, with a feed-forward of x as the skip; adapters 1
     # and 4 idle, adapter 3 chosen by both rows.
     ffn = feed_forward(x, b, proj, "silu")
     second = adapter_mixture(att, take_rows(gates, [2, 0]), [[3, 0], [2, 3]], downs, ups, "gelu",
-                             residual=take_rows(ffn, [2, 0]))
+                             skip=take_rows(ffn, [2, 0]))
     stacked = concat_rows([second, mixed])
     # squaring keeps the relu input >= 0.3, clear of its kink at 0
     relu_part = activation(add(mul(stacked, stacked), 0.3), "relu")

@@ -57,18 +57,17 @@ def reciprocal(a):
 
 
 def per_expert_chain(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_rows,
-                     renorm_mask=None, scale=1.0, residual=None):
+                     renorm_mask=None, scale=1.0, skip=None):
     """Reference: each expert with rows gathers them and runs its own chain;
     constant 0/1 matrices pick each pair's gate; each result row adds its
-    pairs one at a time onto zeros, in pair order."""
+    pairs one at a time onto zeros, in pair order; ``skip`` is then added
+    by ``add``."""
     outputs = []
     for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi > lo:
             h = activation(matmul(take_rows(base, rows[lo:hi]), w_downs[e]), act)
             outputs.append(matmul(h, w_ups[e]))
     out = concat_rows(outputs)
-    if residual is not None:
-        out = add(out, take_rows(residual, rows))
     n, d = len(w_downs), base.shape[1]
     pick = Tensor(np.eye(n)[np.repeat(np.arange(n), np.diff(bounds))])
     weight = matmul(mul(take_rows(gates, tokens), pick), Tensor(np.ones((n, 1))))
@@ -83,7 +82,8 @@ def per_expert_chain(base, gates, tokens, rows, bounds, w_downs, w_ups, act, n_r
             acc = add(acc, take_rows(weighted, [i]))
         result.append(acc)
     result = concat_rows(result)
-    return mul(result, scale) if scale != 1.0 else result
+    result = mul(result, scale) if scale != 1.0 else result
+    return result if skip is None else add(skip, result)
 
 
 def run(fn, arrays, weight, frozen=()):
@@ -238,13 +238,13 @@ def test_output_head_matches_its_chain(frozen):
         assert_same_bytes(*fused, *ref)
 
 
-@pytest.mark.parametrize("case", ["soft", "renormalize", "residual", "skip", "groups"])
+@pytest.mark.parametrize("case", ["soft", "renormalize", "skip", "groups"])
 def test_adapter_mixture_matches_the_pair_contract(case):
     """The mixture on each row's chosen experts equals ``pair_mixture``, the
     op on the pairs sorted by expert, with the skip added by ``add``, byte
     for byte: the output and every gradient. Soft routing (every expert,
-    in gate order), renormalised and scaled top-2, a residual, a skip
-    with a residual, and three routers' expert blocks."""
+    in gate order), renormalised and scaled top-2, a skip, and three
+    routers' expert blocks."""
     rng = np.random.default_rng(len(case))
     n, d, rank = 4, 5, 3
     blocks = 3 if case == "groups" else 1
@@ -258,7 +258,7 @@ def test_adapter_mixture_matches_the_pair_contract(case):
         mask = np.zeros((rows, n))
         np.put_along_axis(mask, order, 1.0, axis=1)
         options = {"renormalize": {"renorm_mask": mask, "scale": 0.5}}.get(case, {})
-        extra = {"residual": 1, "skip": 2}.get(case, 0)
+        extra = int(case == "skip")
         arrays = ([rng.standard_normal((rows, d)), gates]
                   + [rng.standard_normal((d, rank)) for _ in range(experts)]
                   + [rng.standard_normal((rank, d)) for _ in range(experts)]
@@ -267,24 +267,20 @@ def test_adapter_mixture_matches_the_pair_contract(case):
         pair_rows, bounds = chosen_pairs(chosen, experts)
 
         def fused(p):
-            residual = p[2 + 2 * experts] if extra else None
-            skip = p[3 + 2 * experts] if extra == 2 else None
+            skip = p[2 + 2 * experts] if extra else None
             return adapter_mixture(p[0], p[1], chosen, p[2:2 + experts],
-                                   p[2 + experts:2 + 2 * experts], "gelu", residual=residual,
-                                   skip=skip, **options)
+                                   p[2 + experts:2 + 2 * experts], "gelu", skip=skip, **options)
 
         def reference(p):
-            residual = p[2 + 2 * experts] if extra else None
             out = pair_mixture(p[0], p[1], pair_rows, pair_rows, bounds, p[2:2 + experts],
-                               p[2 + experts:2 + 2 * experts], "gelu", rows, residual=residual,
-                               **options)
-            return add(p[3 + 2 * experts], out) if extra == 2 else out
+                               p[2 + experts:2 + 2 * experts], "gelu", rows, **options)
+            return add(p[2 + 2 * experts], out) if extra else out
 
         assert_same_bytes(*run(fused, arrays, weight), *run(reference, arrays, weight))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("case", ["plain", "renormalize", "residual", "shared-column"])
+@pytest.mark.parametrize("case", ["plain", "renormalize", "shared-column"])
 def test_adapter_mixture_sums_rows_as_np_add_at(k, case):
     """Each row's pairs added in pair order onto zeros give the bits of
     ``pair_mixture``'s ``np.add.at``: the output and every gradient. Rows
@@ -305,17 +301,14 @@ def test_adapter_mixture_sums_rows_as_np_add_at(k, case):
         mask = np.zeros((n_rows, n))
         np.put_along_axis(mask, chosen % n, 1.0, axis=1)
         options = {"renormalize": {"renorm_mask": mask, "scale": 0.5}}.get(case, {})
-        extra = int(case == "residual")
         arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n)) + 0.5]
                   + [rng.standard_normal((d, rank)) for _ in range(experts)]
-                  + [rng.standard_normal((rank, d)) for _ in range(experts)]
-                  + [rng.standard_normal((n_rows, d)) for _ in range(extra)])
+                  + [rng.standard_normal((rank, d)) for _ in range(experts)])
         weight = rng.standard_normal((n_rows, d))
         pair_rows, bounds = chosen_pairs(chosen, experts)
 
         def split(p):
-            return (p[2:2 + experts], p[2 + experts:2 + 2 * experts], "gelu",
-                    dict(options, residual=p[-1]) if extra else options)
+            return p[2:2 + experts], p[2 + experts:2 + 2 * experts], "gelu", options
 
         def fused(p):
             downs, ups, act, kwargs = split(p)
@@ -410,7 +403,7 @@ def chosen_ids(rng, n_rows, experts, k):
 def test_adapter_bank_matches_per_expert_chain(act):
     """``adapter_mixture`` equals the reference bit for bit, with gradients
     within 1e-12: an idle expert, rows that choose one to three experts,
-    plain, renormalised and scaled, and with a residual."""
+    plain, renormalised and scaled, and with a skip."""
     rng = np.random.default_rng(len(act))
     n_experts, d, rank, n_rows = 4, 6, 3, 5
     for trial in range(6):
@@ -420,16 +413,16 @@ def test_adapter_bank_matches_per_expert_chain(act):
         rows, bounds = chosen_pairs(chosen, n_experts)
         mask = np.zeros((n_rows, n_experts))
         np.put_along_axis(mask, chosen, 1.0, axis=1)
-        options = [{}, {"renorm_mask": mask, "scale": 0.5}, {"residual": True}][trial % 3]
+        options = [{}, {"renorm_mask": mask, "scale": 0.5}, {"skip": True}][trial % 3]
         arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n_experts)) + 0.5]
                   + [rng.standard_normal((d, rank)) for _ in range(n_experts)]
                   + [rng.standard_normal((rank, d)) for _ in range(n_experts)]
-                  + ([rng.standard_normal((n_rows, d))] if options.get("residual") else []))
+                  + ([rng.standard_normal((n_rows, d))] if options.get("skip") else []))
         weight = rng.standard_normal((n_rows, d))
 
         def call(fn, pairs):
             def build(p):
-                kwargs = dict(options, residual=p[-1]) if "residual" in options else options
+                kwargs = dict(options, skip=p[-1]) if "skip" in options else options
                 experts = (p[2:2 + n_experts], p[2 + n_experts:2 + 2 * n_experts], act)
                 if pairs:
                     return fn(p[0], p[1], rows, rows, bounds, *experts, n_rows, **kwargs)
@@ -525,17 +518,17 @@ def test_adapter_mixture_reads_one_gate_block_per_router(blocks):
     for trial in range(6):
         chosen = chosen_ids(rng, n_rows, np.arange(experts), 2)
         rows, bounds = chosen_pairs(chosen, experts)
-        options = [{}, {"scale": 0.5}, {"residual": True}][trial % 3]
+        options = [{}, {"scale": 0.5}, {"skip": True}][trial % 3]
         arrays = ([rng.standard_normal((n_rows, d)), rng.random((n_rows, n)) + 0.5]
                   + [rng.standard_normal((d, rank)) for _ in range(experts)]
                   + [rng.standard_normal((rank, d)) for _ in range(experts)]
-                  + ([rng.standard_normal((n_rows, d))] if options.get("residual") else []))
+                  + ([rng.standard_normal((n_rows, d))] if options.get("skip") else []))
         weight = rng.standard_normal((n_rows, d))
         tile = Tensor(np.tile(np.eye(n), blocks))
 
         def call(fn, tiled):
             def build(p):
-                kwargs = dict(options, residual=p[-1]) if "residual" in options else options
+                kwargs = dict(options, skip=p[-1]) if "skip" in options else options
                 weights = (p[2:2 + experts], p[2 + experts:2 + 2 * experts], "gelu")
                 if tiled:
                     return fn(p[0], matmul(p[1], tile), rows, rows, bounds, *weights, n_rows,
@@ -719,8 +712,6 @@ def test_adapter_bank_checks_its_inputs():
         mixture(renorm_mask=np.ones((3, 3)))
     with pytest.raises(NumericError, match="zero gate total"):
         mixture(renorm_mask=[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ShapeError, match="residual"):
-        mixture(residual=Tensor(np.ones((2, 4))))
     with pytest.raises(ShapeError, match="skip"):
         mixture(skip=Tensor(np.ones((3, 5))))
 

@@ -364,6 +364,28 @@ def test_unallocatable_model_exits_2(tmp_path, monkeypatch, capsys):
     assert "error: no room" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("groups", ["n_groups=2", "k_max=3"])
+@pytest.mark.parametrize("fault", ["address-space", "memory-error"])
+def test_unallocatable_model_writes_nothing(tmp_path, monkeypatch, fault, groups):
+    """The dense base is built before the sequence stage writes anything,
+    so a model that cannot be allocated exits 2 and leaves no out-dir."""
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(data, make_two_dialect_corpus(10, seed=0))
+    path = tmp_path / "run.cfg"
+    if fault == "address-space":
+        path.write_text(f"{groups}\nmax_seq_len=1000000000000000\n")
+    else:
+        path.write_text(f"{groups}\n")
+
+        def refuse(cfg, seed):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(moce.model.DenseBaseModel, "build", refuse)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("groups", ["n_groups=9", "k_max=9"])
 def test_group_count_above_training_records_fails_before_writing(tmp_path, groups, capsys):
     """2x5 records leave 8 for training: 9 groups cannot be fitted, and

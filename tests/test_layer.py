@@ -160,16 +160,16 @@ class TestTopKMaskProperties:
 
 
 def expert_output(e, base, x):
-    """One gelu expert's full output on every row: a one-adapter mixture
-    with every gate 1, and the residual input."""
+    """x plus one gelu expert's update on every row: a one-adapter mixture
+    with every gate 1 and x as its skip."""
     rows = base.shape[0]
     return adapter_mixture(base, Tensor(np.ones((rows, 1))), np.zeros((rows, 1), dtype=np.int64),
-                           [e.w_down], [e.w_up], "gelu", residual=x)
+                           [e.w_down], [e.w_up], "gelu", skip=x)
 
 
 class TestAdapter:
     def test_zero_up_projection_is_identity(self):
-        """W_up = 0 makes the expert the identity on its residual input."""
+        """W_up = 0 makes the expert's update zero, so the output is x."""
         rng = np.random.default_rng(2)
         e = AdapterExpert(Tensor(rng.standard_normal((5, 3))), Tensor(np.zeros((3, 5))))
         x = rng.standard_normal((4, 5))
@@ -294,8 +294,8 @@ class TestVariant:
         split = group_only.forward(Tensor(x), 1).data + general_path(layer, Tensor(x)).data
         assert np.max(np.abs(total - split)) < 1e-12
 
-    def test_zeroed_general_path_contributes_residual(self):
-        """General experts at W_up = 0 with k = N add exactly x to the output."""
+    def test_zeroed_general_path_adds_nothing(self):
+        """General experts at W_up = 0 with k = N leave the group path's output as it is."""
         rng = np.random.default_rng(15)
         layer = build_layer(rng, n_experts=2, k=2, general=True)
         for e in layer.general_group.experts:
@@ -303,14 +303,14 @@ class TestVariant:
         x = rng.standard_normal((4, 6))
         variant = layer.forward(Tensor(x), 0).data
         group_only = MoCELayer(layer.groups, layer.base_ffn, k=layer.k).forward(Tensor(x), 0).data
-        assert np.max(np.abs(variant - (group_only + x))) < 1e-12
+        assert np.array_equal(variant, group_only)
 
     def test_general_path_matches_oracle(self):
         rng = np.random.default_rng(16)
         layer = build_layer(rng, n_experts=3, k=2, general=True)
         x = rng.standard_normal((5, 6))
         out = general_path(layer, Tensor(x)).data
-        expected = layer_oracle(layer, x, "general", include_residual_weights=True)
+        expected = layer_oracle(layer, x, "general") - x
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_variant_doubles_active_expert_count(self):
@@ -465,7 +465,7 @@ def routed_per_group(layer, x, row_groups):
     renorm = layer.renormalize and layer.mode == "topk"
     terms = []
 
-    def call(group, rows, include_residual):
+    def call(group, rows):
         n = group.n_experts
         gates = softmax(matmul(x if rows is None else take_rows(x, rows), group.router))
         mask = top_k_mask(gates.data, n if layer.mode == "soft" else layer.k)
@@ -478,17 +478,17 @@ def routed_per_group(layer, x, row_groups):
                             np.concatenate([[0], np.cumsum(np.bincount(experts, minlength=n))]),
                             [e.w_down for e in group.experts], [e.w_up for e in group.experts],
                             layer.base_ffn.act, x.shape[0], mask if renorm else None,
-                            layer.moe_scale, x if include_residual else None)
+                            layer.moe_scale)
 
     present = np.unique(row_groups)
     combined = None
     for g in present:
         mixed = call(layer.groups[g], None if present.size == 1 else
-                     np.flatnonzero(row_groups == g), False)
+                     np.flatnonzero(row_groups == g))
         combined = mixed if combined is None else add(combined, mixed)
     out = add(x, combined)
     if layer.general_group is not None:
-        out = add(out, call(layer.general_group, None, True))
+        out = add(out, call(layer.general_group, None))
     balance = terms[0]
     for term in terms[1:]:
         balance = add(balance, term)

@@ -10,7 +10,7 @@ import pytest
 from moce import fileio
 from moce.cli import main
 from moce.data import make_two_dialect_corpus, save_dataset
-from moce.errors import ConfigError, ContractError, FormatError
+from moce.errors import ConfigError, ContractError, FormatError, NumericError
 from moce.layer import RoutingRecord, load_balance_loss
 from moce.model import (
     DenseBaseModel,
@@ -65,6 +65,21 @@ class TestUpcycling:
             moce = upcycle_init(dense, cfg, seed=5)
             ids = [1, 4, 2, 9]
             assert np.array_equal(dense.forward(ids).data, moce.forward(ids, 0).data)
+
+    @pytest.mark.parametrize("routing", [
+        dict(top_k=1), dict(top_k=2), dict(mode="soft"),
+        dict(top_k=2, renormalize=True, moe_scale=0.5, activation="relu", n_layers=3),
+    ], ids=["top1", "top2", "soft", "renorm-relu-3-layers"])
+    def test_variant_function_preserved_at_init(self, routing):
+        """With the general path on, upcycled logits equal the dense base's
+        bit for bit on 50 random sequences, at k < N and in soft mode."""
+        cfg = micro_cfg(n_experts=3, variant=True, **routing)
+        dense = DenseBaseModel.build(cfg, seed=0)
+        moce = upcycle_init(dense, cfg, seed=0)
+        rng = np.random.default_rng(0)
+        for ids in random_sequences(cfg, 50, rng):
+            group = int(rng.integers(cfg.n_groups))
+            assert np.array_equal(dense.forward(ids).data, moce.forward(ids, group).data)
 
     def test_backbone_is_a_frozen_copy_of_the_dense_base(self):
         """The backbone shares no array with the dense base, so writes to the
@@ -418,3 +433,63 @@ def test_edited_manifest_is_rejected(tmp_path, fault, capsys):
     save_dataset(data, make_two_dialect_corpus(2, seed=0))
     assert main(["eval", "--run-dir", str(tmp_path / "run"), "--data", data]) == code
     assert "manifest.txt" in capsys.readouterr().err
+
+
+def _resave(change):
+    """Change the saved model, then save it again over its checkpoint."""
+    def edit(ck, model):
+        change(model)
+        save_checkpoint(str(ck), model, seed=18, step=0, kmeans_path="../kmeans.txt")
+    return edit
+
+
+def _transpose_head(model):
+    model.backbone.head.data = model.backbone.head.data.T.copy()
+
+
+def _poison(model):
+    model.layers[0].groups[0].router.data[0, 0] = np.nan
+
+
+def _append_empty_parameter(ck, model):
+    """One more parameter under an unknown name, holding no values, with the
+    blob's count raised to match, so the size check still passes."""
+    blob = ck / "params.bin"
+    raw = blob.read_bytes()
+    (count,) = struct.unpack("<I", raw[:4])
+    name = b"stray"
+    blob.write_bytes(struct.pack("<I", count + 1) + raw[4:]
+                     + struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 0))
+
+
+BLOB_FAULTS = {
+    "missing-manifest": (lambda ck, model: (ck / "manifest.txt").unlink(), FormatError, 3,
+                         "missing checkpoint manifest"),
+    "missing-params": (lambda ck, model: (ck / "params.bin").unlink(), FormatError, 3,
+                       "missing parameter blob"),
+    "trailing-bytes": (lambda ck, model: (ck / "params.bin").write_bytes(
+        (ck / "params.bin").read_bytes() + b"\0"), FormatError, 3, "trailing bytes"),
+    "head-transposed": (_resave(_transpose_head), ConfigError, 2, "parameter 'head' has shape"),
+    "unknown-empty-parameter": (_append_empty_parameter, FormatError, 3, "unknown parameters"),
+    "nan-value": (_resave(_poison), NumericError, 4, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BLOB_FAULTS))
+def test_damaged_checkpoint_is_rejected(tmp_path, fault, capsys):
+    """A missing file, a blob that does not match the model, or a non-finite
+    value raises its class from load_checkpoint, and ``moce eval`` exits with
+    that class's code: 3 for a format fault, 2 for a config fault, 4 for a
+    numeric one."""
+    edit, error, code, message = BLOB_FAULTS[fault]
+    cfg = micro_cfg()
+    moce = upcycle_init(DenseBaseModel.build(cfg, seed=18), cfg, seed=18)
+    ck = tmp_path / "run" / "checkpoint"
+    save_checkpoint(str(ck), moce, seed=18, step=0, kmeans_path="../kmeans.txt")
+    edit(ck, moce)
+    with pytest.raises(error, match=message):
+        load_checkpoint(str(ck))
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(data, make_two_dialect_corpus(2, seed=0))
+    assert main(["eval", "--run-dir", str(tmp_path / "run"), "--data", data]) == code
+    assert message in capsys.readouterr().err

@@ -147,7 +147,6 @@ class TestForwardValues:
         assert np.array_equal(mixture(scale=0.5), [[1.25, 2.5], [2.25, 3.0]])
         assert np.array_equal(mixture(renorm_mask=[[1.0, 1.0], [0.0, 1.0]]),
                               [[1.25, 2.5], [18.0, 24.0]])
-        assert np.array_equal(mixture(residual=b), [[22.5, 45.0], [42.0, 56.0]])
         assert np.array_equal(mixture(scale=0.5, skip=b), [[11.25, 22.5], [32.25, 43.0]])
         assert np.array_equal(embed_tokens(b, a, [1, 1, 0], [0, 1, 0]).data,
                               [[31.0, 42.0], [33.0, 44.0], [11.0, 22.0]])
@@ -223,8 +222,8 @@ class TestBackward:
             # Adapter mixtures of three experts, two per row with expert 1
             # given none: the first renormalises over the chosen pairs plus
             # column 1 of the last row and scales by 0.5; the second sends
-            # each row to experts 2 and 0 or 0 and 1, adds a residual to
-            # each expert's output and a skip to the sum.
+            # each row to experts 2 and 0 or 0 and 1 and adds a skip to the
+            # sum.
             chosen = np.where(np.arange(m)[:, None] % 2 == 0, [[0, 2]], [[2, 0]])
             other_chosen = np.where(np.arange(m)[:, None] % 3 == 0, [[2, 0]], [[0, 1]])
             downs = [rng.standard_normal((k, 3)) for _ in range(3)]
@@ -254,9 +253,9 @@ class TestBackward:
                                           p[8])),
                  [a, gates, *downs, *ups, rng.standard_normal((m, k))]),
                 (lambda p: tensor_sum(mul(adapter_mixture(p[0], p[1], other_chosen, p[2:5], p[5:8],
-                                                          kind, residual=p[8], skip=p[9]),
-                                          p[10])),
-                 [a, rng.random((m, 3)) + 0.5, *downs, *ups, c, rng.standard_normal((m, k)),
+                                                          kind, skip=p[8]),
+                                          p[9])),
+                 [a, rng.random((m, 3)) + 0.5, *downs, *ups, rng.standard_normal((m, k)),
                   rng.standard_normal((m, k))]),
                 (lambda p: tensor_sum(mul(embed_tokens(p[0], p[1], ids, positions), p[2])),
                  [b.T.copy(), c, rng.standard_normal((3, k))]),

@@ -6,8 +6,10 @@ Exports REF with ``git archive`` into a temporary directory (nothing is
 written in the repository or its ``.git``), runs each tree's own
 ``tools/artifacts.py`` with ``OPENBLAS_NUM_THREADS=1``, and compares the
 two artifact trees file by file. It prints every relative path that
-differs, or is missing from one tree, or else "N files byte-equal"; then
-the ``src/`` total and code lines of both trees and their deltas. Code
+differs, or is missing from one tree, then one "differs under:" line with
+the count of those paths under each top-level directory (for example
+"differs under: variant-s0 7, variant-s1 7"), or else "N files
+byte-equal"; then the ``src/`` total and code lines of both trees and their deltas. Code
 lines are the lines that are not blank, not comments and not docstrings.
 The checkout side is the working tree as it stands, edits included.
 Exits 1 if any artifact differs, 0 otherwise; the temporary directories
@@ -24,6 +26,7 @@ import sys
 import tarfile
 import tempfile
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,7 +85,10 @@ def main(argv: list[str]) -> int:
                     if ref_files.get(path) != files.get(path))
     for path in differ:
         print(f"differs: {path}")
-    if not differ:
+    if differ:
+        under = Counter(Path(path).parts[0] for path in differ)
+        print("differs under: " + ", ".join(f"{top} {n}" for top, n in sorted(under.items())))
+    else:
         print(f"{len(files)} files byte-equal")
     for label, (ref, new) in zip(("total", "code"), zip(*sizes)):
         print(f"src/ {label} lines: {argv[0]} {ref}, this checkout {new}, delta {new - ref:+d}")
