@@ -48,8 +48,8 @@ from .model import (
     greedy_decode,
     lm_loss,
     load_checkpoint,
+    mixture_experts,
     save_checkpoint,
-    upcycle_init,
 )
 from .optim import Adam
 from .seeding import substream
@@ -194,28 +194,28 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
         value = getattr(cfg, name)
         if value is not None and value > len(train):
             raise ConfigError(f"{name}={value} exceeds the {len(train)} training records")
-    # Built before anything is written, so a model too large to allocate
-    # leaves no files; its arrays read no mixture field.
-    dense = DenseBaseModel.build(model_config_from(cfg, cfg.n_groups or 1), cfg.seed)
-    os.makedirs(out_dir, exist_ok=True)
-
+    # The sequence stage runs in memory first: it fixes the group count, so
+    # the whole model is allocated before anything is written, and a model
+    # too large to allocate leaves no files.
     emb = embed_dataset(
         [(r.record_id, r.instruction) for r in train], d_e=cfg.d_embed, seed=cfg.seed
     )
-    save_embeddings(os.path.join(out_dir, EMBEDDINGS_FILE), emb)
-
-    if cfg.k_max is not None:
-        report = elbow_select(emb, k_max=cfg.k_max, seed=cfg.seed)
-        report.write_csv(os.path.join(out_dir, ELBOW_FILE))
-        km = report.fit
-    else:
-        km = kmeans_fit(emb, cfg.n_groups, seed=cfg.seed)
-        Path(out_dir, ELBOW_FILE).unlink(missing_ok=True)  # another run's sweep
+    report = elbow_select(emb, k_max=cfg.k_max, seed=cfg.seed) if cfg.k_max is not None else None
+    km = kmeans_fit(emb, cfg.n_groups, seed=cfg.seed) if report is None else report.fit
     n_groups = km.k
-    save_kmeans(os.path.join(out_dir, KMEANS_FILE), km)
     group_labels = kmeans_predict(km, emb).labels
-
     mcfg = model_config_from(cfg, n_groups)
+    dense = DenseBaseModel.build(mcfg, cfg.seed)
+    experts = mixture_experts(mcfg, cfg.seed)
+
+    os.makedirs(out_dir, exist_ok=True)
+    save_embeddings(os.path.join(out_dir, EMBEDDINGS_FILE), emb)
+    if report is not None:
+        report.write_csv(os.path.join(out_dir, ELBOW_FILE))
+    else:
+        Path(out_dir, ELBOW_FILE).unlink(missing_ok=True)  # another run's sweep
+    save_kmeans(os.path.join(out_dir, KMEANS_FILE), km)
+
     examples = [_training_example(r) for r in train]
     # Block 0's rows of each example over the frozen backbone, made the
     # first time the adapter phase draws the example.
@@ -248,7 +248,9 @@ def pipeline_train(cfg: RunConfig, records: list[InstructionRecord], out_dir: st
     metrics_path = os.path.join(out_dir, METRICS_FILE)
     with open(metrics_path, "w", encoding="utf-8") as metrics:
         _train(cfg, "pretrain", dense, cfg.pretrain_steps, len(examples), dense_loss, metrics)
-        moce = upcycle_init(dense, mcfg, cfg.seed)
+        # The upcycle: nothing reads the dense base after pretraining, so it
+        # is frozen in place as the backbone, under the experts built above.
+        moce = MoCEModel.build(dense, experts)
         losses = _train(cfg, "train", moce, cfg.train_steps, len(examples), adapter_loss, metrics)
 
     ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIR)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .fileio import write_csv
-from .tensor import Tensor, adapter_mixture, feed_forward, gate_balance, integers, router_gates
+from .tensor import (Tensor, _scipy_erf, adapter_mixture, feed_forward, gate_balance, integers,
+                     router_gates)
 
 log = logging.getLogger(__name__)
 
@@ -44,11 +45,18 @@ ROUTING_MODES = ("topk", "soft")
 
 
 class FeedForward:
-    """Two-layer feed-forward block, built frozen; adapters read its features."""
+    """Two-layer feed-forward block, built frozen; adapters read its features.
+
+    A gelu block loads scipy's erf when built, not at its first forward, so
+    a missing scipy fails as ConfigError while a model is built, before a
+    run writes anything.
+    """
 
     def __init__(self, w1: Tensor, w2: Tensor, act: str = "gelu"):
         if w1.shape[1] != w2.shape[0]:
             raise ShapeError(f"feed-forward shapes do not chain: {w1.shape} then {w2.shape}")
+        if act == "gelu":
+            _scipy_erf()
         self.w1 = w1
         self.w2 = w2
         self.act = act

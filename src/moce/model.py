@@ -270,23 +270,19 @@ class MoCEModel:
             layer.layer_key = i
 
     @classmethod
-    def build(cls, backbone: DenseBaseModel, seed: int) -> "MoCEModel":
-        """Fresh adapters and routers over every block of ``backbone``, which
-        is frozen in place and owned by the new model from then on. The
-        mixture layers take their shapes from ``backbone.cfg``."""
+    def build(cls, backbone: DenseBaseModel,
+              experts: list[tuple[list[ExpertGroup], ExpertGroup | None]]) -> "MoCEModel":
+        """A mixture layer over every block of ``backbone``, which is frozen
+        in place and owned by the new model from then on, holding that
+        layer's groups from ``experts`` (see ``mixture_experts``). The
+        routing settings come from ``backbone.cfg``."""
         cfg = backbone.cfg
         for _, p in backbone.named_parameters():
             p.requires_grad = False
-        layers = []
-        for i, block in enumerate(backbone.blocks):
-            rng = substream(seed, "init", "moce", i)
-            groups = [ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng)
-                      for _ in range(cfg.n_groups)]
-            general = (ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng)
-                       if cfg.variant else None)
-            layers.append(MoCELayer(groups, block.base_ffn, cfg.top_k, mode=cfg.mode,
-                                    renormalize=cfg.renormalize, moe_scale=cfg.moe_scale,
-                                    general_group=general))
+        layers = [MoCELayer(groups, block.base_ffn, cfg.top_k, mode=cfg.mode,
+                            renormalize=cfg.renormalize, moe_scale=cfg.moe_scale,
+                            general_group=general)
+                  for block, (groups, general) in zip(backbone.blocks, experts)]
         return cls(backbone, layers)
 
     def forward(self, token_ids, group_id, record: RoutingRecord | None = None,
@@ -369,6 +365,24 @@ class MoCEModel:
     trainable_parameters = DenseBaseModel.trainable_parameters
 
 
+def mixture_experts(cfg: ModelConfig, seed: int
+                    ) -> list[tuple[list[ExpertGroup], ExpertGroup | None]]:
+    """Fresh adapters and routers for every mixture layer under ``cfg``:
+    each layer's ``n_groups`` expert groups and, with ``cfg.variant``, its
+    general group (else None), drawn from the layer's own stream. They
+    read no backbone array, so a run can allocate them before it trains
+    the dense base they will sit on."""
+    out = []
+    for i in range(cfg.n_layers):
+        rng = substream(seed, "init", "moce", i)
+        groups = [ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng)
+                  for _ in range(cfg.n_groups)]
+        general = (ExpertGroup.init(cfg.d_model, cfg.n_experts, cfg.adapter_rank, rng)
+                   if cfg.variant else None)
+        out.append((groups, general))
+    return out
+
+
 def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoCEModel:
     """Create the mixture model on top of a trained (or fresh) dense base.
 
@@ -385,7 +399,7 @@ def upcycle_init(dense_base: DenseBaseModel, cfg: ModelConfig, seed: int) -> MoC
         raise ConfigError(f"dense base and target config disagree on {', '.join(differ)}")
     backbone = copy.deepcopy(dense_base)
     backbone.cfg = cfg
-    return MoCEModel.build(backbone, seed)
+    return MoCEModel.build(backbone, mixture_experts(cfg, seed))
 
 
 # Next-token NLL averaged with per-row weights.
@@ -525,7 +539,8 @@ def load_checkpoint(directory: str) -> tuple[MoCEModel, dict[str, object]]:
     if held != _parameter_count(cfg):
         raise ConfigError(f"{root / MANIFEST_NAME}: its config describes {_parameter_count(cfg)} parameter "
                           f"values, but {blob_path} holds {held}")
-    model = MoCEModel.build(DenseBaseModel.build(cfg, entries["seed"]), entries["seed"])
+    model = MoCEModel.build(DenseBaseModel.build(cfg, entries["seed"]),
+                            mixture_experts(cfg, entries["seed"]))
 
     for name, tensor in model.named_parameters():
         if name not in loaded:

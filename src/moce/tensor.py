@@ -30,17 +30,23 @@ reduce through the numpy ufuncs themselves (``np.add.reduce``,
 ``np.maximum.reduce``, ``np.logical_and.reduce``), not through the
 ``np.sum``/``np.max``/``np.mean`` wrappers, whose per-call cost is most of
 a reduction over one row; the bits are the same.
+
+The engine imports numpy alone. gelu's ``erf`` is ``scipy.special.erf``,
+which ``_scipy_erf`` imports the first time a gelu block is built or run:
+scipy costs about 26 MB resident and 200 ms to load, and the sequence
+stage and relu and silu models never call it. Without scipy a gelu block
+fails to build with ConfigError, before a run writes anything.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import erf
 
-from .errors import ContractError, NumericError, ShapeError, StateError
+from .errors import ConfigError, ContractError, NumericError, ShapeError, StateError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -236,11 +242,26 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 # -- nonlinearities and norms -------------------------------------------
 
+@cache
+def _scipy_erf():
+    """``scipy.special.erf``, imported by the first call; gelu is its only
+    reader. No scipy raises ConfigError, naming gelu and scipy."""
+    try:
+        from scipy.special import erf
+    except ImportError as exc:
+        raise ConfigError("activation 'gelu' needs scipy.special.erf, but scipy cannot be "
+                          f"imported ({exc}); install scipy or use relu or silu") from exc
+    return erf
+
+
 def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """A nonlinearity's value at ``x`` and, when ``need`` is set, its
-    pointwise derivative there (else None: no backward will read it)."""
+    pointwise derivative there (else None: no backward will read it).
+
+    gelu's erf comes from ``_scipy_erf``, so scipy loads at the first gelu
+    call at the latest; a gelu ``FeedForward`` loads it when built."""
     if kind == "gelu":
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = 0.5 * (1.0 + _scipy_erf()(x * _INV_SQRT2))
         local = cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI) if need else None
         return x * cdf, local
     if kind == "relu":

@@ -365,10 +365,26 @@ def test_unallocatable_model_exits_2(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("groups", ["n_groups=2", "k_max=3"])
+def test_unallocatable_mixture_writes_nothing(tmp_path, groups, capsys):
+    """The mixture layers are allocated before anything is written, so
+    adapters too large to allocate exit 2 and leave no out-dir. The config
+    passes ``ModelConfig``'s address check, but one (8, 10**15) down
+    projection needs 58 PiB."""
+    data = str(tmp_path / "d.jsonl")
+    save_dataset(data, make_two_dialect_corpus(10, seed=0))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{groups}\nd_model=8\nadapter_rank=1000000000000000\npretrain_steps=2\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", data, "--out-dir", str(out)]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("groups", ["n_groups=2", "k_max=3"])
 @pytest.mark.parametrize("fault", ["address-space", "memory-error"])
 def test_unallocatable_model_writes_nothing(tmp_path, monkeypatch, fault, groups):
-    """The dense base is built before the sequence stage writes anything,
-    so a model that cannot be allocated exits 2 and leaves no out-dir."""
+    """The dense base is built before the run writes anything, so a model
+    that cannot be allocated exits 2 and leaves no out-dir."""
     data = str(tmp_path / "d.jsonl")
     save_dataset(data, make_two_dialect_corpus(10, seed=0))
     path = tmp_path / "run.cfg"
