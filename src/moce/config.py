@@ -17,7 +17,7 @@ import typing
 from dataclasses import MISSING, field
 
 from .errors import ConfigError
-from .fileio import read_lines
+from .fileio import parse_numbers, read_lines
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 _KIND_CLASSES = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
@@ -91,13 +91,12 @@ def _parse(text: str, hint, fmt: KeyValueFormat, where: str):
         if text not in fmt.false_true:
             raise fmt.error(f"{where}: expected {' or '.join(fmt.false_true)}, got {text!r}")
         return text == fmt.false_true[1]
-    # int() and float() also read '3_2' and non-ASCII digits; the format does not.
-    if kind is str or (text.isascii() and "_" not in text):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    raise fmt.error(f"{where}: expected {_KIND_NAMES[kind]}, got {text!r}")
+    if kind is str:
+        return text
+    try:
+        return parse_numbers([text], kind)[0]
+    except ValueError:
+        raise fmt.error(f"{where}: expected {_KIND_NAMES[kind]}, got {text!r}") from None
 
 
 def read_values(path, keys: dict, fmt: KeyValueFormat, header: str | None = None) -> dict:

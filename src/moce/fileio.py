@@ -76,18 +76,34 @@ def read_lines(path) -> list[str]:
     return lines
 
 
+def parse_numbers(texts: list[str], kind: type) -> list:
+    """``kind`` (int or float) of each text, or ValueError. ``int()`` and
+    ``float()`` also read ``1_5`` and non-ASCII numerals such as the
+    Arabic-Indic digits; no file this package reads may hold them."""
+    joined = "".join(texts)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError(f"not an ASCII number without '_': {texts!r}")
+    return [kind(text) for text in texts]
+
+
 def write_table(path, magic: str, version: str, matrix: np.ndarray, digits: int,
                 extra: tuple[int, ...] = (), ids: list[str] | None = None) -> None:
     """Write the header ``magic version rows width *extra``, then one line
     per row of ``matrix`` at ``digits`` significant digits, its id first
     when ``ids`` is given. The reader splits lines on whitespace, so an id
-    must be non-empty and hold none."""
+    must be non-empty and hold none.
+
+    Each row is one ``%`` of a format built once per table. ``%.Ng`` and
+    ``format(x, ".Ng")`` call the same CPython float formatter, so the bytes
+    are those of formatting value by value. Rows are converted one at a
+    time: a list of the whole matrix would raise peak memory."""
     for row_id in ids or ():
         if not row_id or any(ch.isspace() for ch in row_id):
             raise ContractError(f"source_id '{row_id}' must be non-empty and whitespace-free")
     lines = [" ".join([magic, version, *map(str, (*matrix.shape, *extra))])]
+    fmt = " ".join([f"%.{digits}g"] * matrix.shape[1])
     for i, row in enumerate(matrix):
-        values = " ".join(f"{x:.{digits}g}" for x in row)
+        values = fmt % tuple(row.tolist())
         lines.append(values if ids is None else f"{ids[i]} {values}")
     write_atomic(path, "".join(line + "\n" for line in lines))
 
@@ -97,9 +113,10 @@ def read_table(path, magic: str, version: str, fields: tuple[str, ...],
     """Read a ``write_table`` file strictly: the header is ``magic version``
     and one integer per name in ``fields``, the row count (>= 0) and width
     (>= 1) first; each later line is one row, an id when ``ids`` is set,
-    then exactly ``width`` finite numbers. A blank line or a row count
-    other than the header's is an error. Each error names the file and the
-    1-based line: ``FormatError``, or ``NumericError`` for NaN or inf.
+    then exactly ``width`` finite numbers. Every number is ASCII without
+    ``_`` (see ``parse_numbers``). A blank line or a row count other than
+    the header's is an error. Each error names the file and the 1-based
+    line: ``FormatError``, or ``NumericError`` for NaN or inf.
     Returns the header integers, the ids and the (count, width) array."""
     lines = read_lines(path)
     header = lines[0].split() if lines else []
@@ -107,7 +124,7 @@ def read_table(path, magic: str, version: str, fields: tuple[str, ...],
         names = " ".join(f"<{name}>" for name in fields)
         raise FormatError(f"{path}:1: expected header '{magic} {version} {names}'")
     try:
-        values = [int(value) for value in header[2:]]
+        values = parse_numbers(header[2:], int)
     except ValueError:
         raise FormatError(f"{path}:1: {', '.join(fields)} must be integers") from None
     count, width = values[:2]
@@ -123,7 +140,7 @@ def read_table(path, magic: str, version: str, fields: tuple[str, ...],
             expected = f"an id and {width}" if ids else width
             raise FormatError(f"{path}:{lineno}: expected {expected} values, got {len(parts) - lead}")
         try:
-            row = [float(part) for part in parts[lead:]]
+            row = parse_numbers(parts[lead:], float)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric value") from None
         if not np.isfinite(row).all():

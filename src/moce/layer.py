@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .fileio import write_csv
-from .tensor import (Tensor, _scipy_erf, adapter_mixture, feed_forward, gate_balance, integers,
-                     router_gates)
+from .tensor import (Tensor, _scipy_erf, adapter_mixture, check_activation, feed_forward,
+                     gate_balance, integers, router_gates)
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,8 @@ ROUTING_MODES = ("topk", "soft")
 class FeedForward:
     """Two-layer feed-forward block, built frozen; adapters read its features.
 
-    A gelu block loads scipy's erf when built, not at its first forward, so
+    An unknown activation raises ContractError when the block is built. A
+    gelu block loads scipy's erf when built, not at its first forward, so
     a missing scipy fails as ConfigError while a model is built, before a
     run writes anything.
     """
@@ -55,6 +56,7 @@ class FeedForward:
     def __init__(self, w1: Tensor, w2: Tensor, act: str = "gelu"):
         if w1.shape[1] != w2.shape[0]:
             raise ShapeError(f"feed-forward shapes do not chain: {w1.shape} then {w2.shape}")
+        check_activation(act)
         if act == "gelu":
             _scipy_erf()
         self.w1 = w1

@@ -254,6 +254,12 @@ def _scipy_erf():
     return erf
 
 
+def check_activation(act) -> None:
+    """Raise ContractError unless ``act`` names one of ``ACTIVATIONS``."""
+    if act not in ACTIVATIONS:
+        raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
+
+
 def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """A nonlinearity's value at ``x`` and, when ``need`` is set, its
     pointwise derivative there (else None: no backward will read it).
@@ -269,7 +275,7 @@ def _activate(x: np.ndarray, kind: str, need: bool) -> tuple[np.ndarray, np.ndar
     if kind == "silu":
         sig = 1.0 / (1.0 + np.exp(-x))
         return x * sig, sig * (1.0 + x * (1.0 - sig)) if need else None
-    raise ContractError(f"unknown activation kind '{kind}', expected one of {ACTIVATIONS}")
+    check_activation(kind)  # every known kind has returned, so this raises
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-8):
@@ -690,8 +696,7 @@ def adapter_mixture(base: Tensor, gates: Tensor, chosen, w_downs: Sequence[Tenso
         if w_down.data.shape != (d, rank) or w_up.data.shape != (rank, d):
             raise ShapeError(f"adapter_mixture needs ({d}, r) and (r, {d}) projections of one "
                              f"rank, got {w_down.data.shape} and {w_up.data.shape}")
-    if act not in ACTIVATIONS:
-        raise ContractError(f"unknown activation kind '{act}', expected one of {ACTIVATIONS}")
+    check_activation(act)
     if skip is not None and skip.data.shape != shape:
         raise ShapeError(f"adapter_mixture skip must match the base {shape}, got {skip.data.shape}")
     flat = ids.ravel()

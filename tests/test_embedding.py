@@ -1,11 +1,14 @@
 """Hashing embedder properties and the embedding file round trip."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
+from moce import embedding
 from moce.cli import main
+from moce.data import make_two_dialect_corpus
 from moce.embedding import (
     EmbeddingSet,
     embed_dataset,
@@ -52,8 +55,28 @@ class TestEmbedder:
         assert np.linalg.norm(a - b) > 1e-6
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="cannot embed an empty token sequence"):
             embed_sequence([], d_e=64, seed=0)
+        with pytest.raises(ContractError, match="cannot embed an empty token sequence"):
+            embed_dataset([("a", [1, 2]), ("b", [])], d_e=64, seed=0)
+
+    def test_empty_dataset_is_a_zero_row_set(self, tmp_path):
+        """No sequences give a (0, d_e) float64 set, which saves and loads."""
+        es = embed_dataset([], d_e=8, seed=0)
+        assert len(es) == 0 and es.matrix().shape == (0, 8) and es.matrix().dtype == np.float64
+        path = tmp_path / "emb.txt"
+        save_embeddings(str(path), es)
+        assert path.read_text() == "MOCE-EMB v1 0 8\n"
+        assert load_embeddings(str(path)).matrix().shape == (0, 8)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"d_e": 0}, "embedding dimension must be >= 1, got 0"),
+        ({"d_e": 2.0}, "embedding dimension must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+    ])
+    def test_empty_dataset_still_checks_its_arguments(self, kwargs, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            embed_dataset([], **kwargs)
 
     def test_disjoint_vocabularies_nearly_orthogonal(self):
         """Mean cosine over 100 disjoint-vocab pairs stays below 0.5.
@@ -71,6 +94,75 @@ class TestEmbedder:
         mean_cos = float(np.mean(cosines))
         assert mean_cos < 0.5
         assert abs(mean_cos - -0.005149959661040193) < 1e-12
+
+
+def reference_embedding(tokens, d_e, seed):
+    """The embedder as a loop over one sequence's features, each hashed and
+    added into its bucket in turn: the reference for the one hashing path."""
+    toks = [str(t) for t in tokens]
+    v = np.zeros(d_e, dtype=np.float64)
+    features = [("u", t) for t in toks] + [("b", f"{a}\x1f{b}") for a, b in zip(toks, toks[1:])]
+    for tag, payload in features:
+        digest = hashlib.blake2b(f"{seed}|{tag}|{payload}".encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "little")
+        v[h % d_e] += 1.0 if (h >> 32) & 1 else -1.0
+    v /= len(features)
+    return v / float(np.linalg.norm(v))
+
+
+ODD_SEQUENCES = {
+    "one-token": [42],
+    "repeated-token": [7] * 12,
+    "repeated-string-tokens": ["a", "a", "b", "a", "a"],
+    "integer-tokens": list(range(30)),
+    "int-and-str-alike": [1, "1", 1, "x"],
+    "unicode": ["\u00e9", "\u0661", "\x1f", "|"],
+}
+
+
+class TestOneHashingPath:
+    @pytest.mark.parametrize("d_e", [7, 64])
+    def test_dataset_rows_equal_the_per_feature_loop(self, d_e):
+        """Corpora 0-19: every row of ``embed_dataset`` has the bits of the
+        per-feature loop run on its sequence alone."""
+        for corpus in range(20):
+            records = make_two_dialect_corpus(20, corpus)
+            es = embed_dataset([(r.record_id, r.instruction) for r in records], d_e, corpus)
+            expected = np.array([reference_embedding(r.instruction, d_e, corpus) for r in records])
+            assert es.matrix().tobytes() == expected.tobytes(), corpus
+
+    @pytest.mark.parametrize("name", sorted(ODD_SEQUENCES))
+    @pytest.mark.parametrize("d_e", [7, 64])
+    def test_odd_sequences_equal_the_per_feature_loop(self, name, d_e):
+        tokens = ODD_SEQUENCES[name]
+        expected = reference_embedding(tokens, d_e, 3)
+        assert embed_sequence(tokens, d_e=d_e, seed=3).tobytes() == expected.tobytes()
+        es = embed_dataset([(n, ODD_SEQUENCES[n]) for n in sorted(ODD_SEQUENCES)], d_e=d_e, seed=3)
+        assert es.matrix()[es.ids.index(name)].tobytes() == expected.tobytes()
+
+    def test_sequence_is_row_zero_of_its_dataset(self):
+        records = make_two_dialect_corpus(10, 4)
+        es = embed_dataset([(r.record_id, r.instruction) for r in records], d_e=64, seed=4)
+        for i, r in enumerate(records):
+            one = embed_sequence(r.instruction, d_e=64, seed=4)
+            alone = embed_dataset([("a", r.instruction)], d_e=64, seed=4).matrix()[0]
+            assert one.tobytes() == alone.tobytes()
+            assert one.tobytes() == es.matrix()[i].tobytes()
+
+    def test_each_distinct_feature_is_hashed_once_per_call(self, monkeypatch):
+        calls = []
+        real = hashlib.blake2b
+
+        def counting(data, **kwargs):
+            calls.append(data)
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(embedding.hashlib, "blake2b", counting)
+        sequences = [[1, 2, 1, 2], [2, 1], [1, 2]]
+        embed_dataset([(str(i), s) for i, s in enumerate(sequences)], d_e=8, seed=0)
+        features = {f"0|u|{t}" for s in sequences for t in s}
+        features |= {f"0|b|{a}\x1f{b}" for s in sequences for a, b in zip(s, s[1:])}
+        assert sorted(calls) == sorted(f.encode() for f in features)
 
 
 class TestEmbeddingFile:

@@ -2,6 +2,7 @@
 balance objective, all against hand-composed oracles."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ class TestAdapter:
         e = AdapterExpert.init(6, 2, rng)
         out = expert_output(e, Tensor(rng.standard_normal((3, 6))), Tensor(rng.standard_normal((3, 6))))
         assert out.shape == (3, 6)
+
+
+@pytest.mark.parametrize("act", ["tanh", "GELU", ""])
+def test_unknown_activation_refused_when_the_block_is_built(act):
+    """A feed-forward block names its activation when built: an unknown one
+    raises there, with the text the engine's activation uses."""
+    rng = np.random.default_rng(5)
+    w1, w2 = Tensor(rng.standard_normal((4, 8))), Tensor(rng.standard_normal((8, 4)))
+    with pytest.raises(ContractError, match=re.escape(f"unknown activation kind '{act}', "
+                                                      "expected one of ('gelu', 'relu', 'silu')")):
+        FeedForward(w1, w2, act)
 
 
 class TestLayerForward:

@@ -22,7 +22,8 @@ DATASET_LINES = st.sampled_from([
     b'{"id": "d", "instruction": {"x": 1, "x": 2}, "response": "y"}',
     b'{"id": "e"}', b"[]", b"", b"  ", b"\r", b"\xe2\x80\xa8",
 ])
-NUMBERS = st.sampled_from([b"0", b"1", b"-2", b"0.5", b"1e400", b"nan", b"x", b"\xff", b""])
+NUMBERS = st.sampled_from([b"0", b"1", b"-2", b"0.5", b"1e400", b"nan", b"x", b"\xff", b"",
+                           b"1_5", "\u0661\u0662".encode()])
 ROWS = st.lists(NUMBERS, max_size=4).map(b" ".join)
 
 
